@@ -1,10 +1,10 @@
 """Profile the quadratic-pair Clifford construction on small inputs.
 
 Sweeps regular forms over small finite fields, runs the pair construction
-on each, and records which sandwich variant certified, the saturation
-degree the generator filtration needed, and whether the result matched
-the even Clifford algebra of the underlying form.  A quick way to spot
-inputs where the default variant falls over.
+on each, and records the saturation degree the generator filtration
+needed and whether the result matched the even Clifford algebra of the
+underlying form.  A quick way to spot inputs where the sandwich relations
+fail to certify.
 
 Usage: python3 scripts/pair_saturation.py [--max-dim 4] [--limit 6] [--json]
 """
@@ -49,7 +49,6 @@ def sweep(p: int, max_dim: int, limit: int):
                 "p": p,
                 "n": n,
                 "form": coeffs,
-                "variant": data.variant,
                 "saturation_degree": data.saturation_degree,
                 "dim": data.C.dim,
                 "outcome": "certified",
@@ -77,11 +76,9 @@ def main():
             print(f"FAILED  p={row['p']} n={row['n']} {row['form']}: "
                   f"{row['outcome']}")
             continue
-        tallies[(row["p"], row["n"], row["variant"],
-                 row["saturation_degree"])] += 1
-    for (p, n, var, deg), count in sorted(tallies.items()):
-        print(f"p={p}  n={n}  variant={var:<7}  saturation={deg}  "
-              f"forms={count}")
+        tallies[(row["p"], row["n"], row["saturation_degree"])] += 1
+    for (p, n, deg), count in sorted(tallies.items()):
+        print(f"p={p}  n={n}  saturation={deg}  forms={count}")
     bad = sum(1 for r in rows if r["outcome"] != "certified")
     print(f"total forms: {len(rows)}, certified: {len(rows) - bad}")
 

@@ -20,7 +20,7 @@ import random
 from typing import Callable, Optional
 
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import kernel, lin_span_contains, rank, rref, solve
+from .linalg import SparseEchelon, inv_matrix, kernel, lin_span_contains, rank, rref, solve, sparse_kernel
 from .scalars import Field
 
 
@@ -271,7 +271,6 @@ class ExplicitAlgebra(Algebra):
         trd: Optional[list] = None,
         brauer_symbols: Optional[list] = None,
         verify: str = "auto",
-        deg: Optional[int] = None,
     ):
         super().__init__()
         self.F = F
@@ -282,15 +281,8 @@ class ExplicitAlgebra(Algebra):
         self._names = names
         self._trd = trd
         self.brauer_symbols = brauer_symbols
-        self._deg_override = deg
         self.verify_unit()
         self.verify_associative(verify)
-
-    @property
-    def deg(self) -> Optional[int]:
-        if self._deg_override is not None:
-            return self._deg_override
-        return super().deg
 
     def mul_bb(self, i: int, j: int) -> dict:
         return self._table.get((i, j), {})
@@ -733,16 +725,6 @@ class Involution:
         R, piv, r = rref(F, rows)
         return [R[i] for i in range(r)]
 
-    def symd_basis(self) -> list:
-        """Basis of {x + sigma(x)}, as dense vectors."""
-        F = self.A.F
-        rows = []
-        for i in range(self.A.dim):
-            x = self.A.basis_el(i)
-            rows.append((x + self.apply(x)).dense())
-        R, piv, r = rref(F, rows)
-        return [R[i] for i in range(r)]
-
 
 def involution_on_tensor(T: TensorAlgebra, sA: Involution, sB: Involution, label=None) -> Involution:
     """sA (x) sB on a tensor product."""
@@ -756,15 +738,6 @@ def involution_on_tensor(T: TensorAlgebra, sA: Involution, sB: Involution, label
                 out[T.idx(ka, kb)] = T.F.mul(va, vb)
         imgs.append(out)
     return Involution(T, imgs, label=label or f"{sA.label}(x){sB.label}", verify="none")
-
-
-def involution_on_product(P: ProductAlgebra, sA: Involution, sB: Involution, label=None) -> Involution:
-    imgs = []
-    for i in range(P.A.dim):
-        imgs.append(dict(sA.images[i]))
-    for j in range(P.B.dim):
-        imgs.append({k + P.A.dim: v for k, v in sB.images[j].items()})
-    return Involution(P, imgs, label=label or f"{sA.label}x{sB.label}", verify="none")
 
 
 def swap_involution(P: ProductAlgebra) -> Involution:
@@ -798,8 +771,6 @@ def adjoint_involution(M: MatrixAlgebra, G: list, base_inv: Optional[Involution]
     theta(G)^t = G or -G (theta = base_inv, identity if None).  Entries of
     G^-1 are computed by solving over the matrix algebra itself.
     """
-    from .linalg import inv_matrix
-
     base = M.base
     F = M.F
     n = M.n
@@ -852,7 +823,9 @@ def involution_type(A: Algebra, sigma: Involution) -> str:
 
     Unitary means sigma moves the center.  For the first kind the type is
     read off dim Sym in characteristic not 2 and from whether 1 lies in
-    Alt in characteristic 2.
+    Alt in characteristic 2.  A center Z of dimension z that sigma fixes
+    (a field, or a product of fields) makes A of degree m = sqrt(dim / z)
+    over Z, and dim Sym is z * m(m + 1)/2 or z * m(m - 1)/2.
     """
     F = A.F
     cb = center_basis(A)
@@ -860,19 +833,20 @@ def involution_type(A: Algebra, sigma: Involution) -> str:
         x = El(A, {i: c for i, c in enumerate(v) if not F.is_zero(c)})
         if sigma.apply(x) != x:
             return "unitary"
-    n = A.deg
     if F.char == 2:
         alt = sigma.alt_basis()
         one = A.one().dense()
         return "symplectic" if lin_span_contains(F, alt, one) else "orthogonal"
-    if n is None:
-        raise UnsupportedInputError("cannot type an involution without a degree")
+    z = len(cb)
+    m = math.isqrt(A.dim // z)
+    if z * m * m != A.dim:
+        raise UnsupportedInputError(f"dimension {A.dim} is not a square over a center of dimension {z}")
     s = len(sigma.sym_basis())
-    if s == n * (n + 1) // 2:
+    if s == z * m * (m + 1) // 2:
         return "orthogonal"
-    if s == n * (n - 1) // 2:
+    if s == z * m * (m - 1) // 2:
         return "symplectic"
-    raise CertificationError(f"unexpected symmetric dimension {s} for degree {n}")
+    raise CertificationError(f"unexpected symmetric dimension {s} for degree {m} over a center of dimension {z}")
 
 
 # ---------------------------------------------------------------------------
@@ -893,24 +867,13 @@ def center_basis(A: Algebra) -> list:
     gens = getattr(A, "_gen_indices", None) or range(n)
     rows = []
     for g in gens:
-        L = A.lmul_matrix(A.basis_el(g))
-        R = A.rmul_matrix(A.basis_el(g))
-        for r in range(n):
-            rows.append([F.sub(L[r][c], R[r][c]) for c in range(n)])
-    return kernel(F, rows)
-
-
-def centralizer_basis(A: Algebra, elems: list) -> list:
-    """Basis of the centralizer of the given elements, as dense vectors."""
-    F = A.F
-    n = A.dim
-    rows = []
-    for x in elems:
-        L = A.lmul_matrix(x)
-        R = A.rmul_matrix(x)
-        for r in range(n):
-            rows.append([F.sub(L[r][c], R[r][c]) for c in range(n)])
-    return kernel(F, rows)
+        # row r of L_g - R_g holds the e_r coefficients of g e_c - e_c g
+        block = [{} for _ in range(n)]
+        for c in range(n):
+            for r, v in sp_sub(F, A._mul_bb_cached(g, c), A._mul_bb_cached(c, g)).items():
+                block[r][c] = v
+        rows.extend(block)
+    return sparse_kernel(F, rows, n)
 
 
 def center_structure(A: Algebra):
@@ -988,24 +951,19 @@ def corner_algebra(A: Algebra, e: El, label: str = "corner"):
     Returns (B, embed) where embed maps B elements back into A.
     """
     F = A.F
-    rows = []
-    reps = []
+    ech = SparseEchelon(F)
     for i in range(A.dim):
-        x = A.mul(e, A.mul(A.basis_el(i), e))
-        d = x.dense()
-        if not lin_span_contains(F, rows, d):
-            rows.append(d)
-            reps.append(x)
-    dim = len(reps)
-    R, piv, r = rref(F, [x.dense() for x in reps])
-    # re-extract representatives in echelon form for stable coordinates
-    basis = [El(A, {i: c for i, c in enumerate(row) if not F.is_zero(c)}) for row in R[:r]]
+        ech.insert(A.mul(e, A.mul(A.basis_el(i), e)).c)
+    # the reduced echelon rows are the basis, so an element of the span has
+    # its coordinates at the pivot columns
+    pivots = sorted(ech.rows)
+    dim = len(pivots)
+    basis = [El(A, ech.rows[p]) for p in pivots]
 
     def coords_of(x: El) -> dict:
-        sol = solve(F, [list(col) for col in zip(*[b.dense() for b in basis])], x.dense())
-        if sol is None:
+        if ech.reduce(x.c):
             raise CertificationError("element not in corner span")
-        return {i: v for i, v in enumerate(sol) if not F.is_zero(v)}
+        return {k: x.c[p] for k, p in enumerate(pivots) if p in x.c}
 
     table = {}
     for i in range(dim):
@@ -1103,8 +1061,6 @@ def hom_on_generators(A: Algebra, B: Algebra, gen_indices: list, gen_images: lis
     Products of the generators must span A; images are found by expressing
     each basis element as a linear combination of generator monomials.
     """
-    from .linalg import SparseEchelon, inv_matrix
-
     F = A.F
     ech = SparseEchelon(F)
     span_rows: list = []

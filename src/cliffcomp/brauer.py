@@ -26,7 +26,7 @@ from .algebra import (
     hom_on_generators,
 )
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import kernel, solve
+from .linalg import kernel
 from .scalars import (
     Field,
     Place,
@@ -214,11 +214,6 @@ class RestrictedClass:
     def distance(self, other: "RestrictedClass") -> int:
         return 0 if self == other else 1
 
-    def conjugate(self) -> "RestrictedClass":
-        """Image under the nontrivial base automorphism: unchanged, being a
-        restriction from downstairs."""
-        return self
-
     def to_json(self) -> dict:
         d = self.cls.to_json()
         d["base"] = repr(self.S)
@@ -381,13 +376,6 @@ def _small_combos(F: Field, n: int, rng, tries: int):
             yield [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         else:
             yield [F.from_int(rng.randrange(F.order)) for _ in range(n)]
-
-
-def class_of_algebra(A: Algebra) -> BrauerClass:
-    """The symbolic class carried by a constructor-built algebra."""
-    if A.brauer_symbols is None:
-        raise UnsupportedInputError(f"{A.label} carries no symbolic class")
-    return BrauerClass(A.F, A.brauer_symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ verify as an involution.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,7 +34,7 @@ from .algebra import (
     sp_scale,
 )
 from .errors import CertificationError, SaturationError, UnsupportedInputError
-from .linalg import SparseEchelon, inv_matrix, kernel, rref
+from .linalg import SparseEchelon, inv_matrix, sparse_kernel
 from .quadform import QuadraticSpace
 
 
@@ -115,12 +114,6 @@ class CliffordAlgebra(Algebra):
         F = self.F
         return El(self, {1 << i: c for i, c in enumerate(v) if not F.is_zero(c)})
 
-    def product_of_vectors(self, vectors: list) -> El:
-        acc = self.one()
-        for v in vectors:
-            acc = acc * self.embed_vector(v)
-        return acc
-
     def reversal(self, verify: str = "auto") -> Involution:
         """The involution fixing V pointwise: reverses generator words."""
         imgs = []
@@ -198,7 +191,6 @@ class PairCliffordData:
     a_images: list          # coords of the canonical image of each A-basis vector
     canon_words: list       # quotient basis words over complement letters
     n_letters: list         # A-basis indices forming the complement N
-    variant: str            # which sandwich subspace condition was used
     sandwich_dim: int
     saturation_degree: int
     center_etale: object = None
@@ -227,85 +219,22 @@ def _w_space_paper(A: Algebra, sigma: Involution) -> list:
     F = A.F
     d = A.dim
     ys = []
-    seen = []
+    seen = SparseEchelon(F)
     for t in range(d):
         x = A.basis_el(t)
         y = x - sigma.apply(x)
-        if y.is_zero():
-            continue
-        if not seen or not _in_span(F, seen, y.dense()):
-            seen.append(y.dense())
+        if seen.insert(y.c) is not None:
             ys.append(y)
     rows = []
     for y in ys:
-        triple = {}
+        # row r holds the e_r coefficients of e_i y e_j, in column i * d + j
+        block = [{} for _ in range(d)]
         for i in range(d):
             for j in range(d):
-                triple[(i, j)] = _sandwich_eval(A, i, y, j)
-        for r in range(d):
-            rows.append([triple[(i, j)].c.get(r, F.zero()) for i in range(d) for j in range(d)])
-    ker = kernel(F, rows) if rows else []
-    out = []
-    for v in ker:
-        u = {}
-        for t, c in enumerate(v):
-            if not F.is_zero(c):
-                u[(t // d, t % d)] = c
-        out.append(u)
-    return out
-
-
-def _in_span(F, rows, v) -> bool:
-    from .linalg import lin_span_contains
-
-    return lin_span_contains(F, rows, v)
-
-
-def _w_space_switch(A: Algebra, sigma: Involution) -> list:
-    """Basis of the fixed space of u = sum a (x) b -> sum sigma(b) (x) sigma(a).
-
-    Equivalently: u with Sand(u) commuting with sigma.
-    """
-    F = A.F
-    d = A.dim
-
-    def op(i: int, j: int) -> dict:
-        # image of e_i (x) e_j: sigma(e_j) (x) sigma(e_i)
-        si = sigma.images[i]
-        sj = sigma.images[j]
-        out = {}
-        for kj, vj in sj.items():
-            for ki, vi in si.items():
-                out[(kj, ki)] = F.mul(vj, vi)
-        return out
-
-    if F.char != 2:
-        # fixed space = image of (1 + op) since op is an involution
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                w = op(i, j)
-                w = sp_add(F, w, {(i, j): F.one()})
-                rows.append([w.get((a, b), F.zero()) for a in range(d) for b in range(d)])
-        R, piv, r = rref(F, rows)
-        out = []
-        for t in range(r):
-            u = {}
-            for s, c in enumerate(R[t]):
-                if not F.is_zero(c):
-                    u[(s // d, s % d)] = c
-            out.append(u)
-        return out
-    # char 2: fixed space = kernel of (op - id)
-    rows = [[F.zero()] * (d * d) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            col = i * d + j
-            w = op(i, j)
-            for (a, b), c in w.items():
-                rows[a * d + b][col] = F.add(rows[a * d + b][col], c)
-            rows[col][col] = F.sub(rows[col][col], F.one())
-    ker = kernel(F, rows)
+                for r, v in _sandwich_eval(A, i, y, j).c.items():
+                    block[r][i * d + j] = v
+        rows.extend(block)
+    ker = sparse_kernel(F, rows, d * d) if rows else []
     out = []
     for v in ker:
         u = {}
@@ -333,13 +262,10 @@ class _PairQuotient:
         F = self.F
         d = self.A.dim
         rows = [list(r) for r in self.sym_rows]
-        n_letters = []
-        from .linalg import lin_span_contains
-
-        for i in range(d):
-            e = [F.one() if t == i else F.zero() for t in range(d)]
-            if not lin_span_contains(F, rows + [self._unit_row(t) for t in n_letters], e):
-                n_letters.append(i)
+        spanned = SparseEchelon(F)
+        for row in rows:
+            spanned.insert({t: v for t, v in enumerate(row) if not F.is_zero(v)})
+        n_letters = [i for i in range(d) if spanned.insert({i: F.one()}) is not None]
         self.n_letters = n_letters
         self.nu = len(n_letters)
         # solve e_i = sum_s c_s sym_s + sum_p d_p e_{n_p} for all i at once
@@ -463,14 +389,12 @@ class _PairQuotient:
         return canon
 
 
-def clifford_of_pair(pair, variant: str = "auto", max_degree: int = 4,
-                     verify: str = "auto") -> PairCliffordData:
+def clifford_of_pair(pair, max_degree: int = 4) -> PairCliffordData:
     """The Clifford algebra of an algebra with quadratic pair, certified.
 
-    variant selects the sandwich subspace: 'kernel' kills im(1 - sigma)
-    under the sandwich action, 'switch' takes the fixed space of
-    a (x) b -> sigma(b) (x) sigma(a), 'auto' tries kernel then switch then
-    their intersection, accepting the first that certifies.
+    The sandwich relations come from the subspace of A (x) A whose sandwich
+    action kills im(1 - sigma); the ideal is saturated up to max_degree.
+    Raises SaturationError when no degree certifies.
     """
     A = pair.A
     deg = A.deg
@@ -478,65 +402,19 @@ def clifford_of_pair(pair, variant: str = "auto", max_degree: int = 4,
         raise UnsupportedInputError("pair construction needs even degree")
     expected = 1 << (deg - 1)
     worker = _PairQuotient(A, pair.sigma, pair.sym_rows, pair.f_on_sym, pair.ell)
-    order = [variant] if variant != "auto" else ["kernel", "switch", "intersect"]
-    failures = []
-    for var in order:
-        if var == "kernel":
-            w_basis = _w_space_paper(A, pair.sigma)
-        elif var == "switch":
-            w_basis = _w_space_switch(A, pair.sigma)
-        elif var == "intersect":
-            wk = _w_space_paper(A, pair.sigma)
-            ws = _w_space_switch(A, pair.sigma)
-            w_basis = _intersect_sparse(A.F, wk, ws, A.dim)
-        else:
-            raise UnsupportedInputError(f"unknown sandwich variant {var!r}")
-        gens = worker.generator_rows(w_basis)
-        data = _try_build(pair, worker, gens, var, len(w_basis), expected, max_degree, verify)
-        if data is not None:
-            return data
-        failures.append(var)
-    raise SaturationError(
-        f"no sandwich variant certified (tried {failures}); "
-        f"expected quotient dimension {expected}"
-    )
+    w_basis = _w_space_paper(A, pair.sigma)
+    gens = worker.generator_rows(w_basis)
+    data = _try_build(pair, worker, gens, len(w_basis), expected, max_degree)
+    if data is None:
+        raise SaturationError(
+            f"the sandwich relations did not certify up to degree {max_degree}; "
+            f"expected quotient dimension {expected}"
+        )
+    return data
 
 
-def _intersect_sparse(F, us: list, vs: list, d: int) -> list:
-    rows_u = [[u.get((a, b), F.zero()) for a in range(d) for b in range(d)] for u in us]
-    rows_v = [[v.get((a, b), F.zero()) for a in range(d) for b in range(d)] for v in vs]
-    # intersection via kernel of stacked coordinates in the sum space
-    if not rows_u or not rows_v:
-        return []
-    stacked = [ru + [F.zero()] for ru in rows_u]
-    # solve c_u . U = c_v . V: kernel of [U^t | -V^t] style; do it dense
-    cols = len(rows_u[0])
-    M = []
-    for c in range(cols):
-        M.append([rows_u[r][c] for r in range(len(rows_u))] + [F.neg(rows_v[r][c]) for r in range(len(rows_v))])
-    ker = kernel(F, M)
-    out = []
-    for v in ker:
-        u = {}
-        for r, c in enumerate(v[: len(rows_u)]):
-            if F.is_zero(c):
-                continue
-            for t, val in enumerate(rows_u[r]):
-                if not F.is_zero(val):
-                    key = (t // d, t % d)
-                    nv = F.add(u.get(key, F.zero()), F.mul(c, val))
-                    if F.is_zero(nv):
-                        u.pop(key, None)
-                    else:
-                        u[key] = nv
-        if u:
-            out.append(u)
-    return out
-
-
-def _try_build(pair, worker: _PairQuotient, gens: list, var: str, wdim: int,
-               expected: int, max_degree: int, verify: str) -> Optional[PairCliffordData]:
-    F = worker.F
+def _try_build(pair, worker: _PairQuotient, gens: list, wdim: int,
+               expected: int, max_degree: int) -> Optional[PairCliffordData]:
     for degree in range(3, max_degree + 1):
         ech = worker.saturate(gens, degree)
         canon = worker.quotient(ech, degree)
@@ -546,14 +424,14 @@ def _try_build(pair, worker: _PairQuotient, gens: list, var: str, wdim: int,
             # not stabilized: top-degree words survive
             continue
         try:
-            return _finalize(pair, worker, ech, canon, var, wdim, degree, verify)
+            return _finalize(pair, worker, ech, canon, wdim, degree)
         except CertificationError:
             continue
     return None
 
 
 def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
-              var: str, wdim: int, degree: int, verify: str) -> PairCliffordData:
+              wdim: int, degree: int) -> PairCliffordData:
     F = worker.F
     A = worker.A
     index = {w: t for t, w in enumerate(canon)}
@@ -599,7 +477,6 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
         label=f"C({A.label},pair)",
         verify="full" if dim <= 16 else "auto",
         names=names,
-        deg=_halfdeg(expected_dim=dim),
     )
     C._gen_indices = [t for t, w in enumerate(canon) if len(w) <= 1]
 
@@ -645,18 +522,11 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
         a_images=a_images,
         canon_words=canon,
         n_letters=worker.n_letters,
-        variant=var,
         sandwich_dim=wdim,
         saturation_degree=degree,
         center_etale=et,
         center_idempotent=e,
     )
-
-
-def _halfdeg(expected_dim: int) -> Optional[int]:
-    # dim 2^(2k-1) is not a perfect square; the quotient is Azumaya of
-    # degree 2^(k-1) over its quadratic center, so leave deg unset
-    return None
 
 
 def split_compare(data: PairCliffordData, aux: dict):

@@ -70,15 +70,6 @@ ORTH, SYMP = "orthogonal", "symplectic"
 # ---------------------------------------------------------------------------
 # small involution helpers
 
-def hat_involution(Q: QuaternionAlgebra) -> Involution:
-    """The orthogonal involution on a quaternion algebra fixing i and j."""
-    if Q.F.char == 2:
-        raise UnsupportedInputError("orthogonal quaternion involution needs char != 2")
-    F = Q.F
-    imgs = [{0: F.one()}, {1: F.one()}, {2: F.one()}, {3: F.neg(F.one())}]
-    return Involution(Q, imgs, label="hat", verify="full")
-
-
 def etale_algebra(S: EtaleQuadratic):
     """A quadratic field datum as a 2-dimensional explicit algebra, together
     with its standard involution."""

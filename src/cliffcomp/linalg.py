@@ -1,9 +1,13 @@
-"""Exact dense and sparse linear algebra over an arbitrary Field.
+"""Exact linear algebra over an arbitrary Field, by one sparse echelon.
 
-Dense matrices are lists of lists of field elements; the Field object is
-passed alongside.  The sparse side is a single incremental echelon
-structure used for ideal saturation and span computations: rows are dicts
-keyed by column labels, with a caller-supplied column ordering.
+SparseEchelon is the only elimination.  Its rows are dicts keyed by
+column labels with a caller-supplied column order; the pivot of a row is
+its minimal column, and the stored form stays fully reduced, so it is the
+unique reduced echelon form of the span of the rows inserted.  The dense
+entry points (rref, rank, kernel, solve, inv_matrix, det and
+lin_span_contains) take matrices as lists of lists of field elements,
+insert their rows into one echelon over columns 0, 1, ... and read the
+answer off it; sparse_kernel takes the rows as dicts already.
 """
 
 from __future__ import annotations
@@ -11,175 +15,24 @@ from __future__ import annotations
 from .scalars import Field
 
 
-def mat_identity(F: Field, n: int):
-    return [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
-
-
-def mat_mul(F: Field, A, B):
-    n, m = len(A), len(B[0])
-    k = len(B)
-    out = [[F.zero()] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if F.is_zero(a):
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                if not F.is_zero(Bt[j]):
-                    row[j] = F.add(row[j], F.mul(a, Bt[j]))
-    return out
-
-
-def mat_vec(F: Field, A, v):
-    return [
-        _dot(F, row, v)
-        for row in A
-    ]
-
-
-def _dot(F: Field, row, v):
-    acc = F.zero()
-    for a, b in zip(row, v):
-        if not F.is_zero(a) and not F.is_zero(b):
-            acc = F.add(acc, F.mul(a, b))
-    return acc
-
-
 def mat_transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def mat_add(F: Field, A, B):
-    return [[F.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(F: Field, c, A):
-    return [[F.mul(c, a) for a in row] for row in A]
-
-
-def rref(F: Field, A):
-    """Reduced row echelon form.  Returns (R, pivots, rank)."""
-    R = [list(row) for row in A]
-    if not R:
-        return R, [], 0
-    rows, cols = len(R), len(R[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not F.is_zero(R[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = F.inv(R[r][c])
-        R[r] = [F.mul(inv, x) for x in R[r]]
-        for i in range(rows):
-            if i != r and not F.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots, r
-
-
-def rank(F: Field, A) -> int:
-    return rref(F, A)[2]
-
-
-def kernel(F: Field, A):
-    """Basis of the right kernel of A, as a list of vectors."""
-    if not A:
-        return []
-    R, pivots, r = rref(F, A)
-    cols = len(A[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F.zero()] * cols
-        v[fc] = F.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R[i][fc])
-        basis.append(v)
-    return basis
-
-
-def solve(F: Field, A, b):
-    """One solution x of A x = b, or None if inconsistent."""
-    if not A:
-        return None if any(not F.is_zero(x) for x in b) else []
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    R, pivots, r = rref(F, aug)
-    cols = len(A[0])
-    if cols in pivots:
-        return None
-    x = [F.zero()] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i][cols]
-    return x
-
-
-def inv_matrix(F: Field, A):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(A)
-    aug = [list(row) + list(idr) for row, idr in zip(A, mat_identity(F, n))]
-    R, pivots, r = rref(F, aug)
-    if r < n or pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in R[:n]]
-
-
-def det(F: Field, A):
-    """Determinant by fraction-free-ish elimination over the field."""
-    n = len(A)
-    M = [list(row) for row in A]
-    d = F.one()
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not F.is_zero(M[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return F.zero()
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            d = F.neg(d)
-        d = F.mul(d, M[c][c])
-        inv = F.inv(M[c][c])
-        for i in range(c + 1, n):
-            if not F.is_zero(M[i][c]):
-                f = F.mul(inv, M[i][c])
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
-    return d
-
-
-def lin_span_contains(F: Field, basis, v) -> bool:
-    """Is v in the row span of basis?"""
-    if not basis:
-        return all(F.is_zero(x) for x in v)
-    return rank(F, basis) == rank(F, basis + [v])
 
 
 class SparseEchelon:
     """Incremental echelon form over dict-valued rows with ordered columns.
 
     Columns are arbitrary hashable labels; `key` maps a label to a sort
-    key, and the pivot of a row is its minimal column under that order.
-    insert() reduces a row against the current basis, inserts the residue
-    if nonzero, and returns it (None if the row reduced to zero).
+    key (the labels themselves when None), and the pivot of a row is its
+    minimal column under that order.
+    insert() reduces a row against the current basis, stores the residue
+    scaled to pivot entry 1 if it is nonzero, and returns the residue as
+    reduced (None if the row reduced to zero).
     """
 
     def __init__(self, F: Field, key=None):
         self.F = F
-        self.key = key or (lambda c: c)
+        self.key = key
         self.rows: dict = {}  # pivot label -> reduced row dict
 
     def _pivot(self, row: dict):
@@ -188,47 +41,45 @@ class SparseEchelon:
     def reduce(self, row: dict) -> dict:
         """Fully reduce a row against the basis; returns a new dict.
 
-        Stored rows carry no pivot column but their own, so eliminations
-        can happen in any order and each one removes a pivot column from
-        the work row for good.
+        Stored rows carry no pivot column but their own, so subtracting
+        one of them neither changes the row's entry in another pivot column
+        nor brings in a new one: one pass over the row's pivot columns
+        clears them all.
         """
         F = self.F
+        zero = F.zero()
         work = {c: v for c, v in row.items() if not F.is_zero(v)}
-        while True:
-            hit = None
-            for c in work:
-                if c in self.rows:
-                    hit = c
-                    break
-            if hit is None:
-                return work
+        for hit in [c for c in work if c in self.rows]:
             coef = work[hit]
             for cc, vv in self.rows[hit].items():
-                nv = F.sub(work.get(cc, F.zero()), F.mul(coef, vv))
+                nv = F.sub(work.get(cc, zero), F.mul(coef, vv))
                 if F.is_zero(nv):
                     work.pop(cc, None)
                 else:
                     work[cc] = nv
+        return work
 
     def insert(self, row: dict):
         """Reduce and insert; returns the residue row or None."""
+        F = self.F
+        zero = F.zero()
         res = self.reduce(row)
         if not res:
             return None
         p = self._pivot(res)
-        inv = self.F.inv(res[p])
-        res = {c: self.F.mul(inv, v) for c, v in res.items()}
+        inv = F.inv(res[p])
+        new = {c: F.mul(inv, v) for c, v in res.items()}
         # back-substitute into existing rows so the form stays reduced
-        for q, prow in list(self.rows.items()):
+        for prow in self.rows.values():
             if p in prow:
                 coef = prow[p]
-                for cc, vv in res.items():
-                    nv = self.F.sub(prow.get(cc, self.F.zero()), self.F.mul(coef, vv))
-                    if self.F.is_zero(nv):
+                for cc, vv in new.items():
+                    nv = F.sub(prow.get(cc, zero), F.mul(coef, vv))
+                    if F.is_zero(nv):
                         prow.pop(cc, None)
                     else:
                         prow[cc] = nv
-        self.rows[p] = res
+        self.rows[p] = new
         return res
 
     @property
@@ -241,3 +92,123 @@ class SparseEchelon:
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
+
+
+# ---------------------------------------------------------------------------
+# dense entry points, read off one echelon
+
+def _sparse(F: Field, row) -> dict:
+    return {c: x for c, x in enumerate(row) if not F.is_zero(x)}
+
+
+def _echelon(F: Field, rows) -> SparseEchelon:
+    """The echelon of dense rows, over integer columns in their natural order."""
+    ech = SparseEchelon(F)
+    for row in rows:
+        ech.insert(_sparse(F, row))
+    return ech
+
+
+def rref(F: Field, A):
+    """Reduced row echelon form.  Returns (R, pivots, rank)."""
+    if not A:
+        return [], [], 0
+    cols = len(A[0])
+    ech = _echelon(F, A)
+    pivots = sorted(ech.rows)
+    zero = F.zero()
+    R = [[ech.rows[p].get(c, zero) for c in range(cols)] for p in pivots]
+    R += [[zero] * cols for _ in range(len(A) - len(pivots))]
+    return R, pivots, len(pivots)
+
+
+def rank(F: Field, A) -> int:
+    return _echelon(F, A).rank
+
+
+def kernel(F: Field, A):
+    """Basis of the right kernel of A, as a list of vectors."""
+    if not A:
+        return []
+    return sparse_kernel(F, [_sparse(F, row) for row in A], len(A[0]))
+
+
+def sparse_kernel(F: Field, rows, cols: int):
+    """Basis of the right kernel of dict rows over columns 0..cols-1, as
+    dense vectors: one per free column, read off the reduced echelon."""
+    ech = SparseEchelon(F)
+    for row in rows:
+        ech.insert(row)
+    reduced = ech.rows
+    basis = []
+    for fc in range(cols):
+        if fc in reduced:
+            continue
+        v = [F.zero()] * cols
+        v[fc] = F.one()
+        for pc, row in reduced.items():
+            if fc in row:
+                v[pc] = F.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+def solve(F: Field, A, b):
+    """One solution x of A x = b, or None if inconsistent.
+
+    Free variables are set to zero, so x is the right-hand column of the
+    reduced echelon form of (A | b), read at the pivots.
+    """
+    if not A:
+        return None if any(not F.is_zero(x) for x in b) else []
+    cols = len(A[0])
+    rows = _echelon(F, (list(row) + [bv] for row, bv in zip(A, b))).rows
+    if cols in rows:
+        return None
+    x = [F.zero()] * cols
+    for pc, row in rows.items():
+        x[pc] = row.get(cols, F.zero())
+    return x
+
+
+def inv_matrix(F: Field, A):
+    """Inverse of a square matrix, or None if singular.
+
+    (A | I) always has rank n; A is invertible exactly when every pivot
+    lies in A's columns, and the inverse is then the right-hand block.
+    """
+    n = len(A)
+    ech = SparseEchelon(F)
+    for i, row in enumerate(A):
+        ech.insert({**_sparse(F, row), n + i: F.one()})
+    if any(p >= n for p in ech.rows):
+        return None
+    zero = F.zero()
+    return [[ech.rows[p].get(n + c, zero) for c in range(n)] for p in range(n)]
+
+
+def det(F: Field, A):
+    """Determinant: the product of the pivots met while inserting the rows.
+
+    Row k is reduced only by earlier rows, which leaves the determinant
+    alone, and its residue vanishes at the earlier pivot columns; with the
+    columns reordered by pivot the residues are triangular.  The sign is
+    that of the permutation sending row k to its pivot column.
+    """
+    ech = SparseEchelon(F)
+    d = F.one()
+    pivots = []
+    for row in A:
+        res = ech.insert(_sparse(F, row))
+        if res is None:
+            return F.zero()
+        p = ech._pivot(res)
+        d = F.mul(d, res[p])
+        pivots.append(p)
+    inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:] if q < p)
+    return F.neg(d) if inversions % 2 else d
+
+
+def lin_span_contains(F: Field, basis, v) -> bool:
+    """Is v in the row span of basis?"""
+    return _echelon(F, basis).contains(_sparse(F, v))

@@ -24,7 +24,7 @@ from .algebra import (
     involution_type,
 )
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import inv_matrix, mat_transpose, solve
+from .linalg import inv_matrix, solve
 from .quadform import QuadraticSpace
 
 

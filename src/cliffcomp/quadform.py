@@ -15,7 +15,7 @@ import random
 from typing import Optional
 
 from .errors import UnsupportedInputError
-from .linalg import det, kernel, mat_mul, mat_transpose
+from .linalg import det, kernel, mat_transpose
 from .scalars import Field, quad_ext_info
 
 

@@ -656,8 +656,6 @@ def hilbert_symbol_bruteforce(a, b, place: Place) -> int:
     factors of p), k = 2 when exactly one has odd valuation, k = 3 when
     both do, and k = 6 at p = 2.  At the real place it reads off signs.
     """
-    import numpy as np
-
     a, b = _as_fraction(a), _as_fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
@@ -682,28 +680,24 @@ def hilbert_symbol_bruteforce(a, b, place: Place) -> int:
     else:
         k = 1
     n = p**k
-    xs = np.arange(n, dtype=np.int64)
-    sq = np.zeros(n, dtype=bool)
-    sq[(xs * xs) % n] = True
-    ax2 = (ai % n) * ((xs * xs) % n) % n
-    by2 = (bi % n) * ((xs * xs) % n) % n
-    unit = xs % p != 0
-    # z is implicit: need a x^2 + b y^2 to be a square mod n, with the
-    # triple (x, y, z) primitive. If x or y is a unit any square z works;
-    # if both are divisible by p, z must be a unit, i.e. the sum must be a
-    # unit square.
-    usq = np.zeros(n, dtype=bool)
-    usq[(xs[unit] * xs[unit]) % n] = True
-    for x in range(n):
-        t = (ax2[x] + by2) % n
-        if unit[x]:
-            if sq[t].any():
-                return 1
-        else:
-            if sq[t[unit]].any():
-                return 1
-            if usq[t[~unit]].any():
-                return 1
+    # z is implicit: a x^2 + b y^2 must be a square mod n, with the triple
+    # (x, y, z) primitive.  If x or y is a unit any square z works; if both
+    # are divisible by p, z must be a unit, i.e. the sum must be a unit
+    # square.  Only the residues c x^2 and whether x is a unit matter, so
+    # the search runs over those sets.
+    squares = {x * x % n for x in range(n)}
+    unit_squares = {x * x % n for x in range(n) if x % p}
+
+    def values(c: int, unit: bool) -> set:
+        return {c * x * x % n for x in range(n) if bool(x % p) == unit}
+
+    ax_unit, ax_nonunit = values(ai, True), values(ai, False)
+    by_unit, by_nonunit = values(bi, True), values(bi, False)
+    for xs, ys, targets in ((ax_unit, by_unit | by_nonunit, squares),
+                            (ax_nonunit, by_unit, squares),
+                            (ax_nonunit, by_nonunit, unit_squares)):
+        if any((s + t) % n in targets for s in xs for t in ys):
+            return 1
     return -1
 
 
@@ -782,9 +776,6 @@ class EtaleQuadratic:
         if r == 5:
             return "inert"
         return "ramified"
-
-    def splits_at(self, place: Place) -> bool:
-        return self.place_behavior(place) == "split"
 
     def is_isomorphic(self, other: "EtaleQuadratic") -> bool:
         if self.field != other.field:

@@ -1,39 +1,12 @@
-"""Shared helpers: independent involution typing and center probes."""
+"""Shared helpers: independent center probes."""
 
-from math import isqrt
-
-from cliffcomp.algebra import El, center_basis, involution_type
+from cliffcomp.algebra import El
 from cliffcomp.scalars import quad_ext_info
 
 
 def _center_elements(A, cb):
     F = A.F
     return [El(A, {i: c for i, c in enumerate(v) if not F.is_zero(c)}) for v in cb]
-
-
-def computed_involution_type(A, tau, cb=None) -> str:
-    """Type an involution from first principles, without needing A.deg.
-
-    Unitary iff the center moves; otherwise read the symmetric dimension
-    against z * m(m+1)/2 vs z * m(m-1)/2 over the base field (char != 2),
-    or use the alternating criterion in characteristic 2.
-    """
-    F = A.F
-    if cb is None:
-        cb = center_basis(A)
-    for x in _center_elements(A, cb):
-        if tau.apply(x) != x:
-            return "unitary"
-    if F.char == 2:
-        return involution_type(A, tau)
-    s = len(tau.sym_basis())
-    zdim = len(cb)
-    m = isqrt(A.dim // zdim)
-    if s == zdim * m * (m + 1) // 2:
-        return "orthogonal"
-    if s == zdim * m * (m - 1) // 2:
-        return "symplectic"
-    raise AssertionError(f"symmetric dimension {s} fits no type for dim {A.dim}")
 
 
 def central_etale_split(A, cb) -> bool:

@@ -11,8 +11,8 @@ import sys
 import time
 from fractions import Fraction
 
-from conftest import central_etale_split, computed_involution_type
-from cliffcomp.algebra import QuaternionAlgebra, center_basis, corner_algebra
+from conftest import central_etale_split
+from cliffcomp.algebra import QuaternionAlgebra, center_basis, corner_algebra, involution_type
 from cliffcomp.brauer import BrauerClass, quaternion_symbol_of, trivial_class
 from cliffcomp.clifford import clifford_of_pair, even_clifford, split_compare
 from cliffcomp.compose import construct_composition, regular_representation
@@ -114,7 +114,7 @@ def test_ac3_even_clifford_dimensions_types_and_split_flags():
         assert C.dim == 1 << n
         assert C0.dim == 1 << (n - 1)
         cb = center_basis(C0)
-        got = computed_involution_type(C0, tau, cb)
+        got = involution_type(C0, tau)
         assert got == canonical_involution_type(n, F.char), \
             f"{q.label}: type {got}"
         if n % 2 == 0:

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 BASE = [sys.executable, "-m", "cliffcomp.cli"]
+BUNDLES = sorted((Path(__file__).parent / "data").glob("bundle_*.json"))
 
 
 def run_cli(*args, stdin=None):
@@ -150,3 +152,19 @@ def test_selftest_passes():
     out = run_json("selftest")
     assert out["failed"] == 0
     assert out["passed"] >= 8
+
+
+@pytest.mark.parametrize("path", BUNDLES, ids=lambda p: p.stem)
+def test_committed_bundles_replay(path):
+    # bundles made by an earlier version; verify rebuilds each witness and
+    # requires the JSON to match byte for byte
+    p = run_cli("verify", stdin=path.read_text())
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["verified"] is True
+
+
+def test_selftest_runs_without_numpy():
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from cliffcomp.cli import run; sys.exit(run(['selftest']))")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import computed_involution_type
-from cliffcomp.algebra import QuaternionAlgebra, corner_algebra
+from cliffcomp.algebra import QuaternionAlgebra, corner_algebra, involution_type
 from cliffcomp.brauer import BrauerClass, quaternion_symbol_of
 from cliffcomp.clifford import (
     CliffordAlgebra,
@@ -84,22 +83,24 @@ def test_even_part_dimension(n):
         (F3, (1, 2)),
         (F3, (1, 1, 1)),
         (F3, (1, 1, 2, 2)),
+        # C0 has dim 8 over its center Q(sqrt 2): no degree over Q
+        (QQ, (1, 1, 1, 2)),
     ],
 )
 def test_canonical_type_table(field, entries):
     q = QuadraticSpace.diagonal(field, [field.from_int(v) if field.char else Fraction(v) for v in entries])
     _, C0, _, _, tau = even_clifford(q)
-    assert computed_involution_type(C0, tau) == canonical_involution_type(len(entries), field.char)
+    assert involution_type(C0, tau) == canonical_involution_type(len(entries), field.char)
 
 
 def test_canonical_type_char2_exception():
     # dimension 1 is orthogonal; every other odd-free char-2 case is not
     q1 = QuadraticSpace.diagonal(F2, [F2.one()])
     _, C01, _, _, tau1 = even_clifford(q1)
-    assert computed_involution_type(C01, tau1) == "orthogonal"
+    assert involution_type(C01, tau1) == "orthogonal"
     q2 = QuadraticSpace.from_upper_entries(F2, 2, {(0, 1): 1})
     _, C02, _, _, tau2 = even_clifford(q2)
-    assert computed_involution_type(C02, tau2) == "unitary"
+    assert involution_type(C02, tau2) == "unitary"
 
 
 @pytest.mark.parametrize(
@@ -141,10 +142,11 @@ def test_pair_clifford_char2_center(entries, datum, split):
 
 def test_kernel_variant_certifies_where_switch_saturates():
     pair, _ = pair_from_form(QuadraticSpace.diagonal(QQ, fracs(1, -1)))
-    data = clifford_of_pair(pair, variant="kernel")
-    assert data.variant == "kernel" and data.C.dim == 2
+    data = clifford_of_pair(pair)
+    assert data.C.dim == 2 and data.saturation_degree == 3
+    # no saturation degree to try: the construction refuses, it never guesses
     with pytest.raises(SaturationError):
-        clifford_of_pair(pair, variant="switch")
+        clifford_of_pair(pair, max_degree=2)
 
 
 def test_quaternion_tensor_pair_corners():

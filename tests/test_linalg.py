@@ -1,4 +1,4 @@
-"""Exact dense and sparse linear algebra."""
+"""Exact linear algebra, against a dense Gauss-Jordan reference."""
 
 import random
 from fractions import Fraction
@@ -11,14 +11,125 @@ from cliffcomp.linalg import (
     inv_matrix,
     kernel,
     lin_span_contains,
-    mat_identity,
-    mat_mul,
-    mat_vec,
     rank,
     rref,
     solve,
 )
 from cliffcomp.scalars import QQ, PrimeField
+
+
+# ---------------------------------------------------------------------------
+# reference: dense Gauss-Jordan elimination, pivoting on the first nonzero
+# entry of each column, and a separate forward elimination for det
+
+def mat_identity(F, n):
+    return [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
+
+
+def mat_mul(F, A, B):
+    return [[_dot(F, row, col) for col in zip(*B)] for row in A]
+
+
+def mat_vec(F, A, v):
+    return [_dot(F, row, v) for row in A]
+
+
+def _dot(F, row, v):
+    acc = F.zero()
+    for a, b in zip(row, v):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
+def ref_rref(F, A):
+    R = [list(row) for row in A]
+    if not R:
+        return R, [], 0
+    rows, cols = len(R), len(R[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if not F.is_zero(R[i][c])), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = F.inv(R[r][c])
+        R[r] = [F.mul(inv, x) for x in R[r]]
+        for i in range(rows):
+            if i != r and not F.is_zero(R[i][c]):
+                f = R[i][c]
+                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots, r
+
+
+def ref_kernel(F, A):
+    if not A:
+        return []
+    R, pivots, r = ref_rref(F, A)
+    cols = len(A[0])
+    basis = []
+    for fc in [c for c in range(cols) if c not in pivots]:
+        v = [F.zero()] * cols
+        v[fc] = F.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(R[i][fc])
+        basis.append(v)
+    return basis
+
+
+def ref_solve(F, A, b):
+    if not A:
+        return None if any(not F.is_zero(x) for x in b) else []
+    R, pivots, r = ref_rref(F, [list(row) + [bv] for row, bv in zip(A, b)])
+    cols = len(A[0])
+    if cols in pivots:
+        return None
+    x = [F.zero()] * cols
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][cols]
+    return x
+
+
+def ref_inv_matrix(F, A):
+    n = len(A)
+    R, pivots, r = ref_rref(F, [list(row) + list(idr) for row, idr in zip(A, mat_identity(F, n))])
+    if r < n or pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in R[:n]]
+
+
+def ref_det(F, A):
+    n = len(A)
+    M = [list(row) for row in A]
+    d = F.one()
+    for c in range(n):
+        pr = next((i for i in range(c, n) if not F.is_zero(M[i][c])), None)
+        if pr is None:
+            return F.zero()
+        if pr != c:
+            M[c], M[pr] = M[pr], M[c]
+            d = F.neg(d)
+        d = F.mul(d, M[c][c])
+        inv = F.inv(M[c][c])
+        for i in range(c + 1, n):
+            if not F.is_zero(M[i][c]):
+                f = F.mul(inv, M[i][c])
+                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
+    return d
+
+
+def ref_rank(F, A):
+    return ref_rref(F, A)[2]
+
+
+def ref_span_contains(F, basis, v):
+    if not basis:
+        return all(F.is_zero(x) for x in v)
+    return ref_rank(F, basis) == ref_rank(F, basis + [v])
 
 
 FIELDS = [QQ, PrimeField(5), PrimeField(2)]
@@ -108,11 +219,11 @@ def test_sparse_echelon_matches_dense_rank():
         row = {c: v for c, v in row.items() if v}
         rows_dense.append([row.get(c, Fraction(0)) for c in cols])
         ech.insert(dict(row))
-    assert ech.rank == rank(F, rows_dense)
-    # membership agrees with dense span test
+    assert ech.rank == ref_rank(F, rows_dense)
+    # membership agrees with the dense reference
     probe = {"a": Fraction(1), "c": Fraction(-2)}
     dense_probe = [probe.get(c, Fraction(0)) for c in cols]
-    assert ech.contains(probe) == lin_span_contains(F, rows_dense, dense_probe)
+    assert ech.contains(probe) == ref_span_contains(F, rows_dense, dense_probe)
 
 
 def test_sparse_echelon_reduced_invariant():
@@ -139,3 +250,43 @@ def test_sparse_echelon_residue_semantics():
     assert res == {1: Fraction(1)}
     assert ech.rank == 2
     assert ech.contains({0: Fraction(7), 1: Fraction(-4)})
+
+
+def _rand_entry(F, rng):
+    if F is QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+    return rng.randrange(F.p)
+
+
+def _shaped_matrices(F, rng):
+    """Square, wide, tall, rank-deficient and empty matrices."""
+    out = [[], [[]], [[F.zero()] * 3], [[F.zero()] * 2 for _ in range(2)]]
+    for _ in range(12):
+        for n, m in ((3, 3), (4, 4), (2, 5), (5, 2), (1, 4), (4, 1)):
+            A = [[_rand_entry(F, rng) for _ in range(m)] for _ in range(n)]
+            out.append(A)
+            if n > 1:
+                # rank-deficient: one row a combination of two others
+                c1, c2 = _rand_entry(F, rng), _rand_entry(F, rng)
+                A = [list(row) for row in A]
+                A[-1] = [F.add(F.mul(c1, x), F.mul(c2, y)) for x, y in zip(A[0], A[1])]
+                out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+def test_matches_dense_reference(F):
+    rng = random.Random(17)
+    for A in _shaped_matrices(F, rng):
+        assert rref(F, A) == ref_rref(F, A), A
+        assert rank(F, A) == ref_rank(F, A)
+        assert kernel(F, A) == ref_kernel(F, A), A
+        cols = len(A[0]) if A else 0
+        x0 = [_rand_entry(F, rng) for _ in range(cols)]
+        for b in (mat_vec(F, A, x0), [_rand_entry(F, rng) for _ in A]):
+            assert solve(F, A, b) == ref_solve(F, A, b), (A, b)
+        for v in A[:1] + [[_rand_entry(F, rng) for _ in range(cols)]]:
+            assert lin_span_contains(F, A, v) == ref_span_contains(F, A, v)
+        if len(A) == cols:
+            assert inv_matrix(F, A) == ref_inv_matrix(F, A), A
+            assert det(F, A) == ref_det(F, A), A

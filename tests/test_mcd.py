@@ -72,6 +72,12 @@ def test_profile_even_degree_split_and_field():
     assert not p4f.z_split and p4f.c_base is not None
 
 
+def test_profile_center_types():
+    p6 = profile_from_form(diag(*([1] * 6)))
+    assert p6.t_C == "unitary" and not p6.z_split
+    assert profile_from_form(diag(1, 1, 1, F=F3)).t_C == "symplectic"
+
+
 def test_profile_rejects_degenerate():
     with pytest.raises(UnsupportedInputError):
         profile_from_form(diag(1, 0, 1))
@@ -153,6 +159,15 @@ def test_pair_profile_and_mcd():
          BrauerClass(QQ, [(Fraction(2), Fraction(5))])}
     res = mcd_first_kind(pp, TRIV, "symplectic")
     assert res.value == 4 and res.status == EXACT
+
+
+def test_mcd_unitary_pair_source_split_center_field_s():
+    # a degree-4k source with split center is covered for a field S too
+    Q1 = QuaternionAlgebra(QQ, Fraction(-1), Fraction(-1))
+    Q2 = QuaternionAlgebra(QQ, Fraction(2), Fraction(5))
+    pp = profile_from_pair_clifford(clifford_of_pair(pair_on_quaternion_tensor(Q1, Q2)))
+    res = mcd_unitary(pp, EtaleQuadratic(QQ, Fraction(3), False), TRIV)
+    assert res.status == EXACT
 
 
 def test_lower_bound_equality_flags():
