@@ -7,6 +7,13 @@ product) never materialize a full table.  Verification is explicit and
 separate: constructor-built algebras are associative by construction,
 hand-entered tables get checked.
 
+Every certificate is exhaustive and checks its identity on generators x
+basis.  Algebra.generators() finds a generating set of basis indices and
+proves that its words span the algebra; for each identity the elements
+that satisfy it against every basis element form a subspace that contains
+1 and is closed under products, so holding on the generators it holds on
+all of the algebra.  Nothing is sampled.
+
 Brauer bookkeeping: an algebra may carry `brauer_symbols`, a list of
 (a, b) pairs over the base field whose quaternion classes multiply to the
 algebra's class.  Constructors propagate it; code that needs a class and
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from typing import Callable, Optional
 
 from .errors import CertificationError, UnsupportedInputError
@@ -89,7 +97,10 @@ class El:
         return acc
 
     def __eq__(self, other):
-        return isinstance(other, El) and self.A is other.A and sp_eq(self.A.F, self.c, other.c)
+        # equal coordinate dicts settle it; otherwise compare by field
+        # arithmetic, which does not rely on one representation per element
+        return (isinstance(other, El) and self.A is other.A
+                and (self.c == other.c or sp_eq(self.A.F, self.c, other.c)))
 
     def __hash__(self):
         return hash((id(self.A), frozenset(self.c.items())))
@@ -119,6 +130,7 @@ class Algebra:
     def __init__(self):
         self._mul_cache: dict = {}
         self._unit: dict = {}
+        self._generators: Optional[list] = None
 
     def mul_bb(self, i: int, j: int) -> dict:
         """Product of basis elements i and j as sparse coords."""
@@ -231,22 +243,66 @@ class Algebra:
             if self.mul(one, b) != b or self.mul(b, one) != b:
                 raise CertificationError(f"{self.label}: unit fails on basis {i}")
 
-    def verify_associative(self, mode: str = "auto", rng_seed: int = 0, samples: int = 300) -> None:
-        """Check (e_i e_j) e_k = e_i (e_j e_k); full for small dim, sampled beyond."""
+    def generators(self) -> list:
+        """Basis indices that generate the algebra, proved to do so.
+
+        Indices are taken greedily in order, skipping one whose basis
+        element already lies in the span of the words found so far; that
+        span starts at 1 and is closed under right multiplication by the
+        chosen generators in one echelon.  The words are left-normed
+        products, so the proof does not assume associativity.  Computed
+        once per algebra; raises CertificationError if the words fall
+        short of the dimension.
+        """
+        if self._generators is not None:
+            return self._generators
+        F = self.F
+        ech = SparseEchelon(F)
+        words: list = []
+        gens: list = []
+        pending: deque = deque()  # (word, generator) products not yet formed
+
+        def add_word(w: dict) -> None:
+            if ech.insert(w) is not None:
+                words.append(w)
+                pending.extend((w, g) for g in gens)
+
+        add_word(dict(self._unit))
+        for i in range(self.dim):
+            if ech.rank == self.dim:
+                break
+            if ech.contains({i: F.one()}):
+                continue
+            gens.append(i)
+            pending.extend((w, i) for w in words)
+            while pending and ech.rank < self.dim:
+                w, g = pending.popleft()
+                add_word(self.mul(El(self, w), self.basis_el(g)).c)
+        if ech.rank != self.dim:
+            raise CertificationError(f"{self.label}: generator words span only {ech.rank} of {self.dim}")
+        self._generators = gens
+        return gens
+
+    def verify_associative(self) -> dict:
+        """Check (g e_j) e_k = g (e_j e_k) for every generator g and basis pair.
+
+        The elements a with (a x) y = a (x y) for all x, y form a subspace
+        that contains 1 and, by the identity alone, is closed under
+        products; it holds the generators, hence their words, hence all of
+        the algebra.  Returns the generator and check counts.
+        """
+        self.verify_unit()
+        gens = self.generators()
         n = self.dim
-        if mode == "auto":
-            mode = "full" if n <= 16 else "sample"
-        if mode == "none":
-            return
-        if mode == "full":
-            triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        else:
-            rng = random.Random(rng_seed)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-        for i, j, k in triples:
-            a, b, c = self.basis_el(i), self.basis_el(j), self.basis_el(k)
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise CertificationError(f"{self.label}: associativity fails at ({i},{j},{k})")
+        for g in gens:
+            ge = self.basis_el(g)
+            for j in range(n):
+                gj = El(self, self._mul_bb_cached(g, j))
+                for k in range(n):
+                    lhs = self.mul(gj, self.basis_el(k))
+                    if lhs != self.mul(ge, El(self, self._mul_bb_cached(j, k))):
+                        raise CertificationError(f"{self.label}: associativity fails at ({g},{j},{k})")
+        return {"generators": len(gens), "checks": 2 * n + len(gens) * n * n}
 
     def __repr__(self):
         return f"{self.label}[dim {self.dim} over {self.F}]"
@@ -256,8 +312,9 @@ class ExplicitAlgebra(Algebra):
     """Algebra from an explicit structure table.
 
     table[(i, j)] is the sparse product of basis i and j; missing keys mean
-    zero.  The unit must be supplied as sparse coords.  Hand-entered tables
-    should be constructed with verify="full" (the default for dim <= 16).
+    zero.  The unit must be supplied as sparse coords and is always
+    checked; verify=False skips the associativity certificate for tables
+    that are associative by construction.
     """
 
     def __init__(
@@ -270,7 +327,7 @@ class ExplicitAlgebra(Algebra):
         names: Optional[list] = None,
         trd: Optional[list] = None,
         brauer_symbols: Optional[list] = None,
-        verify: str = "auto",
+        verify: bool = True,
     ):
         super().__init__()
         self.F = F
@@ -281,8 +338,10 @@ class ExplicitAlgebra(Algebra):
         self._names = names
         self._trd = trd
         self.brauer_symbols = brauer_symbols
-        self.verify_unit()
-        self.verify_associative(verify)
+        if verify:
+            self.verify_associative()
+        else:
+            self.verify_unit()
 
     def mul_bb(self, i: int, j: int) -> dict:
         return self._table.get((i, j), {})
@@ -343,7 +402,7 @@ class QuaternionAlgebra(Algebra):
         self.label = label
         self.brauer_symbols = [(a, b)]
         self._table = self._build_table()
-        self.verify_associative("full")
+        self.verify_associative()
 
     def _build_table(self):
         F, a, b = self.F, self.a, self.b
@@ -401,7 +460,7 @@ class QuaternionAlgebra(Algebra):
         else:
             m1 = F.neg(one)
             imgs = [{0: one}, {1: m1}, {2: m1}, {3: m1}]
-        return Involution(self, imgs, label="gamma", verify="full")
+        return Involution(self, imgs, label="gamma")
 
     def _center_basis_structured(self):
         return [self.one().dense()]
@@ -656,12 +715,12 @@ class ProductAlgebra(Algebra):
 class Involution:
     """An F-linear anti-automorphism of order <= 2, given on the basis."""
 
-    def __init__(self, A: Algebra, images: list, label: str = "sigma", verify: str = "auto"):
+    def __init__(self, A: Algebra, images: list, label: str = "sigma", verify: bool = True):
         self.A = A
         self.images = [dict(im) for im in images]
         self.label = label
-        if verify != "none":
-            self.verify(verify)
+        if verify:
+            self.verify()
 
     def apply(self, x: El) -> El:
         F = self.A.F
@@ -683,7 +742,15 @@ class Involution:
         n = self.A.dim
         return [[self.images[j].get(i, F.zero()) for j in range(n)] for i in range(n)]
 
-    def verify(self, mode: str = "auto", rng_seed: int = 0, samples: int = 400) -> None:
+    def verify(self) -> dict:
+        """Check sigma(1) = 1, sigma^2 = id on the basis, and
+        sigma(g e_j) = sigma(e_j) sigma(g) for every generator g and basis e_j.
+
+        With A associative the elements a with sigma(a x) = sigma(x) sigma(a)
+        for all x form a subspace that contains 1 and is closed under
+        products, so the generators cover all of A.  Returns the generator
+        and check counts.
+        """
         A = self.A
         n = A.dim
         one = A.one()
@@ -693,17 +760,13 @@ class Involution:
             b = A.basis_el(i)
             if self.apply(self.apply(b)) != b:
                 raise CertificationError(f"{self.label}: not an involution on basis {i}")
-        if mode == "auto":
-            mode = "full" if n <= 32 else "sample"
-        if mode == "full":
-            pairs = ((i, j) for i in range(n) for j in range(n))
-        else:
-            rng = random.Random(rng_seed)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-        for i, j in pairs:
-            x, y = A.basis_el(i), A.basis_el(j)
-            if self.apply(A.mul(x, y)) != A.mul(self.apply(y), self.apply(x)):
-                raise CertificationError(f"{self.label}: anti-multiplicativity fails at ({i},{j})")
+        gens = A.generators()
+        imgs = [El(A, im) for im in self.images]
+        for g in gens:
+            for j in range(n):
+                if self.apply(El(A, A._mul_bb_cached(g, j))) != A.mul(imgs[j], imgs[g]):
+                    raise CertificationError(f"{self.label}: anti-multiplicativity fails at ({g},{j})")
+        return {"generators": len(gens), "checks": 1 + n + len(gens) * n}
 
     def sym_basis(self) -> list:
         """Basis of Sym(A, sigma) = ker(sigma - id), as dense vectors."""
@@ -737,7 +800,7 @@ def involution_on_tensor(T: TensorAlgebra, sA: Involution, sB: Involution, label
             for kb, vb in ib.items():
                 out[T.idx(ka, kb)] = T.F.mul(va, vb)
         imgs.append(out)
-    return Involution(T, imgs, label=label or f"{sA.label}(x){sB.label}", verify="none")
+    return Involution(T, imgs, label=label or f"{sA.label}(x){sB.label}", verify=False)
 
 
 def swap_involution(P: ProductAlgebra) -> Involution:
@@ -749,7 +812,7 @@ def swap_involution(P: ProductAlgebra) -> Involution:
         imgs.append({P.A.dim + i: P.F.one()})
     for j in range(P.B.dim):
         imgs.append({j: P.F.one()})
-    return Involution(P, imgs, label="swap", verify="auto")
+    return Involution(P, imgs, label="swap")
 
 
 def transpose_involution(M: MatrixAlgebra) -> Involution:
@@ -760,7 +823,7 @@ def transpose_involution(M: MatrixAlgebra) -> Involution:
     for idx in range(M.dim):
         r, c, t = M._unidx(idx)
         imgs.append({M._idx(c, r, t): M.F.one()})
-    return Involution(M, imgs, label="transpose", verify="none")
+    return Involution(M, imgs, label="transpose", verify=False)
 
 
 def adjoint_involution(M: MatrixAlgebra, G: list, base_inv: Optional[Involution] = None,
@@ -797,7 +860,7 @@ def adjoint_involution(M: MatrixAlgebra, G: list, base_inv: Optional[Involution]
         X = M.from_matrix(rowmat)
         img = M.mul(M.mul(Ginv, X), big)
         imgs.append(img.c)
-    return Involution(M, imgs, label=label, verify="auto")
+    return Involution(M, imgs, label=label)
 
 
 def _alg_inverse(A: Algebra, x: El) -> Optional[El]:
@@ -856,17 +919,15 @@ def center_basis(A: Algebra) -> list:
     """Basis of the center as dense vectors.
 
     Structured algebras compute it from their factors; otherwise it is the
-    joint commutant of the basis (or of a generating set if the algebra
-    records one in _gen_indices).
+    joint commutant of the generators.
     """
     structured = getattr(A, "_center_basis_structured", None)
     if structured is not None:
         return structured()
     F = A.F
     n = A.dim
-    gens = getattr(A, "_gen_indices", None) or range(n)
     rows = []
-    for g in gens:
+    for g in A.generators():
         # row r of L_g - R_g holds the e_r coefficients of g e_c - e_c g
         block = [{} for _ in range(n)]
         for c in range(n):
@@ -970,7 +1031,7 @@ def corner_algebra(A: Algebra, e: El, label: str = "corner"):
         for j in range(dim):
             table[(i, j)] = coords_of(A.mul(basis[i], basis[j]))
     unit = coords_of(e)
-    B = ExplicitAlgebra(F, dim, table, unit, label=label, verify="none")
+    B = ExplicitAlgebra(F, dim, table, unit, label=label, verify=False)
 
     def embed(x: El) -> El:
         acc = A.zero()
@@ -989,7 +1050,7 @@ def restrict_involution(B: Algebra, embed, project, sigma: Involution, label="si
     imgs = []
     for i in range(B.dim):
         imgs.append(project(sigma.apply(embed(B.basis_el(i)))).c)
-    return Involution(B, imgs, label=label, verify="auto")
+    return Involution(B, imgs, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,24 +1079,26 @@ class AlgebraHom:
     def __call__(self, x):
         return self.apply(x)
 
-    def verify(self, mode: str = "auto", rng_seed: int = 0, samples: int = 400) -> None:
-        """Unit preservation and multiplicativity on basis pairs."""
+    def verify(self) -> dict:
+        """Check phi(1) = 1 and phi(g e_j) = phi(g) phi(e_j) for every
+        generator g of A and basis element e_j.
+
+        With A and B associative the elements a with phi(a x) = phi(a) phi(x)
+        for all x form a subspace that contains 1 and is closed under
+        products, so the generators cover all of A.  Returns the generator
+        and check counts.
+        """
         A, B = self.A, self.B
         if self.apply(A.one()) != B.one():
             raise CertificationError(f"{self.label}: unit not preserved")
         n = A.dim
-        if mode == "auto":
-            mode = "full" if n <= 40 else "sample"
-        if mode == "full":
-            pairs = ((i, j) for i in range(n) for j in range(n))
-        else:
-            rng = random.Random(rng_seed)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-        for i, j in pairs:
-            lhs = self.apply(El(A, A._mul_bb_cached(i, j)))
-            rhs = B.mul(El(B, self.images[i]), El(B, self.images[j]))
-            if lhs != rhs:
-                raise CertificationError(f"{self.label}: multiplicativity fails at ({i},{j})")
+        gens = A.generators()
+        imgs = [El(B, im) for im in self.images]
+        for g in gens:
+            for j in range(n):
+                if self.apply(El(A, A._mul_bb_cached(g, j))) != B.mul(imgs[g], imgs[j]):
+                    raise CertificationError(f"{self.label}: multiplicativity fails at ({g},{j})")
+        return {"generators": len(gens), "checks": 1 + len(gens) * n}
 
     def is_injective(self) -> bool:
         F = self.B.F
@@ -1045,7 +1108,7 @@ class AlgebraHom:
     def is_bijective(self) -> bool:
         return self.is_injective() and self.A.dim == self.B.dim
 
-    def respects(self, sA: Involution, sB: Involution, mode: str = "full") -> bool:
+    def respects(self, sA: Involution, sB: Involution) -> bool:
         """phi(sigma_A(x)) = sigma_B(phi(x)) on the basis."""
         for i in range(self.A.dim):
             x = self.A.basis_el(i)

@@ -305,7 +305,7 @@ def quaternion_symbol_of(A: Algebra, tries: int = 400, seed: int = 0) -> tuple:
             raise CertificationError("no anticommuting unit found")
         Qref = QuaternionAlgebra(F, a, b)
         phi = hom_on_generators(Qref, A, [1, 2], [x, y], label="symbol")
-        phi.verify("full")
+        phi.verify()
         if not phi.is_bijective():
             raise CertificationError("symbol witness is not an isomorphism")
         return (a, b)
@@ -347,7 +347,7 @@ def quaternion_symbol_of(A: Algebra, tries: int = 400, seed: int = 0) -> tuple:
         raise CertificationError("no twisted-commuting unit found")
     Qref = QuaternionAlgebra(F, a, b)
     phi = hom_on_generators(Qref, A, [1, 2], [u, v], label="symbol")
-    phi.verify("full")
+    phi.verify()
     if not phi.is_bijective():
         raise CertificationError("symbol witness is not an isomorphism")
     return (a, b)

@@ -25,6 +25,7 @@ from .scalars import (
     hilbert_symbol_bruteforce,
     Place,
     PLACE_REAL,
+    quad_ext_info,
 )
 from .quadform import QuadraticSpace
 from .algebra import QuaternionAlgebra
@@ -94,10 +95,14 @@ def _parse_class(F: Field, spec) -> BrauerClass:
 
 
 def _parse_s(F: Field, spec: str) -> EtaleQuadratic:
+    """S from {"split": true} or from {"datum": d}; a datum that is a
+    square (an Artin-Schreier value t^2 + t in characteristic 2) gives the
+    split algebra."""
     d = json.loads(spec)
-    split = bool(d.get("split", False))
     datum = F.parse(str(d.get("datum", "1")))
-    return EtaleQuadratic(F, datum, split)
+    if d.get("split", False):
+        return EtaleQuadratic(F, datum, True)
+    return quad_ext_info(F, datum)
 
 
 def _parse_request(F: Field, args) -> dict:

@@ -50,7 +50,6 @@ class CliffordAlgebra(Algebra):
         self._unit = {0: self.F.one()}
         self.label = label or f"C({q.label})"
         self._B = q.polar_matrix()
-        self._gen_indices = [1 << i for i in range(q.n)]
         self._word_cache: dict = {}
 
     def _mask_to_word(self, mask: int) -> tuple:
@@ -114,7 +113,7 @@ class CliffordAlgebra(Algebra):
         F = self.F
         return El(self, {1 << i: c for i, c in enumerate(v) if not F.is_zero(c)})
 
-    def reversal(self, verify: str = "auto") -> Involution:
+    def reversal(self, verify: bool = True) -> Involution:
         """The involution fixing V pointwise: reverses generator words."""
         imgs = []
         for mask in range(self.dim):
@@ -143,16 +142,9 @@ class CliffordAlgebra(Algebra):
             table,
             {0: F.one()},
             label=f"C0({self.q.label})",
-            verify="none",
+            verify=False,
             names=[self.basis_name(m) for m in masks],
         )
-        # generated by products of pairs of generators
-        gen_pos = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                m = (1 << i) | (1 << j)
-                gen_pos.append(pos[m])
-        C0._gen_indices = gen_pos
 
         def embed(x: El) -> El:
             return El(self, {masks[t]: v for t, v in x.c.items()})
@@ -172,9 +164,9 @@ def even_clifford(q: QuadraticSpace):
     """C0(V, q) with its reversal involution restricted from C(V, q)."""
     C = CliffordAlgebra(q)
     C0, embed, project = C.even_part()
-    rev = C.reversal(verify="none")
+    rev = C.reversal(verify=False)
     imgs = [project(rev.apply(embed(C0.basis_el(t)))).c for t in range(C0.dim)]
-    tau = Involution(C0, imgs, label="reversal", verify="auto")
+    tau = Involution(C0, imgs, label="reversal")
     return C, C0, embed, project, tau
 
 
@@ -475,10 +467,8 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
         table,
         {index[()]: F.one()},
         label=f"C({A.label},pair)",
-        verify="full" if dim <= 16 else "auto",
         names=names,
     )
-    C._gen_indices = [t for t, w in enumerate(canon) if len(w) <= 1]
 
     # canonical linear map A -> C
     a_images = []
@@ -513,7 +503,7 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
                 else:
                     red[w2] = nv
         imgs.append({index[ww]: v for ww, v in red.items()})
-    sigma_bar = Involution(C, imgs, label="sigma_bar", verify="full" if C.dim <= 16 else "auto")
+    sigma_bar = Involution(C, imgs, label="sigma_bar")
 
     et, e = center_structure(C)
     return PairCliffordData(
@@ -561,7 +551,7 @@ def split_compare(data: PairCliffordData, aux: dict):
             acc = acc * letter_imgs[p]
         imgs.append(acc.c)
     phi = AlgebraHom(data.C, C0, imgs, label="pair-vs-even")
-    phi.verify("full" if data.C.dim <= 16 else "auto")
+    phi.verify()
     if not phi.is_bijective():
         raise CertificationError("pair Clifford does not match the even Clifford algebra")
     if not phi.respects(data.sigma_bar, tau):

@@ -93,14 +93,14 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
     evens = [m for m in range(1 << q.n) if bin(m).count("1") % 2 == 0]
     gen_pos = [evens.index(1 | (1 << t)) for t in range(1, 5)]
     psi = hom_on_generators(C0, M, gen_pos, E, label="psi")
-    psi.verify("full")
+    psi.verify()
     checks = {"iso": psi.is_bijective()}
     if not checks["iso"]:
         raise CertificationError("the model map is not bijective")
 
     # tilde fixes i and j and negates k; it agrees with conjugation by k
     tilde = Involution(Q, [{0: one}, {1: one}, {2: one}, {3: F.neg(one)}],
-                       label="tilde", verify="full")
+                       label="tilde")
     kinv = alg_inverse(Q, k_)
     checks["tilde_is_k_twist"] = all(
         tilde.apply(Q.basis_el(t)) == k_ * Q.gamma().apply(Q.basis_el(t)) * kinv
@@ -115,7 +115,7 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
         ])
 
     sigma = Involution(M, [sprint(M.basis_el(t)).c for t in range(M.dim)],
-                       label="model", verify="full")
+                       label="model")
     if not psi.respects(tau0, sigma):
         raise CertificationError("the model involution does not match the canonical one")
     checks["involution_match"] = True

@@ -173,7 +173,7 @@ def pair_from_form(q: QuadraticSpace):
                 if not F.is_zero(v):
                     out[A._idx(i, j, 0)] = v
         imgs.append(out)
-    sigma = Involution(A, imgs, label=f"ad({q.label})", verify="auto")
+    sigma = Involution(A, imgs, label=f"ad({q.label})")
 
     def phi(i: int, j: int) -> El:
         # phi(e_i (x) e_j) = E_ij B as a matrix: row i gets B's row j
@@ -224,7 +224,7 @@ def pair_on_quaternion_tensor(Q1: QuaternionAlgebra, Q2: QuaternionAlgebra,
     """
     A = TensorAlgebra(Q1, Q2)
     sigma = involution_on_tensor(A, Q1.gamma(), Q2.gamma(), label="gamma(x)gamma")
-    sigma.verify("auto")
+    sigma.verify()
     F = A.F
     if F.char != 2:
         return _half_trd_pair(A, sigma, label=f"({A.label},can)")

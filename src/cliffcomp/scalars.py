@@ -17,6 +17,7 @@ from .errors import InputTooLargeError, UnsupportedInputError
 
 # Default bound on |numerator|, |denominator| for exact factor work.
 FACTOR_BOUND = 2**63
+_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -118,7 +119,7 @@ class RationalField(Field):
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / x
+        return _ONE / x
 
     def sub(self, x, y):
         return x - y
@@ -126,7 +127,8 @@ class RationalField(Field):
     def div(self, x, y):
         if y == 0:
             raise ZeroDivisionError("division by zero")
-        return x / y
+        # int / int would be a float
+        return x / y if isinstance(x, Fraction) else Fraction(x) / y
 
     def is_zero(self, x) -> bool:
         return x == 0
@@ -381,17 +383,77 @@ def field_from_json(d: dict) -> Field:
 # ---------------------------------------------------------------------------
 # integer utilities
 
+# Trial division stops below this; a larger cofactor is tested by
+# Miller-Rabin and split by Pollard rho.
+TRIAL_LIMIT = 1000
+
+
+def _primes_below(n: int) -> list:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+_SMALL_PRIMES = _primes_below(TRIAL_LIMIT)
+# Deterministic Miller-Rabin bases: exact for every n below 3.3e24 > 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < TRIAL_LIMIT * TRIAL_LIMIT:
+        return True
+    if n >= 3 * 10**24:
+        raise InputTooLargeError(f"{n} exceeds the deterministic primality bound")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of an odd composite n with no prime factor below
+    TRIAL_LIMIT: Pollard's rho with Floyd cycle finding and gcds taken once
+    per batch of steps."""
+    for c in range(1, n):
+        def f(t):
+            return (t * t + c) % n
+
+        x = y = 2
+        g = 1
+        while g == 1:
+            xs, ys, q = x, y, 1
+            for _ in range(64):
+                x, y = f(x), f(f(y))
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+        if g == n:
+            # the batch passed a factor: retrace it one step at a time
+            x, y, g = xs, ys, 1
+            while g == 1:
+                x, y = f(x), f(f(y))
+                g = math.gcd(abs(x - y), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"Pollard rho found no factor of {n}")
 
 
 def _check_bound(n: int, bound: int = FACTOR_BOUND) -> None:
@@ -400,21 +462,38 @@ def _check_bound(n: int, bound: int = FACTOR_BOUND) -> None:
 
 
 def trial_factor(n: int, bound: int = FACTOR_BOUND) -> dict[int, int]:
-    """Factor |n| by trial division.  Raises InputTooLargeError beyond bound."""
+    """Factor |n|: trial division by the primes below TRIAL_LIMIT, then
+    Miller-Rabin and Pollard rho on the cofactor.  Raises
+    InputTooLargeError beyond bound."""
     _check_bound(n, bound)
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    if n < TRIAL_LIMIT * TRIAL_LIMIT:
+        # 1, or a prime above every factor found so far
+        if n > 1:
+            out[n] = 1
+        return out
+    # n has no prime factor below TRIAL_LIMIT, nor do its factors
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m < TRIAL_LIMIT * TRIAL_LIMIT or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_rho(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def squarefree_part(x) -> int:

@@ -285,7 +285,7 @@ def test_ac6_distance_bound_realized_by_regular_representation():
     H = QuaternionAlgebra(QQ, Fraction(-1), Fraction(-1))
     rep = regular_representation(H)
     assert rep.B.deg == 4
-    rep.verify("full")
+    rep.verify()
     assert rep.is_injective()
     # any trivial-class target hosting H has degree divisible by 2 * 2^d
     block = 2 << HH.distance(TRIV)

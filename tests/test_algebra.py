@@ -115,7 +115,7 @@ def test_tensor_of_quaternions():
     assert T.dim == 16 and T.deg == 4
     assert T.brauer_symbols == [(frac(-1), frac(-1)), (frac(2), frac(5))]
     s = involution_on_tensor(T, Q1.gamma(), Q2.gamma())
-    s.verify("full")
+    s.verify()
     # symplectic (x) symplectic = orthogonal
     assert involution_type(T, s) == "orthogonal"
     assert len(center_basis(T)) == 1
@@ -208,13 +208,13 @@ def test_corner_extraction():
     assert et.split and e is not None
     C, embed, project = corner_algebra(T, e, label="corner")
     assert C.dim == 4
-    C.verify_associative("full")
+    C.verify_associative()
     assert len(center_basis(C)) == 1
     # restriction of gamma (x) conj fixes e, so it restricts to the corner
-    conj = Involution(Et, [{0: frac(1)}, {1: frac(-1)}], verify="full")
+    conj = Involution(Et, [{0: frac(1)}, {1: frac(-1)}])
     s = involution_on_tensor(T, Q.gamma(), conj)
     assert s.apply(e) != e  # conj swaps the idempotents here
-    s2 = involution_on_tensor(T, Q.gamma(), Involution(Et, [{0: frac(1)}, {1: frac(1)}], verify="full"))
+    s2 = involution_on_tensor(T, Q.gamma(), Involution(Et, [{0: frac(1)}, {1: frac(1)}]))
     assert s2.apply(e) == e
     rs = restrict_involution(C, embed, project, s2)
     assert involution_type(C, rs) == "symplectic"
@@ -228,7 +228,7 @@ def test_split_quaternion_iso_matrix():
     im_i = E(0, 0) - E(1, 1)
     im_j = E(0, 1) + E(1, 0)
     phi = hom_on_generators(Q, M, [1, 2], [im_i, im_j])
-    phi.verify("full")
+    phi.verify()
     assert phi.is_bijective()
     # gamma corresponds to the symplectic involution on M_2
     G = [[M.base.zero(), M.base.one()], [-M.base.one(), M.base.zero()]]
@@ -254,7 +254,7 @@ def test_hom_injectivity_check():
     images = [{0: frac(1)}, {}, {}, {}]
     phi = AlgebraHom(Q, Ff, images)
     with pytest.raises(CertificationError):
-        phi.verify("full")
+        phi.verify()
 
 
 def test_quaternion_gf3():

@@ -87,6 +87,24 @@ def test_invalid_inputs_exit_2(args):
     assert json.loads(p.stderr)["error"] == "invalid-input"
 
 
+def test_square_datum_gives_split_s():
+    # over GF(2) the datum 2 = 0 = t^2 + t is an Artin-Schreier value
+    args = ("compose", "--field", "GF(2)", "--object", '{"gram":[[0,1],[0,0]]}',
+            "--type", "unitary")
+    by_datum = run_json(*args, "--s", '{"datum": 2}')
+    split = run_json(*args, "--s", '{"split": true}')
+    assert by_datum["witness"]["degree"] == split["witness"]["degree"]
+
+
+def test_mcd_with_a_large_prime_entry_returns():
+    p = subprocess.run(BASE + ["mcd", "--object", '{"diag":[1,1,1000000000000000003]}',
+                               "--type", "orthogonal"],
+                       capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+    out = json.loads(p.stdout)
+    assert out["status"] == "exact" and out["value"] == 4
+
+
 def test_bound_with_candidate_degree():
     out = run_json("bound", "--object", '{"diag":["1","1","1"]}',
                    "--type", "symplectic", "--class", '[["-1","-1"]]',

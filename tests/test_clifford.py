@@ -49,7 +49,7 @@ def test_embed_vector_squares_to_value_char2():
 def test_reversal_involution():
     q = QuadraticSpace.diagonal(QQ, fracs(1, 1, -2))
     C = CliffordAlgebra(q)
-    rev = C.reversal(verify="full")
+    rev = C.reversal()
     xs = [C.basis_el(t) for t in range(C.dim)]
     for x in xs[:5]:
         for y in xs[3:]:

@@ -134,7 +134,7 @@ def test_regular_representation_realizes_distance_bound():
     H = QuaternionAlgebra(QQ, Fraction(-1), Fraction(-1))
     rep = regular_representation(H)
     assert rep.B.deg == 4
-    rep.verify("full")
+    rep.verify()
     assert rep.is_injective()
 
 

@@ -113,6 +113,43 @@ def test_trial_factor():
         trial_factor(2**64)
 
 
+def _factor_by_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_trial_factor_matches_plain_division():
+    for n in list(range(1, 3000)) + [999983 * 999979, 1009 * 1000003 * 1000033, 3**39]:
+        assert trial_factor(n) == _factor_by_division(n)
+        assert list(trial_factor(n)) == sorted(trial_factor(n))
+
+
+@pytest.mark.parametrize("n,factors", [
+    (1000000000000000003, {1000000000000000003: 1}),
+    (2 * 1000000000000000003, {2: 1, 1000000000000000003: 1}),
+    (1000000007 * 1000000009, {1000000007: 1, 1000000009: 1}),
+    ((2**31 - 1) ** 2, {2**31 - 1: 2}),
+    (2**61 - 1, {2**61 - 1: 1}),
+])
+def test_trial_factor_large_cofactors(n, factors):
+    # a cofactor past the trial-division limit goes to Miller-Rabin and
+    # Pollard rho instead of dividing toward its square root
+    assert trial_factor(n) == factors
+
+
+def test_rational_inverse_and_quotient_stay_exact():
+    for x in (QQ.inv(2), QQ.div(1, 2), QQ.div(Fraction(3), 6)):
+        assert x == Fraction(1, 2)
+        assert isinstance(x, Fraction) and not isinstance(x, float)
+
+
 @pytest.mark.parametrize(
     "x,part",
     [(12, 3), (-18, -2), (Fraction(4, 9), 1), (Fraction(8, 3), 6), (1, 1), (-1, -1), (Fraction(-75, 2), -6)],
