@@ -6,6 +6,7 @@ structured JSON on standard error.  Rationals travel as strings.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,19 +195,15 @@ def _cmd_verify(args) -> dict:
     else:
         bundle = json.load(sys.stdin)
     problem = bundle["problem"]
-
-    class Shim:
-        pass
-
-    shim = Shim()
-    shim.field = problem.get("field")
-    shim.object = json.dumps(problem["object"])
-    shim.type = problem.get("type")
-    shim.cls = json.dumps(problem["class"]) if problem.get("class") is not None else None
-    shim.s = json.dumps(problem["s"]) if problem.get("s") is not None else None
-    shim.seed = int(problem.get("seed", 0))
-    shim.truncation_cap = int(problem.get("truncation_cap", 4))
-    rebuilt = _cmd_compose(shim)
+    rebuilt = _cmd_compose(argparse.Namespace(
+        field=problem.get("field"),
+        object=json.dumps(problem["object"]),
+        type=problem.get("type"),
+        cls=json.dumps(problem["class"]) if problem.get("class") is not None else None,
+        s=json.dumps(problem["s"]) if problem.get("s") is not None else None,
+        seed=int(problem.get("seed", 0)),
+        truncation_cap=int(problem.get("truncation_cap", 4)),
+    ))
     if rebuilt["witness"] != bundle["witness"]:
         raise CertificationError("replayed witness differs from the bundle")
     return {"verified": True, "degree": rebuilt["witness"]["degree"],
@@ -328,7 +325,9 @@ def _cmd_selftest(args) -> dict:
 # ---------------------------------------------------------------------------
 # dispatch
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     p = argparse.ArgumentParser(prog="cliffcomp",
                                 description="exact composition degrees for "
                                             "quadratic forms and pairs")

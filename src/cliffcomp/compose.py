@@ -5,8 +5,23 @@ target type, an algebra with involution (B, tau) together with a certified
 homomorphism alpha from the even Clifford algebra C such that
 tau . alpha = alpha . sigma_bar.  The degree of B over its center matches
 the minimal-degree formula (exactly when the formula is exact, by a
-divisibility check otherwise) and witness.verify() recomputes every
-certificate from scratch.
+divisibility check otherwise).
+
+Every witness is built by the same steps: pick a block with a first-kind
+involution (C itself, a corner of it, or the full Clifford algebra of a
+rescaled form), twist it by a quaternion model when its class is at
+distance 1 from the target, finish the target (extend the involution,
+double by a 2x2 matrix layer, pair with the opposite algebra, or extend
+scalars to S), and assemble the witness.
+
+Which certificate runs where: the source involution sigma_bar is
+certified when the source is built (even_clifford, clifford_of_pair).
+CompositionWitness.verify(), which construct_composition calls before
+returning, certifies the homomorphism, the target involution tau, the
+intertwining, the type of tau and the degree.  The steps build the
+involutions that become tau (restrictions to corners, extension
+candidates, tensor products, the swap) without a certificate of their
+own, so tau is certified once, unless it is sigma_bar itself.
 
 The certificates are exhaustive and sample nothing.  The homomorphism
 and the involution are checked on generators x basis: every generator g
@@ -23,7 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CertificationError, NotCoveredError, UnsupportedInputError
-from .scalars import Field, RationalField, EtaleQuadratic, squarefree_part
+from .scalars import Field, RationalField, EtaleQuadratic, squarefree_part, trial_factor
 from .linalg import kernel
 from .algebra import (
     Algebra,
@@ -52,10 +67,8 @@ from .quadform import QuadraticSpace
 from .clifford import CliffordAlgebra, even_clifford, PairCliffordData
 from .brauer import (
     BrauerClass,
-    RestrictedClass,
     trivial_class,
     clifford_class_of_form,
-    etale_base_of,
     quaternion_model,
     quaternion_symbol_of,
 )
@@ -65,6 +78,7 @@ from .mcd import (
     mcd_first_kind,
     mcd_unitary,
     admissible_degree,
+    distance_over_s,
     profile_from_form,
     profile_from_pair_clifford,
     EXACT,
@@ -145,21 +159,24 @@ def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
     """An involution tau = Int(u) . sigma0 on B with tau(x) = y for every
     constraint pair (x, y), of the wanted type when one is reachable.
 
-    Returns (tau, u, eps) or None.  u ranges over the solution space of the
-    intertwining equations; different invertible u can realize different
-    types, so several candidates are classified before giving up.
+    Returns (tau, type of tau) or None.  u ranges over the solution space
+    of the intertwining equations; different invertible u can realize
+    different types, so several candidates are classified before giving
+    up.  No candidate is certified here: the witness that keeps one
+    certifies it once, in CompositionWitness.verify.
     """
     F = B.F
     one = F.one()
+    type0 = None
     if all(sigma0.apply(x) == y for x, y in constraints):
-        ttype = involution_type(B, sigma0)
-        if want is None or ttype == want:
-            return sigma0, B.one(), one
+        type0 = involution_type(B, sigma0)
+        if want is None or type0 == want:
+            return sigma0, type0
     if F.char == 2:
         eps_options = [one]
     else:
         eps_options = [one, F.neg(one)]
-        if want is not None and involution_type(B, sigma0) != want:
+        if want is not None and (type0 or involution_type(B, sigma0)) != want:
             # a twist by an alternating unit flips the first-kind type
             eps_options.reverse()
     rng = random.Random(seed)
@@ -193,12 +210,12 @@ def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
                 continue
             imgs = [B.mul(B.mul(u, sigma0.apply(B.basis_el(i))), uinv).c
                     for i in range(B.dim)]
-            tau = Involution(B, imgs, label="tau")
+            tau = Involution(B, imgs, label="tau", verify=False)
             ttype = involution_type(B, tau)
             if want is None or ttype == want:
-                return tau, u, eps
+                return tau, ttype
             if fallback is None:
-                fallback = (tau, u, eps)
+                fallback = (tau, ttype)
     if want is None and fallback is not None:
         return fallback
     return None
@@ -387,8 +404,7 @@ def _lambda_pool(F: Field, classes: list, extra) -> list:
             if pl.p is not None:
                 primes.add(pl.p)
     if extra is not None:
-        for p in _factor_small(abs(squarefree_part(extra))):
-            primes.add(p)
+        primes.update(trial_factor(squarefree_part(extra)))
     primes = sorted(primes)[:6]
     pool = []
     for mask in range(1 << len(primes)):
@@ -398,20 +414,6 @@ def _lambda_pool(F: Field, classes: list, extra) -> list:
                 prod *= p
         pool.extend([prod, -prod])
     return pool
-
-
-def _factor_small(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _disc_datum(q: QuadraticSpace):
@@ -571,6 +573,108 @@ def _degree_over_center(B: Algebra, unitary: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
+# construction steps: pick a block, twist it, finish the target, assemble
+
+@dataclass
+class _Plan:
+    """What the steps of one construction share: the source, the request,
+    the formula value, the seed, and the trace and quaternion symbols so
+    far (both go into the witness in the order the steps append them)."""
+
+    src: SourceData
+    request: dict
+    expected: McdResult
+    seed: int
+    trace: list
+    symbols: list = field(default_factory=list)
+
+    def witness(self, B: Algebra, alpha_of, tau: Involution, tau_type: str) -> CompositionWitness:
+        """The witness alpha_of: C0 -> (B, tau), not yet certified."""
+        C0 = self.src.C0
+        images = [alpha_of(C0.basis_el(i)).c for i in range(C0.dim)]
+        alpha = AlgebraHom(C0, B, images, label="alpha")
+        deg = _degree_over_center(B, unitary=(self.request["kind"] == "unitary"))
+        return CompositionWitness(self.src, self.request, B, tau, alpha, self.expected, deg,
+                                  tau_type, self.symbols, self.trace, self.seed)
+
+
+@dataclass
+class _Block:
+    """An algebra B0 of Brauer class cls with a map alpha0 from C0 and an
+    involution sigma0 of the first kind (None on a corner that the
+    canonical involution moves)."""
+
+    B0: Algebra
+    alpha0: object
+    sigma0: Optional[Involution]
+    cls: BrauerClass
+
+
+def _pick_block(plan: _Plan, dist, support: list) -> _Block:
+    """C0 itself for odd n; for a split center the corner nearer to the
+    target; for a field center the full Clifford algebra of the rescaling
+    nearest to it.  dist(cls) is the distance of a class to the target."""
+    src = plan.src
+    prof = src.profile
+    if prof.n % 2:
+        return _Block(src.C0, lambda x: x, src.sigma, prof.c_odd)
+    if prof.z_split:
+        side = min(_split_corners(src), key=lambda s: dist(s["cls"]))
+        plan.trace.append(f"projected to the factor of class {side['cls']}")
+        sigma0 = restrict_involution(side["B0"], side["embed"], side["project"], src.sigma,
+                                     label="sigma^")
+        return _Block(side["B0"], side["project"], sigma0, side["cls"])
+    if src.q is None:
+        raise UnsupportedInputError(
+            "field-center pair sources have no full-Clifford model at this scale"
+        )
+    lam, Cf, phi, rev = _best_rescaling(src, dist, support)
+    plan.trace.append(f"rescaled the form by {prof.F.fmt(lam)}")
+    return _Block(Cf, phi.apply, rev, clifford_class_of_form(src.q.scale(lam)))
+
+
+def _twist(plan: _Plan, block: _Block, target: BrauerClass, dist) -> _Block:
+    """The block tensored with a quaternion model of target * cls when its
+    class is at distance 1 from the target; the block itself at distance 0."""
+    if dist(block.cls) == 0:
+        return block
+    F = block.B0.F
+    G = model_algebra(F, target * block.cls)
+    if G is None:
+        raise CertificationError("distance-1 twist has a trivial quaternion model")
+    T = TensorAlgebra(block.B0, G, label=f"{block.B0.label}(x)Q")
+    sigma = None if block.sigma0 is None else involution_on_tensor(T, block.sigma0, G.gamma())
+    plan.symbols.append((G.a, G.b))
+    plan.trace.append(f"tensored with the quaternion algebra ({F.fmt(G.a)},{F.fmt(G.b)})")
+    return _Block(T, lambda x: T.pure(block.alpha0(x), G.one()), sigma, target)
+
+
+def _extend(plan: _Plan, B: Algebra, alpha_of, sigma0: Involution, want, tries: int = 64):
+    """(tau, type) extending sigma0 to an involution that alpha_of intertwines."""
+    return extend_involution(B, _constraints_for(plan.src, alpha_of), sigma0,
+                             want=want, seed=plan.seed, tries=tries)
+
+
+def _matrix_layer(B0: Algebra, theta: Involution) -> tuple:
+    """M_2(B0) with the conjugate transpose over theta."""
+    M = MatrixAlgebra(B0, 2, label=f"M2({B0.label})")
+    zero, one = B0.zero(), B0.one()
+    return M, adjoint_involution(M, [[one, zero], [zero, one]], base_inv=theta,
+                                 label="conj-transpose")
+
+
+def _paired_with_opposite(src: SourceData, block: _Block) -> tuple:
+    """B0 x B0^op under the swap involution, with x -> (alpha0(x), alpha0(sigma(x)))."""
+    B = ProductAlgebra(block.B0, OppositeAlgebra(block.B0), label=f"{block.B0.label}x op")
+
+    def alpha_of(x):
+        y = block.alpha0(src.sigma.apply(x))
+        return B.inject_left(block.alpha0(x)) + B.inject_right(El(B.B, dict(y.c)))
+
+    return B, alpha_of, swap_involution(B)
+
+
+# ---------------------------------------------------------------------------
 # first kind
 
 def construct_first_kind(src: SourceData, c: BrauerClass, t: str,
@@ -582,80 +686,21 @@ def construct_first_kind(src: SourceData, c: BrauerClass, t: str,
     expected = mcd_first_kind(prof, c, t)
     if expected.status == NOT_COVERED:
         raise NotCoveredError(f"no construction covers this case: {expected.case}")
-    n = prof.n
-    trace = [f"target: first kind, type {t}, case {expected.case}"]
-    request = {"kind": "first", "c": c, "t": t}
+    plan = _Plan(src, {"kind": "first", "c": c, "t": t}, expected, seed,
+                 [f"target: first kind, type {t}, case {expected.case}"])
+    want = None if F.char == 2 else t
 
-    if n % 2:
-        return _first_kind_from_block(
-            src, src.C0, src.sigma, (lambda x: x), c, c * prof.c_odd, t,
-            expected, request, trace, seed,
-        )
+    if prof.n % 4 == 2 and prof.z_split:  # injectivity needs both corners
+        return _two_corners_first_kind(plan, c, want)
 
-    if prof.z_split and n % 4 == 0:
-        sides = _split_corners(src)
-        sides.sort(key=lambda s: c.distance(s["cls"]))
-        side = sides[0]
-        trace.append(f"projected to the factor of class {side['cls']}")
-        sig_c = restrict_involution(side["B0"], side["embed"], side["project"],
-                                    src.sigma, label="sigma^")
-        return _first_kind_from_block(
-            src, side["B0"], sig_c, side["project"], c, c * side["cls"], t,
-            expected, request, trace, seed,
-        )
-
-    if prof.z_split:  # n = 2 mod 4: injectivity needs both corners
-        return _first_kind_split_injective(src, c, t, expected, request, trace, seed)
-
-    # field center: route through the full Clifford algebra of a rescaling
-    if src.q is None:
-        raise UnsupportedInputError(
-            "field-center pair sources have no full-Clifford model at this scale"
-        )
-    lam, Cf, phi, rev = _best_rescaling(src, lambda cl: c.distance(cl), [c])
-    twist = c * clifford_class_of_form(src.q.scale(lam))
-    trace.append(f"rescaled the form by {F.fmt(lam)}")
-    return _first_kind_from_block(
-        src, Cf, rev, (lambda x: phi.apply(x)), c, twist, t,
-        expected, request, trace, seed,
-    )
-
-
-def _first_kind_from_block(src, B0, sigma0_B0, alpha0, c, twist_cls, t,
-                           expected, request, trace, seed):
-    """Common tail: tensor a quaternion model of the class twist, extend the
-    involution to the wanted type, doubling by a 2x2 matrix layer when the
-    formula says the type switch costs a factor of 2."""
-    F = src.profile.F
-    G = model_algebra(F, twist_cls)
-    symbols = []
-    if G is None:
-        B1, a1, sigma1 = B0, alpha0, sigma0_B0
-    else:
-        B1 = TensorAlgebra(B0, G, label=f"{B0.label}(x)Q")
-        a1 = (lambda a0, TT, GG: lambda x: TT.pure(a0(x), GG.one()))(alpha0, B1, G)
-        sigma1 = involution_on_tensor(B1, sigma0_B0, G.gamma())
-        symbols.append((G.a, G.b))
-        trace.append(f"tensored with the quaternion algebra ({F.fmt(G.a)},{F.fmt(G.b)})")
-
-    def finish(B, alpha_of, sigma_start, layer_note):
-        got = extend_involution(B, _constraints_for(src, alpha_of), sigma_start,
-                                want=(None if F.char == 2 else t), seed=seed)
-        if got is None:
-            return None
-        tau, u, eps = got
-        images = [alpha_of(src.C0.basis_el(i)).c for i in range(src.C0.dim)]
-        alpha = AlgebraHom(src.C0, B, images, label="alpha")
-        deg = _degree_over_center(B, unitary=False)
-        trace.append(layer_note)
-        return CompositionWitness(src, request, B, tau, alpha, expected, deg,
-                                  involution_type(B, tau), symbols, trace, seed)
-
+    block = _twist(plan, _pick_block(plan, c.distance, [c]), c, c.distance)
+    B1, a1, sigma1 = block.B0, block.alpha0, block.sigma0
     deg1 = _degree_over_center(B1, unitary=False)
     if deg1 == expected.value or (expected.status != EXACT and deg1 % expected.value == 0):
-        wit = finish(B1, a1, sigma1, f"involution extended on a degree-{deg1} target")
-        if wit is not None:
-            return wit
+        got = _extend(plan, B1, a1, sigma1, want)
+        if got is not None:
+            plan.trace.append(f"involution extended on a degree-{deg1} target")
+            return plan.witness(B1, a1, *got)
         if expected.status == EXACT:
             raise CertificationError(
                 "the formula promises this degree but no involution extension was found"
@@ -663,70 +708,48 @@ def _first_kind_from_block(src, B0, sigma0_B0, alpha0, c, twist_cls, t,
     elif deg1 < expected.value:
         # the formula includes a type-switch factor: a direct extension at
         # the lower degree must not exist
-        probe = extend_involution(B1, _constraints_for(src, a1), sigma1,
-                                  want=t, seed=seed, tries=16)
-        if probe is not None:
+        if _extend(plan, B1, a1, sigma1, t, tries=16) is not None:
             raise CertificationError(
                 f"found a type-{t} extension below the formula degree"
             )
-        trace.append(f"no type-{t} extension exists at degree {deg1}; doubling")
+        plan.trace.append(f"no type-{t} extension exists at degree {deg1}; doubling")
 
-    M = MatrixAlgebra(B1, 2, label=f"M2({B1.label})")
-    zero, one = B1.zero(), B1.one()
+    # the type switch costs a factor of 2: a 2x2 matrix layer
+    M, sigma2 = _matrix_layer(B1, sigma1)
+    zero = B1.zero()
 
     def a2(x):
         y = a1(x)
         return M.from_matrix([[y, zero], [zero, y]])
 
-    sigma2 = adjoint_involution(M, [[one, zero], [zero, one]], base_inv=sigma1,
-                                label="conj-transpose")
-    wit = finish(M, a2, sigma2, "doubled by a 2x2 matrix layer for the type switch")
-    if wit is None:
+    got = _extend(plan, M, a2, sigma2, want)
+    if got is None:
         raise CertificationError("no involution extension found on the doubled target")
-    return wit
+    plan.trace.append("doubled by a 2x2 matrix layer for the type switch")
+    return plan.witness(M, a2, *got)
 
 
-def _first_kind_split_injective(src, c, t, expected, request, trace, seed):
+def _two_corners_first_kind(plan: _Plan, c: BrauerClass, want) -> CompositionWitness:
     """n = 2 mod 4 with split center: block-diagonal target through one
     corner and the twisted image of the other, which keeps the map
     injective because the canonical involution exchanges the corners."""
-    F = src.profile.F
-    sides = _split_corners(src)
-    side = sides[0]
+    src = plan.src
+    side = _split_corners(src)[0]
     theta0 = _corner_first_kind_involution(src, side)
-    G = model_algebra(F, c * side["cls"])
-    symbols = []
-    if G is None:
-        B0, emb0, theta = side["B0"], (lambda x: x), theta0
-    else:
-        B0 = TensorAlgebra(side["B0"], G, label="corner(x)Q")
-        emb0 = lambda x: B0.pure(x, G.one())
-        theta = involution_on_tensor(B0, theta0, G.gamma())
-        symbols.append((G.a, G.b))
-        trace.append(f"tensored with the quaternion algebra ({F.fmt(G.a)},{F.fmt(G.b)})")
-    M = MatrixAlgebra(B0, 2, label=f"M2({B0.label})")
-    zero = B0.zero()
-    proj = side["project"]
-    sig = src.sigma
+    block = _twist(plan, _Block(side["B0"], side["project"], theta0, side["cls"]), c, c.distance)
+    a, theta = block.alpha0, block.sigma0
+    M, sigma0 = _matrix_layer(block.B0, theta)
+    zero = block.B0.zero()
 
     def alpha_of(x):
-        top = emb0(proj(x))
-        bot = theta.apply(emb0(proj(sig.apply(x))))
-        return M.from_matrix([[top, zero], [zero, bot]])
+        bot = theta.apply(a(src.sigma.apply(x)))
+        return M.from_matrix([[a(x), zero], [zero, bot]])
 
-    sigma0 = adjoint_involution(M, [[B0.one(), zero], [zero, B0.one()]],
-                                base_inv=theta, label="conj-transpose")
-    got = extend_involution(M, _constraints_for(src, alpha_of), sigma0,
-                            want=(None if F.char == 2 else t), seed=seed)
+    got = _extend(plan, M, alpha_of, sigma0, want)
     if got is None:
         raise CertificationError("no involution extension on the two-corner target")
-    tau, u, eps = got
-    images = [alpha_of(src.C0.basis_el(i)).c for i in range(src.C0.dim)]
-    alpha = AlgebraHom(src.C0, M, images, label="alpha")
-    deg = _degree_over_center(M, unitary=False)
-    trace.append("both corners mapped block-diagonally, the second one twisted")
-    return CompositionWitness(src, request, M, tau, alpha, expected, deg,
-                              involution_type(M, tau), symbols, trace, seed)
+    plan.trace.append("both corners mapped block-diagonally, the second one twisted")
+    return plan.witness(M, alpha_of, *got)
 
 
 def _corner_first_kind_involution(src: SourceData, side) -> Involution:
@@ -796,145 +819,46 @@ def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
     if expected.status == NOT_COVERED:
         raise NotCoveredError(f"no construction covers this case: {expected.case}")
     n = prof.n
-    request = {"kind": "unitary", "S": S, "c0": c0}
-    trace = [f"target: unitary, case {expected.case}"]
+    plan = _Plan(src, {"kind": "unitary", "S": S, "c0": c0}, expected, seed,
+                 [f"target: unitary, case {expected.case}"])
 
-    if n % 4 == 2 and not prof.z_split and not S.split and prof.z_etale.is_isomorphic(S):
-        return _unitary_center_matches(src, S, c0, expected, request, trace, seed)
+    def dist(cls):
+        return distance_over_s(F, S, c0, cls)
 
-    if n % 4 == 2 and prof.z_split:
+    center_matches = (n % 4 == 2 and not prof.z_split and not S.split
+                      and prof.z_etale.is_isomorphic(S))
+    two_corners = n % 4 == 2 and prof.z_split
+    if center_matches:
+        # the source algebra itself, twisted by a quaternion layer at
+        # distance 1, is the minimal target
+        block = _Block(src.C0, lambda x: x, src.sigma, prof.c_base)
+    elif two_corners:
+        # one corner paired with its opposite: the canonical involution
+        # exchanges the corners, so the map stays injective
         if not S.split:
             raise NotCoveredError(f"no construction covers this case: {expected.case}")
-        return _unitary_split_injective(src, c0, expected, request, trace, seed)
-
-    # remaining cases factor through a block with a first-kind involution
-    if n % 2:
-        block = {"B0": src.C0, "alpha0": (lambda x: x), "sigma0": src.sigma,
-                 "cls": prof.c_odd}
-    elif prof.z_split:  # n = 0 mod 4
-        sides = _split_corners(src)
-        sides.sort(key=lambda s: _dist_over_s(F, S, c0, s["cls"]))
-        side = sides[0]
-        sig_c = restrict_involution(side["B0"], side["embed"], side["project"],
-                                    src.sigma, label="sigma^")
-        block = {"B0": side["B0"], "alpha0": side["project"], "sigma0": sig_c,
-                 "cls": side["cls"]}
-        trace.append(f"projected to the factor of class {side['cls']}")
+        side = _split_corners(src)[0]
+        block = _Block(side["B0"], side["project"], None, side["cls"])
     else:
-        if src.q is None:
-            raise UnsupportedInputError(
-                "field-center pair sources have no full-Clifford model at this scale"
-            )
-        lam, Cf, phi, rev = _best_rescaling(
-            src, lambda cl: _dist_over_s(F, S, c0, cl), [c0]
-        )
-        trace.append(f"rescaled the form by {F.fmt(lam)}")
-        block = {"B0": Cf, "alpha0": (lambda x: phi.apply(x)), "sigma0": rev,
-                 "cls": clifford_class_of_form(src.q.scale(lam))}
+        block = _pick_block(plan, dist, [c0])
+    block = _twist(plan, block, c0, dist)
 
-    symbols = []
-    B0, alpha0, sigma0 = block["B0"], block["alpha0"], block["sigma0"]
-    if _dist_over_s(F, S, c0, block["cls"]) == 1:
-        G = model_algebra(F, c0 * block["cls"])
-        if G is None:
-            raise CertificationError("distance-1 twist has a trivial quaternion model")
-        T = TensorAlgebra(B0, G, label=f"{B0.label}(x)Q")
-        alpha0 = (lambda a0, TT, GG: lambda x: TT.pure(a0(x), GG.one()))(alpha0, T, G)
-        sigma0 = involution_on_tensor(T, sigma0, G.gamma())
-        symbols.append((G.a, G.b))
-        trace.append(f"tensored with the quaternion algebra ({F.fmt(G.a)},{F.fmt(G.b)})")
-        B0 = T
-
-    if S.split:
-        B = ProductAlgebra(B0, OppositeAlgebra(B0), label=f"{B0.label}x op")
-        tau = swap_involution(B)
-        sig = src.sigma
-
-        def alpha_of(x):
-            y = alpha0(sig.apply(x))
-            return B.inject_left(alpha0(x)) + B.inject_right(El(B.B, dict(y.c)))
-
-        trace.append("paired with the opposite algebra under the swap involution")
+    if center_matches:
+        if block.B0 is src.C0:
+            plan.trace.append("the source algebra itself realizes the minimal degree")
+        B, alpha_of, tau = block.B0, block.alpha0, block.sigma0
+    elif S.split:
+        B, alpha_of, tau = _paired_with_opposite(src, block)
+        plan.trace.append("one corner paired with its opposite under the swap involution"
+                          if two_corners else
+                          "paired with the opposite algebra under the swap involution")
     else:
         E, iota = etale_algebra(S)
-        B = TensorAlgebra(B0, E, label=f"{B0.label}(x)S")
-        tau = involution_on_tensor(B, sigma0, iota)
-        alpha_of = (lambda a0, BB, EE: lambda x: BB.pure(a0(x), EE.one()))(alpha0, B, E)
-        trace.append("extended scalars to S; the involution conjugates S")
-
-    images = [alpha_of(src.C0.basis_el(i)).c for i in range(src.C0.dim)]
-    alpha = AlgebraHom(src.C0, B, images, label="alpha")
-    deg = _degree_over_center(B, unitary=True)
-    return CompositionWitness(src, request, B, tau, alpha, expected, deg,
-                              "unitary", symbols, trace, seed)
-
-
-def _dist_over_s(F: Field, S: EtaleQuadratic, c0: BrauerClass, cls: BrauerClass) -> int:
-    if not isinstance(F, RationalField):
-        return 0
-    if S.split:
-        return c0.distance(cls)
-    sb = etale_base_of(S)
-    return RestrictedClass(c0, sb).distance(RestrictedClass(cls, sb))
-
-
-def _unitary_center_matches(src, S, c0, expected, request, trace, seed):
-    """n = 2 mod 4 with Z a field isomorphic to S: the source algebra itself
-    (possibly twisted by a quaternion layer) is the minimal target."""
-    F = src.profile.F
-    d = _dist_over_s(F, S, c0, src.profile.c_base)
-    symbols = []
-    if d == 0:
-        B, tau = src.C0, src.sigma
-        alpha_of = lambda x: x
-        trace.append("the source algebra itself realizes the minimal degree")
-    else:
-        G = model_algebra(F, c0 * src.profile.c_base)
-        if G is None:
-            raise CertificationError("distance-1 twist has a trivial quaternion model")
-        B = TensorAlgebra(src.C0, G, label=f"{src.C0.label}(x)Q")
-        tau = involution_on_tensor(B, src.sigma, G.gamma())
-        alpha_of = lambda x: B.pure(x, G.one())
-        symbols.append((G.a, G.b))
-        trace.append(f"tensored with the quaternion algebra ({F.fmt(G.a)},{F.fmt(G.b)})")
-    images = [alpha_of(src.C0.basis_el(i)).c for i in range(src.C0.dim)]
-    alpha = AlgebraHom(src.C0, B, images, label="alpha")
-    deg = _degree_over_center(B, unitary=True)
-    return CompositionWitness(src, request, B, tau, alpha, expected, deg,
-                              "unitary", symbols, trace, seed)
-
-
-def _unitary_split_injective(src, c0, expected, request, trace, seed):
-    """n = 2 mod 4, split center and split S: one corner paired with its
-    opposite; the canonical involution exchanges the corners, so the map
-    stays injective."""
-    F = src.profile.F
-    sides = _split_corners(src)
-    side = sides[0]
-    G = model_algebra(F, c0 * side["cls"])
-    symbols = []
-    if G is None:
-        B0, emb0 = side["B0"], (lambda x: x)
-    else:
-        B0 = TensorAlgebra(side["B0"], G, label="corner(x)Q")
-        emb0 = lambda x: B0.pure(x, G.one())
-        symbols.append((G.a, G.b))
-        trace.append(f"tensored with the quaternion algebra ({F.fmt(G.a)},{F.fmt(G.b)})")
-    B = ProductAlgebra(B0, OppositeAlgebra(B0), label=f"{B0.label}x op")
-    tau = swap_involution(B)
-    proj = side["project"]
-    sig = src.sigma
-
-    def alpha_of(x):
-        y = emb0(proj(sig.apply(x)))
-        return B.inject_left(emb0(proj(x))) + B.inject_right(El(B.B, dict(y.c)))
-
-    images = [alpha_of(src.C0.basis_el(i)).c for i in range(src.C0.dim)]
-    alpha = AlgebraHom(src.C0, B, images, label="alpha")
-    deg = _degree_over_center(B, unitary=True)
-    trace.append("one corner paired with its opposite under the swap involution")
-    return CompositionWitness(src, request, B, tau, alpha, expected, deg,
-                              "unitary", symbols, trace, seed)
+        B = TensorAlgebra(block.B0, E, label=f"{block.B0.label}(x)S")
+        tau = involution_on_tensor(B, block.sigma0, iota)
+        alpha_of = lambda x: B.pure(block.alpha0(x), E.one())
+        plan.trace.append("extended scalars to S; the involution conjugates S")
+    return plan.witness(B, alpha_of, tau, "unitary")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Optional
 from .brauer import (
     BrauerClass,
     EtaleBase,
-    RestrictedClass,
     clifford_class_of_form,
     compositum,
     etale_base_of,
@@ -26,8 +25,8 @@ from .brauer import (
     quaternion_symbol_of,
     trivial_class,
 )
-from .errors import NotCoveredError, UnsupportedInputError
-from .scalars import EtaleQuadratic, Field, QQ, RationalField
+from .errors import UnsupportedInputError
+from .scalars import EtaleQuadratic, Field, RationalField
 
 
 ORTH, SYMP, UNIT = "orthogonal", "symplectic", "unitary"
@@ -209,28 +208,27 @@ def _require_2torsion(c: BrauerClass):
         raise UnsupportedInputError("target class must be 2-torsion")
 
 
-def _d_res(F: Field, c1: BrauerClass, c2: BrauerClass, base: EtaleBase) -> int:
-    """d(res(c1), res(c2)) over a field base."""
+def _d_res(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuadratic) -> int:
+    """d(res(c1), res(c2)) over the compositum of the given quadratic
+    fields (over F itself when none is given); 0 off Q, where every class
+    is trivial."""
     if not isinstance(F, RationalField):
         return 0
+    base = EtaleBase(())
+    for et in fields:
+        base = compositum(base, etale_base_of(et))
     return c1.restrict(base).distance(c2.restrict(base))
+
+
+def distance_over_s(F: Field, S: EtaleQuadratic, c0: BrauerClass, cls: BrauerClass) -> int:
+    """d(res_S(c0), res_S(cls)); for split S = F x F this is the distance
+    over F."""
+    return _d_res(F, c0, cls) if S.split else _d_res(F, c0, cls, S)
 
 
 def _d_split_pair(c: BrauerClass, cp: BrauerClass, cm: BrauerClass) -> int:
     """d over F x F between (c, c) and (cp, cm): log2 of an lcm of indices."""
     return max(c.distance(cp), c.distance(cm))
-
-
-def _s_base(F: Field, S: EtaleQuadratic) -> Optional[EtaleBase]:
-    if S.split:
-        return None
-    if not isinstance(F, RationalField):
-        return None
-    return etale_base_of(S)
-
-
-def _z_isomorphic_s(Z: EtaleQuadratic, S: EtaleQuadratic) -> bool:
-    return Z.is_isomorphic(S)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +259,8 @@ def mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResu
             hit = profile.c_plus == c or profile.c_minus == c
             delta = 1 if (hit and eps == 1) else 0
             return McdResult(EXACT, 2 * k - 1 + dmin + delta, "first-kind/4k/split-center", False)
-        d = _d_res(F, c, profile.c_base, profile.z_base()) if isinstance(F, RationalField) else 0
-        same = (
-            c.restrict(profile.z_base()) == profile.c_base.restrict(profile.z_base())
-            if isinstance(F, RationalField)
-            else True
-        )
-        delta = 1 if (same and eps == 1) else 0
+        d = _d_res(F, c, profile.c_base, profile.z_etale)
+        delta = 1 if (d == 0 and eps == 1) else 0
         return McdResult(MULTIPLE, 2 * k + d + delta, "first-kind/4k/field-center", True)
 
     # n = 4k + 2
@@ -275,7 +268,7 @@ def mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResu
     if profile.z_split:
         d = _d_split_pair(c, profile.c_plus, profile.c_minus)
     else:
-        d = _d_res(F, c, profile.c_base, profile.z_base()) if isinstance(F, RationalField) else 0
+        d = _d_res(F, c, profile.c_base, profile.z_etale)
     return McdResult(EXACT, 2 * k + 1 + d, "first-kind/4k+2", False)
 
 
@@ -295,29 +288,21 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
     _require_2torsion(c0)
     F = profile.F
     n = profile.n
-    rational = isinstance(F, RationalField)
-    sb = _s_base(F, S)
-
-    def d_over_s(cx: BrauerClass) -> int:
-        if not rational:
-            return 0
-        if S.split:
-            return c0.distance(cx)
-        return _d_res(F, c0, cx, sb)
 
     if n % 2:
         k = (n - 1) // 2
-        return McdResult(EXACT, k + d_over_s(profile.c_odd), "unitary/odd", True)
+        return McdResult(EXACT, k + distance_over_s(F, S, c0, profile.c_odd), "unitary/odd", True)
 
     if n % 4 == 0:
         k = n // 4
         if profile.z_split:
-            dmin = min(d_over_s(profile.c_plus), d_over_s(profile.c_minus))
+            dmin = min(distance_over_s(F, S, c0, profile.c_plus),
+                       distance_over_s(F, S, c0, profile.c_minus))
             return McdResult(EXACT, 2 * k - 1 + dmin, "unitary/4k/split-center", False)
         # Z a field
-        if not S.split and _z_isomorphic_s(profile.z_etale, S):
+        if not S.split and profile.z_etale.is_isomorphic(S):
             if profile.source == "form":
-                d = d_over_s(profile.c_base)
+                d = distance_over_s(F, S, c0, profile.c_base)
                 return McdResult(
                     EXACT,
                     2 * k + d,
@@ -337,11 +322,11 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
 
     # n = 4k + 2
     k = (n - 2) // 4
-    if _z_isomorphic_s(profile.z_etale, S):
+    if profile.z_etale.is_isomorphic(S):
         if profile.z_split:
             d = _d_split_pair(c0, profile.c_plus, profile.c_minus)
         else:
-            d = d_over_s(profile.c_base)
+            d = distance_over_s(F, S, c0, profile.c_base)
         # the opposite class coincides with the class itself at 2-torsion,
         # so the min over {C, op C} collapses
         return McdResult(EXACT, 2 * k + d, "unitary/4k+2/center-matches-S", False)
@@ -361,13 +346,8 @@ def _d_compositum(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass)
     """d(res(c0), res(c_base)) over Z tensor S, for field Z not isomorphic
     to S.  S split gives Z x Z, where the distance equals the one over Z;
     S a field gives the biquadratic compositum."""
-    F = profile.F
-    if not isinstance(F, RationalField):
-        return 0
-    zb = profile.z_base()
-    if S.split:
-        return _d_res(F, c0, profile.c_base, zb)
-    return _d_res(F, c0, profile.c_base, compositum(zb, _s_base(F, S)))
+    fields = (profile.z_etale,) if S.split else (profile.z_etale, S)
+    return _d_res(profile.F, c0, profile.c_base, *fields)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +405,7 @@ def lower_bound_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) ->
     if profile.z_split:
         d = _d_split_pair(c, profile.c_plus, profile.c_minus)
     else:
-        d = (
-            _d_res(profile.F, c, profile.c_base, profile.z_base())
-            if isinstance(profile.F, RationalField)
-            else 0
-        )
+        d = _d_res(profile.F, c, profile.c_base, profile.z_etale)
     return BoundReport(
         2 * k + 1, d == 0, "bound/first-kind/4k+2", "class of C over Z equals the restricted target"
     )
@@ -439,34 +415,26 @@ def lower_bound_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: Brauer
     _require_2torsion(c0)
     F = profile.F
     n = profile.n
-    rational = isinstance(F, RationalField)
-    sb = _s_base(F, S)
-
-    def d_over_s(cx):
-        if not rational:
-            return 0
-        if S.split:
-            return c0.distance(cx)
-        return _d_res(F, c0, cx, sb)
 
     if n % 2:
         k = (n - 1) // 2
-        eq = d_over_s(profile.c_odd) == 0
+        eq = distance_over_s(F, S, c0, profile.c_odd) == 0
         return BoundReport(k, eq, "bound/unitary/odd", "restriction of C matches the target")
     if n % 4 == 0:
         k = n // 4
         eq = profile.z_split and (
-            min(d_over_s(profile.c_plus), d_over_s(profile.c_minus)) == 0
+            min(distance_over_s(F, S, c0, profile.c_plus),
+                distance_over_s(F, S, c0, profile.c_minus)) == 0
         )
         return BoundReport(
             2 * k - 1, eq, "bound/unitary/4k", "center splits and a factor restricts to the target"
         )
     k = (n - 2) // 4
-    if _z_isomorphic_s(profile.z_etale, S):
+    if profile.z_etale.is_isomorphic(S):
         if profile.z_split:
             d = _d_split_pair(c0, profile.c_plus, profile.c_minus)
         else:
-            d = d_over_s(profile.c_base)
+            d = distance_over_s(F, S, c0, profile.c_base)
         eq = d == 0
     else:
         eq = False
@@ -507,7 +475,6 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
         return {"ok": False, "case": "degenerate", "params": None}
     F = profile.F
     n = profile.n
-    rational = isinstance(F, RationalField)
     degC = profile.deg_clifford()
 
     if request["kind"] == "first":
@@ -525,13 +492,8 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
                 d2 = c.distance(profile.c_minus)
                 sol = _two_term_form(degree, degC, d1, d2, 0, 0)
                 return {"ok": sol is not None, "case": "cbound/split-center", "params": sol}
-            d = _d_res(F, c, profile.c_base, profile.z_base()) if rational else 0
-            same = (
-                c.restrict(profile.z_base()) == profile.c_base.restrict(profile.z_base())
-                if rational
-                else True
-            )
-            need_even = same and eps == 1
+            d = _d_res(F, c, profile.c_base, profile.z_etale)
+            need_even = d == 0 and eps == 1
             unit = degC << (d + 1)
             ok = degree % unit == 0 and (not need_even or (degree // unit) % 2 == 0)
             return {"ok": ok, "case": "cbound/field-center", "params": {"unit": unit, "even": need_even}}
@@ -541,7 +503,7 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
             d2 = c.distance(profile.c_minus)
             sol = _two_term_form(degree, degC, d1, d2, 1, 1)
             return {"ok": sol is not None, "case": "cbound/split-center-injective", "params": sol}
-        d = _d_res(F, c, profile.c_base, profile.z_base()) if rational else 0
+        d = _d_res(F, c, profile.c_base, profile.z_etale)
         unit = degC << (d + 1)
         return {
             "ok": degree % unit == 0,
@@ -550,21 +512,13 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
         }
 
     S, c0 = request["S"], request["c0"]
-    sb = _s_base(F, S)
-
-    def d_over_s(cx):
-        if not rational:
-            return 0
-        if S.split:
-            return c0.distance(cx)
-        return _d_res(F, c0, cx, sb)
 
     if n % 2:
-        unit = degC << d_over_s(profile.c_odd)
+        unit = degC << distance_over_s(F, S, c0, profile.c_odd)
         return {"ok": degree % unit == 0, "case": "cbound/Z-trivial", "params": {"unit": unit}}
     if profile.z_split:
-        d1 = d_over_s(profile.c_plus)
-        d2 = d_over_s(profile.c_minus)
+        d1 = distance_over_s(F, S, c0, profile.c_plus)
+        d2 = distance_over_s(F, S, c0, profile.c_minus)
         lo = 1 if n % 4 == 2 else 0
         if lo and S.split:
             # split target center: the two product factors can absorb one
@@ -578,8 +532,8 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
         sol = _two_term_form(degree, degC, d1, d2, lo, lo)
         case = "cbound/split-center" + ("-injective" if lo else "")
         return {"ok": sol is not None, "case": case, "params": sol}
-    if not S.split and _z_isomorphic_s(profile.z_etale, S):
-        d = d_over_s(profile.c_base)
+    if not S.split and profile.z_etale.is_isomorphic(S):
+        d = distance_over_s(F, S, c0, profile.c_base)
         lo = 1 if n % 4 == 0 else 0  # kind mismatch on centers forces both terms
         sol = _two_term_form(degree, degC, d, d, lo, lo)
         return {"ok": sol is not None, "case": "cbound/center-matches-S", "params": sol}

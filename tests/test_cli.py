@@ -1,11 +1,15 @@
 """Command line surface: schemas, exit codes, determinism, replay."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from cliffcomp import cli
 
 BASE = [sys.executable, "-m", "cliffcomp.cli"]
 BUNDLES = sorted((Path(__file__).parent / "data").glob("bundle_*.json"))
@@ -103,6 +107,30 @@ def test_mcd_with_a_large_prime_entry_returns():
     assert p.returncode == 0, p.stderr
     out = json.loads(p.stdout)
     assert out["status"] == "exact" and out["value"] == 4
+
+
+def test_compose_with_a_large_prime_entry_returns():
+    p = subprocess.run(BASE + ["compose", "--object", '{"diag":[1,-1000000000000000003]}',
+                               "--type", "orthogonal"],
+                       capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+    out = json.loads(p.stdout)
+    assert out["verified"] is True and out["witness"]["degree"] == 2
+
+
+def test_back_to_back_runs_share_no_state():
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(list(argv))
+        return rc, out.getvalue()
+
+    compose = ("compose", "--object", '{"diag":["1","1","1"]}', "--type", "symplectic")
+    rc, out = run(*compose, "--seed", "3")
+    assert rc == 0 and json.loads(out)["problem"]["seed"] == 3
+    assert run("compose", "--object", '{"diag":[1,1,1]}', "--type", "hermitian")[0] == 2
+    rc, out = run(*compose)
+    assert rc == 0 and json.loads(out)["problem"]["seed"] == 0
 
 
 def test_bound_with_candidate_degree():

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cliffcomp.algebra import QuaternionAlgebra, involution_type
+from cliffcomp import compose
+from cliffcomp.algebra import Involution, QuaternionAlgebra, involution_type
 from cliffcomp.brauer import BrauerClass, trivial_class
 from cliffcomp.clifford import clifford_of_pair
 from cliffcomp.compose import construct_composition, regular_representation
-from cliffcomp.errors import NotCoveredError
+from cliffcomp.errors import CertificationError, NotCoveredError
 from cliffcomp.mcd import dbound_min_degree
 from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
@@ -151,3 +152,62 @@ def test_regular_representation_realizes_distance_bound():
 def test_uncovered_configurations_refused(entries, request_builder):
     with pytest.raises(NotCoveredError):
         construct_composition(diag(*entries), request_builder())
+
+
+# (source, request, label of the target involution): a swap target, an
+# extension candidate after a quaternion twist, one after a 2x2 doubling
+# layer, and the restriction of the source involution to a split corner
+CERTIFY_ONCE_CASES = [
+    ("swap", diag(1, 1, 1), {"kind": "unitary", "S": S_SPLIT, "c0": TRIV}, "swap"),
+    ("extended", diag(1, 1, 1), {"kind": "first", "c": TRIV, "t": "symplectic"}, "tau"),
+    ("doubled", diag(1, 1, 1), {"kind": "first", "c": HH, "t": "orthogonal"}, "tau"),
+    ("corner", diag(1, -1, 1, -1), {"kind": "first", "c": TRIV, "t": "symplectic"}, "sigma^"),
+]
+
+
+@pytest.mark.parametrize("label,q,req,tau_label", CERTIFY_ONCE_CASES,
+                         ids=[c[0] for c in CERTIFY_ONCE_CASES])
+def test_target_involution_certified_once(monkeypatch, label, q, req, tau_label):
+    calls = []
+    certify = Involution.verify
+
+    def counting(self):
+        calls.append(self)
+        return certify(self)
+
+    monkeypatch.setattr(Involution, "verify", counting)
+    wit = construct_composition(q, req)
+    assert wit.tau.label == tau_label
+    assert sum(1 for inv in calls if inv is wit.tau) == 1
+
+
+@pytest.mark.parametrize("label,q,req,tau_label", CERTIFY_ONCE_CASES,
+                         ids=[c[0] for c in CERTIFY_ONCE_CASES])
+def test_witness_rejects_a_changed_involution_image(label, q, req, tau_label):
+    wit = construct_composition(q, req)
+    F = wit.target.F
+    image = wit.tau.images[-1]
+    k = next(iter(image))
+    image[k] = F.add(image[k], F.one())
+    with pytest.raises(CertificationError):
+        wit.verify()
+
+
+def test_extend_involution_reports_the_type_of_tau(monkeypatch):
+    results = []
+    extend = compose.extend_involution
+
+    def recording(B, *args, **kwargs):
+        got = extend(B, *args, **kwargs)
+        if got is not None:
+            results.append((B, got))
+        return got
+
+    monkeypatch.setattr(compose, "extend_involution", recording)
+    for q, req in [(diag(1, 1, 1), {"kind": "first", "c": HH, "t": "orthogonal"}),
+                   (diag(1, 1, 1), {"kind": "first", "c": TRIV, "t": "symplectic"}),
+                   (diag(1, -1, 1, -1, 1, -1), {"kind": "first", "c": TRIV, "t": "orthogonal"})]:
+        construct_composition(q, req)
+    assert len(results) >= 3
+    for B, (tau, ttype) in results:
+        assert ttype == involution_type(B, tau)
