@@ -1,9 +1,12 @@
 """Clifford algebras: of a quadratic space, and of an algebra with a
 quadratic pair.
 
-The quadratic-space algebra C(V, q) works over any field by monomial
-rewriting: e_i e_i -> q(e_i) and e_j e_i -> b_q(e_i, e_j) - e_i e_j for
-j > i, which is valid in characteristic 2 as well.
+The quadratic-space algebra C(V, q) works over any field by Chevalley's
+recursion: e_i e_T, for t the lowest index of T, is e_{T+i} when i < t,
+q(e_i) e_{T-t} when i = t, and b_q(e_t, e_i) e_{T-t} - e_t (e_i e_{T-t})
+when i > t, which is valid in characteristic 2 as well.  Each such
+product is memoized on the algebra, and e_S e_T applies the generators of
+S to e_T one at a time.  The even part C0 reads these products on demand.
 
 The pair construction quotients the tensor algebra of the underlying
 space of A by two families of relations: symmetric elements s are
@@ -50,58 +53,60 @@ class CliffordAlgebra(Algebra):
         self._unit = {0: self.F.one()}
         self.label = label or f"C({q.label})"
         self._B = q.polar_matrix()
-        self._word_cache: dict = {}
+        self._gen_cache: dict = {}
 
     def _mask_to_word(self, mask: int) -> tuple:
         return tuple(i for i in range(self.n) if mask >> i & 1)
 
-    @staticmethod
-    def _word_to_mask(word) -> int:
-        m = 0
-        for i in word:
-            m |= 1 << i
-        return m
+    def _gen_times(self, i: int, T: int) -> dict:
+        """e_i e_T by Chevalley's recursion on the lowest index t of T."""
+        key = (i, T)
+        out = self._gen_cache.get(key)
+        if out is not None:
+            return out
+        F = self.F
+        low = T & -T
+        bit = 1 << i
+        if not T or bit < low:
+            out = {T | bit: F.one()}
+        elif bit == low:
+            s = self.q.M[i][i]
+            out = {} if F.is_zero(s) else {T ^ low: s}
+        else:
+            # e_i e_t = b(e_t, e_i) - e_t e_i; e_t then lands in front of
+            # every mask of e_i e_{T - t}, whose indices all exceed t
+            rest = T ^ low
+            b = self._B[low.bit_length() - 1][i]
+            out = {} if F.is_zero(b) else {rest: b}
+            for m, c in self._gen_times(i, rest).items():
+                out[m | low] = F.neg(c)
+        self._gen_cache[key] = out
+        return out
+
+    def _gens_times(self, word, x: dict) -> dict:
+        """The generators of word applied to coords x from the left, last first."""
+        F = self.F
+        for i in reversed(word):
+            acc: dict = {}
+            for m, c in x.items():
+                for m2, c2 in self._gen_times(i, m).items():
+                    nv = F.add(acc.get(m2, F.zero()), F.mul(c, c2))
+                    if F.is_zero(nv):
+                        acc.pop(m2, None)
+                    else:
+                        acc[m2] = nv
+            x = acc
+        return x
 
     def reduce_word(self, word: tuple) -> dict:
         """Canonical coords (mask -> coeff) of a generator word."""
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
-        F = self.F
-        out: dict = {}
-        stack = [(word, F.one())]
-        while stack:
-            w, c = stack.pop()
-            pos = None
-            for t in range(len(w) - 1):
-                if w[t] >= w[t + 1]:
-                    pos = t
-                    break
-            if pos is None:
-                m = self._word_to_mask(w)
-                nv = F.add(out.get(m, F.zero()), c)
-                if F.is_zero(nv):
-                    out.pop(m, None)
-                else:
-                    out[m] = nv
-                continue
-            a, b = w[pos], w[pos + 1]
-            if a == b:
-                w2 = w[:pos] + w[pos + 2 :]
-                s = self.q.M[a][a]
-                if not F.is_zero(s):
-                    stack.append((w2, F.mul(c, s)))
-            else:
-                bab = self._B[b][a]
-                if not F.is_zero(bab):
-                    stack.append((w[:pos] + w[pos + 2 :], F.mul(c, bab)))
-                stack.append((w[:pos] + (b, a) + w[pos + 2 :], F.neg(c)))
-        self._word_cache[word] = out
-        return out
+        return self._gens_times(word, {0: self.F.one()})
 
     def mul_bb(self, i: int, j: int) -> dict:
-        word = self._mask_to_word(i) + self._mask_to_word(j)
-        return self.reduce_word(word)
+        if not i:
+            return {j: self.F.one()}
+        low = i & -i
+        return self._gens_times((low.bit_length() - 1,), self._mul_bb_cached(i ^ low, j))
 
     def basis_name(self, i: int) -> str:
         if i == 0:
@@ -122,29 +127,14 @@ class CliffordAlgebra(Algebra):
         return Involution(self, imgs, label="reversal", verify=verify)
 
     def even_part(self):
-        """The even subalgebra as an ExplicitAlgebra.
+        """The even subalgebra, read on demand from this algebra's products.
 
         Returns (C0, embed, project) with embed: C0 -> C on basis masks of
         even popcount (in increasing mask order) and project the coordinate
         restriction.
         """
-        masks = [m for m in range(self.dim) if bin(m).count("1") % 2 == 0]
-        pos = {m: t for t, m in enumerate(masks)}
-        F = self.F
-        table = {}
-        for a, ma in enumerate(masks):
-            for b, mb in enumerate(masks):
-                prod = self._mul_bb_cached(ma, mb)
-                table[(a, b)] = {pos[m]: v for m, v in prod.items()}
-        C0 = ExplicitAlgebra(
-            F,
-            len(masks),
-            table,
-            {0: F.one()},
-            label=f"C0({self.q.label})",
-            verify=False,
-            names=[self.basis_name(m) for m in masks],
-        )
+        C0 = EvenCliffordAlgebra(self)
+        masks, pos = C0.masks, C0.pos
 
         def embed(x: El) -> El:
             return El(self, {masks[t]: v for t, v in x.c.items()})
@@ -158,6 +148,31 @@ class CliffordAlgebra(Algebra):
             return El(C0, out)
 
         return C0, embed, project
+
+
+class EvenCliffordAlgebra(Algebra):
+    """C0(V, q) on the even basis masks of C(V, q), in increasing order.
+
+    A product of two basis elements is C's cached product with its masks
+    renumbered, so no structure table is built ahead of the reads.
+    """
+
+    def __init__(self, C: CliffordAlgebra):
+        super().__init__()
+        self.C = C
+        self.F = C.F
+        self.masks = [m for m in range(C.dim) if bin(m).count("1") % 2 == 0]
+        self.pos = {m: t for t, m in enumerate(self.masks)}
+        self.dim = len(self.masks)
+        self._unit = {0: C.F.one()}
+        self.label = f"C0({C.q.label})"
+
+    def mul_bb(self, i: int, j: int) -> dict:
+        pos = self.pos
+        return {pos[m]: v for m, v in self.C._mul_bb_cached(self.masks[i], self.masks[j]).items()}
+
+    def basis_name(self, i: int) -> str:
+        return self.C.basis_name(self.masks[i])
 
 
 def even_clifford(q: QuadraticSpace):
@@ -197,11 +212,6 @@ class PairCliffordData:
         return El(self.C, acc)
 
 
-def _sandwich_eval(A: Algebra, i: int, x: El, j: int) -> El:
-    """e_i * x * e_j in A."""
-    return A.mul(A.mul(A.basis_el(i), x), A.basis_el(j))
-
-
 def _w_space_paper(A: Algebra, sigma: Involution) -> list:
     """Basis of {u in A(x)A : Sand(u)(y) = 0 for all y in im(1 - sigma)}.
 
@@ -222,8 +232,9 @@ def _w_space_paper(A: Algebra, sigma: Involution) -> list:
         # row r holds the e_r coefficients of e_i y e_j, in column i * d + j
         block = [{} for _ in range(d)]
         for i in range(d):
+            left = A.mul(A.basis_el(i), y)
             for j in range(d):
-                for r, v in _sandwich_eval(A, i, y, j).c.items():
+                for r, v in A.mul(left, A.basis_el(j)).c.items():
                     block[r][i * d + j] = v
         rows.extend(block)
     ker = sparse_kernel(F, rows, d * d) if rows else []
@@ -323,22 +334,21 @@ class _PairQuotient:
         """Pushed-down relations u - Sand(u)(l) for u in the sandwich basis."""
         F = self.F
         A = self.A
+        phi = [self.phi_of_element(A.basis_el(i)) for i in range(A.dim)]
+        left = [A.mul(A.basis_el(i), self.ell) for i in range(A.dim)]
         out = []
         for u in w_basis:
             row: dict = {}
             sand = A.zero()
             for (i, j), c in u.items():
-                prod = self._word_product(
-                    self.phi_of_element(A.basis_el(i)),
-                    self.phi_of_element(A.basis_el(j)),
-                )
+                prod = self._word_product(phi[i], phi[j])
                 for k, v in prod.items():
                     nv = F.add(row.get(k, F.zero()), F.mul(c, v))
                     if F.is_zero(nv):
                         row.pop(k, None)
                     else:
                         row[k] = nv
-                sand = sand + c * _sandwich_eval(A, i, self.ell, j)
+                sand = sand + c * A.mul(left[i], A.basis_el(j))
             for k, v in self.phi_of_element(sand).items():
                 nv = F.sub(row.get(k, F.zero()), v)
                 if F.is_zero(nv):

@@ -233,7 +233,7 @@ def _algebras():
     C = CliffordAlgebra(QuadraticSpace.diagonal(F3, [1, 2, 1]))
     C0 = dict(CORPUS)["gf3-n7"].source.C0
     return [
-        ("explicit", C0),
+        ("even-clifford", C0),
         ("field", FieldAlgebra(QQ)),
         ("quaternion", Q),
         ("matrix", MatrixAlgebra(Q3, 2)),

@@ -1,18 +1,21 @@
 """Clifford algebras of forms and of quadratic pairs, with certification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from cliffcomp.algebra import QuaternionAlgebra, corner_algebra, involution_type
-from cliffcomp.brauer import BrauerClass, quaternion_symbol_of
+from cliffcomp.brauer import BrauerClass, quaternion_symbol_of, trivial_class
 from cliffcomp.clifford import (
     CliffordAlgebra,
+    EvenCliffordAlgebra,
     PairCliffordData,
     clifford_of_pair,
     even_clifford,
     split_compare,
 )
+from cliffcomp.compose import construct_composition
 from cliffcomp.errors import SaturationError
 from cliffcomp.mcd import canonical_involution_type
 from cliffcomp.qpair import pair_from_form, pair_on_quaternion_tensor
@@ -25,6 +28,70 @@ F3 = PrimeField(3)
 
 def fracs(*ns):
     return [Fraction(n) for n in ns]
+
+
+# ---------------------------------------------------------------------------
+# reference: the branching word rewriter, e_i e_i -> q(e_i) and
+# e_j e_i -> b(e_i, e_j) - e_i e_j for j > i, applied to whole words until
+# every word is strictly increasing
+
+def ref_reduce_word(C, word):
+    F = C.F
+    B = C.q.polar_matrix()
+    out = {}
+    stack = [(tuple(word), F.one())]
+    while stack:
+        w, c = stack.pop()
+        pos = next((t for t in range(len(w) - 1) if w[t] >= w[t + 1]), None)
+        if pos is None:
+            m = sum(1 << i for i in w)
+            nv = F.add(out.get(m, F.zero()), c)
+            if F.is_zero(nv):
+                out.pop(m, None)
+            else:
+                out[m] = nv
+            continue
+        a, b = w[pos], w[pos + 1]
+        if a == b:
+            if not F.is_zero(C.q.M[a][a]):
+                stack.append((w[:pos] + w[pos + 2:], F.mul(c, C.q.M[a][a])))
+        else:
+            if not F.is_zero(B[b][a]):
+                stack.append((w[:pos] + w[pos + 2:], F.mul(c, B[b][a])))
+            stack.append((w[:pos] + (b, a) + w[pos + 2:], F.neg(c)))
+    return out
+
+
+def seeded_form(rng, F, n, gram):
+    """An upper-triangular form, off-diagonal entries only when gram."""
+    def entry():
+        return Fraction(rng.randint(-3, 3)) if F.char == 0 else F.from_int(rng.randrange(F.char))
+
+    M = [[entry() if i == j or (gram and j > i) else F.zero() for j in range(n)]
+         for i in range(n)]
+    return QuadraticSpace(F, M)
+
+
+def differential_corpus(seed=5):
+    rng = random.Random(seed)
+    return [
+        pytest.param(seeded_form(rng, F, n, gram), id=f"{F}-n{n}-{'gram' if gram else 'diag'}")
+        for F, shapes, top in ((F2, (True,), 4), (F3, (False, True), 3), (QQ, (False, True), 5))
+        for n in range(1, top + 1)
+        for gram in shapes
+    ]
+
+
+@pytest.mark.parametrize("q", differential_corpus())
+def test_products_match_the_word_rewriter(q):
+    C = CliffordAlgebra(q)
+    for S in range(C.dim):
+        for T in range(C.dim):
+            word = C._mask_to_word(S) + C._mask_to_word(T)
+            want = ref_reduce_word(C, word)
+            assert C.mul_bb(S, T) == want, (S, T)
+            assert C.reduce_word(word) == want, (S, T)
+            assert C.reduce_word(word[::-1]) == ref_reduce_word(C, word[::-1]), (S, T)
 
 
 def test_generator_relations():
@@ -186,3 +253,23 @@ def test_embed_a_is_linear_not_multiplicative():
     x, y = A.basis_el(0), A.basis_el(3)
     assert data.embed_a(x + y) == data.embed_a(x) + data.embed_a(y)
     assert data.embed_a(2 * x) == 2 * data.embed_a(x)
+
+
+@pytest.mark.parametrize("F", [QQ, F3, F2], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_even_part_embed_is_multiplicative(F, n):
+    q = seeded_form(random.Random(n), F, n, gram=True)
+    C, C0, embed, project, tau = even_clifford(q)
+    assert isinstance(C0, EvenCliffordAlgebra)
+    xs = [C0.basis_el(t) for t in range(C0.dim)]
+    for x in xs:
+        for y in xs:
+            assert embed(x * y) == embed(x) * embed(y)
+
+
+def test_compose_reads_even_products_on_demand():
+    # the eager table of C0 alone held 64 * 64 products of C
+    q7 = QuadraticSpace.diagonal(F3, [1, 2, 1, 1, 2, 1, 1])
+    wit = construct_composition(q7, {"kind": "first", "c": trivial_class(F3), "t": "orthogonal"})
+    wit.verify()
+    assert len(wit.source.C0.C._mul_cache) < 4096
