@@ -10,7 +10,6 @@ Fraction type, finite fields via polynomial arithmetic mod p.
 from .errors import (
     CliffcompError,
     InputTooLargeError,
-    ConstructionError,
     CertificationError,
     SaturationError,
     NotCoveredError,
@@ -20,7 +19,6 @@ from .errors import (
 __all__ = [
     "CliffcompError",
     "InputTooLargeError",
-    "ConstructionError",
     "CertificationError",
     "SaturationError",
     "NotCoveredError",

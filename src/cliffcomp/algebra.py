@@ -86,16 +86,6 @@ class El:
     def __rmul__(self, scalar):
         return El(self.A, sp_scale(self.A.F, scalar, self.c))
 
-    def __pow__(self, n: int):
-        acc = self.A.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def __eq__(self, other):
         # equal coordinate dicts settle it; otherwise compare by field
         # arithmetic, which does not rely on one representation per element
@@ -175,9 +165,6 @@ class Algebra:
 
     def el(self, coords: dict) -> El:
         return El(self, coords)
-
-    def scalar(self, c) -> El:
-        return El(self, sp_scale(self.F, c, self._unit))
 
     @property
     def deg(self) -> Optional[int]:

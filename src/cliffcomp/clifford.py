@@ -36,15 +36,24 @@ from .algebra import (
     sp_add,
     sp_scale,
 )
-from .errors import CertificationError, SaturationError, UnsupportedInputError
+from .errors import CertificationError, InputTooLargeError, SaturationError, UnsupportedInputError
 from .linalg import SparseEchelon, inv_matrix, sparse_kernel
 from .quadform import QuadraticSpace
+
+# C(V, q) has 2^n basis elements and its products fill up to 4^n table
+# entries: a witness search at n = 10 takes seconds, one at n = 11 ran
+# past a minute and hundreds of MB, so larger spaces are refused up front.
+MAX_GENERATORS = 10
 
 
 class CliffordAlgebra(Algebra):
     """C(V, q), basis e_S over subsets S of the generator set (bitmask order)."""
 
     def __init__(self, q: QuadraticSpace, label: Optional[str] = None):
+        if q.n > MAX_GENERATORS:
+            raise InputTooLargeError(
+                f"Clifford algebras are built for n <= {MAX_GENERATORS}, got n = {q.n}"
+            )
         super().__init__()
         self.q = q
         self.F = q.F

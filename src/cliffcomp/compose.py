@@ -14,6 +14,15 @@ distance 1 from the target, finish the target (extend the involution,
 double by a 2x2 matrix layer, pair with the opposite algebra, or extend
 scalars to S), and assemble the witness.
 
+The steps read what the source already holds.  An involution extension
+tau = Int(u) . sigma0 must intertwine alpha only on the proved generating
+set of C (C.generators()): the equations are linear in u and pass from x
+and y to xy, so one sparse solve over the rows of all of them gives the
+space of u.  The rescaling isomorphism C0(q) -> C(lam q) is written out on
+the basis, e_S -> lam^(-|S|/2) e_S, and the class of C(lam q) comes from
+the scaling formula [C(lam q)] = [C(q)] (lam, d) for even n, so no
+rescaled form is diagonalized.
+
 Which certificate runs where: the source involution sigma_bar is
 certified when the source is built (even_clifford, clifford_of_pair).
 CompositionWitness.verify(), which construct_composition calls before
@@ -39,7 +48,7 @@ from typing import Optional
 
 from .errors import CertificationError, NotCoveredError, UnsupportedInputError
 from .scalars import Field, RationalField, EtaleQuadratic, squarefree_part, trial_factor
-from .linalg import kernel
+from .linalg import sparse_kernel
 from .algebra import (
     Algebra,
     AlgebraHom,
@@ -57,7 +66,6 @@ from .algebra import (
     center_basis,
     center_structure,
     corner_algebra,
-    hom_on_generators,
     involution_on_tensor,
     involution_type,
     restrict_involution,
@@ -67,6 +75,7 @@ from .quadform import QuadraticSpace
 from .clifford import CliffordAlgebra, even_clifford, PairCliffordData
 from .brauer import (
     BrauerClass,
+    _as_scalar,
     trivial_class,
     clifford_class_of_form,
     quaternion_model,
@@ -123,35 +132,24 @@ def model_algebra(F: Field, cls: BrauerClass) -> Optional[QuaternionAlgebra]:
 # involution extension by an inner twist
 
 def _constraint_kernel(B: Algebra, constraints: list, sigma0: Involution, eps) -> list:
-    """Basis of {u : u sigma0(x) = y u for all (x, y), sigma0(u) = eps u}."""
-    F = B.F
-    dim = B.dim
-    space = [[F.one() if i == j else F.zero() for j in range(dim)] for i in range(dim)]
+    """Basis of {u : u sigma0(x) = y u for all (x, y), sigma0(u) = eps u}.
 
-    def shrink(image_of):
-        nonlocal space
-        if not space:
-            return
-        cols = [image_of(El(B, {i: c for i, c in enumerate(v) if not F.is_zero(c)}))
-                for v in space]
-        rows = [[cols[j].c.get(i, F.zero()) for j in range(len(cols))] for i in range(dim)]
-        ker = kernel(F, rows)
-        new_space = []
-        for kv in ker:
-            acc = [F.zero()] * dim
-            for j, kc in enumerate(kv):
-                if F.is_zero(kc):
-                    continue
-                for i in range(dim):
-                    acc[i] = F.add(acc[i], F.mul(kc, space[j][i]))
-            new_space.append(acc)
-        space = new_space
+    Each condition is a linear map in u; the rows of every map, written on
+    the basis of B, go into one sparse solve.
+    """
+    maps = [lambda u, sx=sigma0.apply(x), y=y: B.mul(u, sx) - B.mul(y, u)
+            for x, y in constraints]
+    maps.append(lambda u: sigma0.apply(u) - eps * u)
 
-    for x, y in constraints:
-        sx = sigma0.apply(x)
-        shrink(lambda u, sx=sx, y=y: B.mul(u, sx) - B.mul(y, u))
-    shrink(lambda u: sigma0.apply(u) - eps * u)
-    return space
+    def rows():
+        for image_of in maps:
+            block = [{} for _ in range(B.dim)]
+            for j in range(B.dim):
+                for i, v in image_of(B.basis_el(j)).c.items():
+                    block[i][j] = v
+            yield from block
+
+    return sparse_kernel(B.F, rows(), B.dim)
 
 
 def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
@@ -248,27 +246,11 @@ def source_from_pair(data: PairCliffordData) -> SourceData:
                       label=getattr(data.C, "label", "C"))
 
 
-def _source_generators(src: SourceData) -> list:
-    """Elements generating the source algebra, kept small for the solver."""
-    C0 = src.C0
-    if src.pair_data is not None:
-        return [El(C0, dict(c)) for c in src.pair_data.a_images]
-    q = src.q
-    F = q.F
-    diag = all(F.is_zero(q.M[i][j]) for i in range(q.n) for j in range(i + 1, q.n))
-    anisotropic = all(not F.is_zero(q.M[i][i]) for i in range(q.n))
-    masks = [m for m in range(1 << q.n) if bin(m).count("1") % 2 == 0]
-    pos = {m: t for t, m in enumerate(masks)}
-    if diag and anisotropic:
-        # adjacent products generate the rest up to scalars
-        wanted = [(1 << i) | (1 << (i + 1)) for i in range(q.n - 1)]
-    else:
-        wanted = [(1 << i) | (1 << j) for i in range(q.n) for j in range(i + 1, q.n)]
-    return [C0.basis_el(pos[m]) for m in wanted]
-
-
 def _constraints_for(src: SourceData, alpha_of) -> list:
-    return [(alpha_of(g), alpha_of(src.sigma.apply(g))) for g in _source_generators(src)]
+    """(alpha(g), alpha(sigma(g))) for the proved generators g of C0: an
+    involution intertwining alpha on generators intertwines it everywhere."""
+    gens = [src.C0.basis_el(g) for g in src.C0.generators()]
+    return [(alpha_of(g), alpha_of(src.sigma.apply(g))) for g in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -289,29 +271,6 @@ def _corner_class(F: Field, corner: Algebra, seeds: Optional[list] = None) -> Br
     )
 
 
-def _scalar_of(A: Algebra, x: El):
-    """lam with x = lam * 1, or None."""
-    F = A.F
-    one = A.one()
-    if not x.c:
-        return F.zero()
-    k, v = next(iter(one.c.items()))
-    if k not in x.c:
-        return None
-    lam = F.mul(x.c[k], F.inv(v))
-    scaled = El(A, {kk: F.mul(lam, vv) for kk, vv in one.c.items()})
-    return lam if scaled == x else None
-
-
-def _sqrt_rational(x):
-    if x <= 0:
-        return None
-    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _compressed_class(F: Field, corner: Algebra, seeds: list) -> Optional[BrauerClass]:
     """Class via compression by an explicit idempotent.
 
@@ -329,10 +288,10 @@ def _compressed_class(F: Field, corner: Algebra, seeds: list) -> Optional[Brauer
             pool.append(basis[i] - basis[j])
     budget = 60
     for w in pool:
-        lam = _scalar_of(corner, w * w)
+        lam = _as_scalar(corner, w * w)
         if lam is None or F.is_zero(lam):
             continue
-        s = _sqrt_rational(lam)
+        s = F.sqrt(lam)
         if s is None:
             continue
         u = El(corner, {k: F.mul(F.inv(s), v) for k, v in w.c.items()})
@@ -365,8 +324,6 @@ def _split_corners(src: SourceData) -> list:
         raise UnsupportedInputError("corner data needs a split center")
     if src.pair_data is not None and src.pair_data.center_idempotent is not None:
         e = src.pair_data.center_idempotent
-        if not isinstance(e, El):
-            e = El(C0, dict(e))
     else:
         et, e = center_structure(C0)
         if e is None:
@@ -416,30 +373,22 @@ def _lambda_pool(F: Field, classes: list, extra) -> list:
     return pool
 
 
-def _disc_datum(q: QuadraticSpace):
-    et = q.discriminant_algebra()
-    return None if et.split else et.datum
-
-
 def _scaled_even_iso(src: SourceData, lam) -> tuple:
     """The canonical isomorphism from C0 of a form onto C0 of its rescaling,
     viewed inside the full Clifford algebra of the rescaled form.
 
+    e_S for an even set S is the ordered product of |S|/2 pairs e_i e_j,
+    and e_i e_j goes to lam^-1 e_i e_j, so e_S goes to lam^(-|S|/2) e_S.
     Returns (Cfull, hom C0 -> Cfull, reversal of Cfull).
     """
     q = src.q
     F = q.F
     Cf = CliffordAlgebra(q.scale(lam))
-    masks = [m for m in range(1 << q.n) if bin(m).count("1") % 2 == 0]
-    pos = {m: t for t, m in enumerate(masks)}
-    gens, imgs = [], []
-    ilam = F.inv(lam)
-    for i in range(q.n):
-        for j in range(i + 1, q.n):
-            m = (1 << i) | (1 << j)
-            gens.append(pos[m])
-            imgs.append(El(Cf, {m: ilam}))
-    phi = hom_on_generators(src.C0, Cf, gens, imgs, label="rescale")
+    powers = [F.one()]
+    for _ in range(q.n // 2):
+        powers.append(F.div(powers[-1], lam))
+    images = [{m: powers[bin(m).count("1") // 2]} for m in src.C0.masks]
+    phi = AlgebraHom(src.C0, Cf, images, label="rescale")
     phi.verify()
     if not phi.is_injective():
         raise CertificationError("even Clifford rescaling is not injective")
@@ -448,22 +397,25 @@ def _scaled_even_iso(src: SourceData, lam) -> tuple:
 
 def _best_rescaling(src: SourceData, objective, support: list):
     """Scaling of the source form minimizing an objective of the full
-    Clifford class; returns (lam, Cfull, embedding hom, reversal)."""
+    Clifford class; returns (lam, its class, Cfull, embedding hom, reversal).
+
+    For even n, [C(lam q)] = [C(q)] (lam, d) with d the signed discriminant
+    (Lam, ch. V), so no rescaled form is diagonalized.
+    """
     q = src.q
     F = q.F
-    pool = _lambda_pool(F, [clifford_class_of_form(q)] + support, _disc_datum(q))
+    c = clifford_class_of_form(q)
+    d = q.center_datum()
     best = None
-    for lam in pool:
-        if F.is_zero(lam):
-            continue
-        d = objective(clifford_class_of_form(q.scale(lam)))
-        if best is None or d < best[1]:
-            best = (lam, d)
-            if d == 0:
+    for lam in _lambda_pool(F, [c] + support, d):
+        cls = c * BrauerClass(F, [(lam, d)])
+        dist = objective(cls)
+        if best is None or dist < best[2]:
+            best = (lam, cls, dist)
+            if dist == 0:
                 break
-    lam = best[0]
-    Cf, phi, rev = _scaled_even_iso(src, lam)
-    return lam, Cf, phi, rev
+    lam, cls, _ = best
+    return (lam, cls) + _scaled_even_iso(src, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +580,9 @@ def _pick_block(plan: _Plan, dist, support: list) -> _Block:
         raise UnsupportedInputError(
             "field-center pair sources have no full-Clifford model at this scale"
         )
-    lam, Cf, phi, rev = _best_rescaling(src, dist, support)
+    lam, cls, Cf, phi, rev = _best_rescaling(src, dist, support)
     plan.trace.append(f"rescaled the form by {prof.F.fmt(lam)}")
-    return _Block(Cf, phi.apply, rev, clifford_class_of_form(src.q.scale(lam)))
+    return _Block(Cf, phi.apply, rev, cls)
 
 
 def _twist(plan: _Plan, block: _Block, target: BrauerClass, dist) -> _Block:
@@ -705,6 +657,11 @@ def construct_first_kind(src: SourceData, c: BrauerClass, t: str,
             raise CertificationError(
                 "the formula promises this degree but no involution extension was found"
             )
+    elif expected.status == EXACT and deg1 > expected.value:
+        # doubling only moves further from the exact value
+        raise NotCoveredError(
+            f"the nearest block has degree {deg1}, above the exact formula value {expected.value}"
+        )
     elif deg1 < expected.value:
         # the formula includes a type-switch factor: a direct extension at
         # the lower degree must not exist
@@ -762,22 +719,25 @@ def _corner_first_kind_involution(src: SourceData, side) -> Involution:
         )
     q = src.q
     F = q.F
-    C = CliffordAlgebra(q)
-    rev = C.reversal(verify=False)
+    C0 = src.C0
+    C = C0.C
     vec = _anisotropic_vector(q)
     v = C.embed_vector(vec)
     ivq = F.inv(q.q(vec))
-    masks = [m for m in range(1 << q.n) if bin(m).count("1") % 2 == 0]
     imgs = []
-    for m in masks:
-        y = ivq * (v * rev.apply(El(C, {m: F.one()})) * v)
-        imgs.append({_pos(masks, mm): cc for mm, cc in y.c.items()})
+    for t in range(C0.dim):
+        # the reversal of C restricts to sigma on C0
+        r = src.sigma.apply(C0.basis_el(t))
+        y = ivq * (v * El(C, {C0.masks[k]: cc for k, cc in r.c.items()}) * v)
+        imgs.append({C0.pos[m]: cc for m, cc in y.c.items()})
     theta_c0 = Involution(src.C0, imgs, label="vector-twist")
     return restrict_involution(side["B0"], side["embed"], side["project"], theta_c0,
                                label="theta")
 
 
 def _anisotropic_vector(q: QuadraticSpace) -> list:
+    """Some e_i or e_i + e_j: were all of them isotropic, b(e_i, e_j) =
+    q(e_i + e_j) - q(e_i) - q(e_j) would vanish and q be degenerate."""
     F = q.F
     zero, one = F.zero(), F.one()
     cands = []
@@ -786,26 +746,10 @@ def _anisotropic_vector(q: QuadraticSpace) -> list:
     for i in range(q.n):
         for j in range(i + 1, q.n):
             cands.append([one if k in (i, j) else zero for k in range(q.n)])
-    rng = random.Random(7)
-    for _ in range(64):
-        cands.append([F.from_int(rng.randint(0, 2)) for _ in range(q.n)])
     for x in cands:
         if not F.is_zero(q.q(x)):
             return x
     raise UnsupportedInputError("no anisotropic vector found for the corner twist")
-
-
-def _pos(masks: list, m: int) -> int:
-    lo, hi = 0, len(masks)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if masks[mid] < m:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo >= len(masks) or masks[lo] != m:
-        raise CertificationError("odd component in an even-part involution")
-    return lo
 
 
 # ---------------------------------------------------------------------------

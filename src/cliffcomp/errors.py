@@ -18,10 +18,6 @@ class UnsupportedInputError(CliffcompError):
     """The input is outside the engine's documented domain."""
 
 
-class ConstructionError(CliffcompError):
-    """An algebraic structure failed its construction-time checks."""
-
-
 class CertificationError(CliffcompError):
     """A result failed its correctness certificate."""
 

@@ -90,8 +90,7 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
         _mat(M, [[z, u], [u, z]]),
         _mat(M, [[z, u], [-u, z]]),
     ]
-    evens = [m for m in range(1 << q.n) if bin(m).count("1") % 2 == 0]
-    gen_pos = [evens.index(1 | (1 << t)) for t in range(1, 5)]
+    gen_pos = [C0.pos[1 | (1 << t)] for t in range(1, 5)]
     psi = hom_on_generators(C0, M, gen_pos, E, label="psi")
     psi.verify()
     checks = {"iso": psi.is_bijective()}

@@ -203,11 +203,6 @@ class McdResult:
 # ---------------------------------------------------------------------------
 # distance plumbing
 
-def _require_2torsion(c: BrauerClass):
-    if not (c * c).is_trivial():
-        raise UnsupportedInputError("target class must be 2-torsion")
-
-
 def _d_res(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuadratic) -> int:
     """d(res(c1), res(c2)) over the compositum of the given quadratic
     fields (over F itself when none is given); 0 off Q, where every class
@@ -240,7 +235,6 @@ def mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResu
         raise ValueError("first-kind type must be orthogonal or symplectic")
     if c.F != profile.F:
         raise UnsupportedInputError("target class must live over the base field")
-    _require_2torsion(c)
     F = profile.F
     n = profile.n
     # in characteristic 2 the two first-kind types coincide as target types
@@ -285,7 +279,6 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
     """
     if S.field != profile.F or c0.F != profile.F:
         raise UnsupportedInputError("S and the class must live over the base field")
-    _require_2torsion(c0)
     F = profile.F
     n = profile.n
 
@@ -375,7 +368,6 @@ class BoundReport:
 
 
 def lower_bound_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> BoundReport:
-    _require_2torsion(c)
     n = profile.n
     # delta = 1 when the canonical involution is NOT of type t: the bound
     # must match the degree formulas (type t reachable directly keeps the
@@ -412,7 +404,6 @@ def lower_bound_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) ->
 
 
 def lower_bound_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> BoundReport:
-    _require_2torsion(c0)
     F = profile.F
     n = profile.n
 
@@ -545,5 +536,4 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
 def dbound_min_degree(degC: int, cC: BrauerClass, target: BrauerClass) -> int:
     """Minimal degree of an algebra of the target class receiving a
     homomorphism from an algebra of degree degC and class cC."""
-    _require_2torsion(target)
     return degC << cC.distance(target)

@@ -118,12 +118,49 @@ def test_compose_with_a_large_prime_entry_returns():
     assert out["verified"] is True and out["witness"]["degree"] == 2
 
 
+def run_inprocess(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_compose_six_dim_form_over_q_reaches_the_formula_degree():
+    # the rescaled class comes from the scaling formula, so no entry grows
+    rc, out, err = run_inprocess("compose", "--object", '{"diag":[1,-1,2,3,5,7]}',
+                                 "--type", "orthogonal")
+    assert rc == 0, err
+    bundle = json.loads(out)
+    assert bundle["witness"]["degree"] == 16 == bundle["witness"]["expected"]["value"]
+    rc, _, err = run_inprocess("verify", "--object", out)
+    assert rc == 0, err
+
+
+def test_compose_refuses_a_block_above_the_exact_value():
+    # no scaling in the pool reaches distance 0, and doubling the degree-16
+    # block cannot come back down to the exact value 8
+    gram = [[-3, 0, 0, 1, 1, 0], [0, -1, 0, 0, 0, 0], [0, 0, 2, 0, 1, -1],
+            [0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 3, -1], [0, 0, 0, 0, 0, -1]]
+    rc, _, err = run_inprocess("compose", "--object", json.dumps({"gram": gram}),
+                               "--type", "orthogonal")
+    assert rc == 3, err
+    assert json.loads(err)["type"] == "NotCoveredError"
+
+
+def test_oversized_clifford_algebra_fails_fast():
+    form = json.dumps({"diag": [1] * 12})
+    common = ["--field", "GF(3)", "--object", form, "--type", "orthogonal"]
+    p = subprocess.run(BASE + ["compose"] + common, capture_output=True, text=True, timeout=10)
+    assert p.returncode == 2
+    assert json.loads(p.stderr)["type"] == "InputTooLargeError"
+    # the formulas build no algebra
+    p = subprocess.run(BASE + ["mcd"] + common, capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+
+
 def test_back_to_back_runs_share_no_state():
     def run(*argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.run(list(argv))
-        return rc, out.getvalue()
+        return run_inprocess(*argv)[:2]
 
     compose = ("compose", "--object", '{"diag":["1","1","1"]}', "--type", "symplectic")
     rc, out = run(*compose, "--seed", "3")

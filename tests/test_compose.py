@@ -1,15 +1,19 @@
 """Witness construction: certified homomorphisms at the formula degree."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cliffcomp import compose
-from cliffcomp.algebra import Involution, QuaternionAlgebra, involution_type
-from cliffcomp.brauer import BrauerClass, trivial_class
+from cliffcomp.algebra import El, Involution, QuaternionAlgebra, hom_on_generators, involution_type
+from cliffcomp.brauer import BrauerClass, clifford_class_of_form, trivial_class
+from cliffcomp.cli import _parse_field, _parse_object, _parse_request
 from cliffcomp.clifford import clifford_of_pair
 from cliffcomp.compose import construct_composition, regular_representation
-from cliffcomp.errors import CertificationError, NotCoveredError
+from cliffcomp.errors import CertificationError, InputTooLargeError, NotCoveredError
+from cliffcomp.linalg import kernel
 from cliffcomp.mcd import dbound_min_degree
 from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
@@ -211,3 +215,154 @@ def test_extend_involution_reports_the_type_of_tau(monkeypatch):
     assert len(results) >= 3
     for B, (tau, ttype) in results:
         assert ttype == involution_type(B, tau)
+
+
+# ---------------------------------------------------------------------------
+# references for the constraint solve, the generating set and the rescaling
+# isomorphism, kept from the code they were replaced by
+
+def reference_source_generators(src):
+    """The a_images of a pair source; for a form, the adjacent products
+    e_i e_(i+1) when it is diagonal and anisotropic, else every e_i e_j."""
+    C0 = src.C0
+    if src.pair_data is not None:
+        return [El(C0, dict(c)) for c in src.pair_data.a_images]
+    q = src.q
+    F = q.F
+    diag = all(F.is_zero(q.M[i][j]) for i in range(q.n) for j in range(i + 1, q.n))
+    anisotropic = all(not F.is_zero(q.M[i][i]) for i in range(q.n))
+    if diag and anisotropic:
+        wanted = [(1 << i) | (1 << (i + 1)) for i in range(q.n - 1)]
+    else:
+        wanted = [(1 << i) | (1 << j) for i in range(q.n) for j in range(i + 1, q.n)]
+    return [C0.basis_el(C0.pos[m]) for m in wanted]
+
+
+def reference_constraint_kernel(B, constraints, sigma0, eps):
+    """Shrink the space of u by one dense kernel per condition."""
+    F = B.F
+    dim = B.dim
+    space = [[F.one() if i == j else F.zero() for j in range(dim)] for i in range(dim)]
+
+    def shrink(image_of):
+        nonlocal space
+        if not space:
+            return
+        cols = [image_of(El(B, {i: c for i, c in enumerate(v) if not F.is_zero(c)}))
+                for v in space]
+        rows = [[cols[j].c.get(i, F.zero()) for j in range(len(cols))] for i in range(dim)]
+        new_space = []
+        for kv in kernel(F, rows):
+            acc = [F.zero()] * dim
+            for j, kc in enumerate(kv):
+                if F.is_zero(kc):
+                    continue
+                for i in range(dim):
+                    acc[i] = F.add(acc[i], F.mul(kc, space[j][i]))
+            new_space.append(acc)
+        space = new_space
+
+    for x, y in constraints:
+        sx = sigma0.apply(x)
+        shrink(lambda u, sx=sx, y=y: B.mul(u, sx) - B.mul(y, u))
+    shrink(lambda u: sigma0.apply(u) - eps * u)
+    return space
+
+
+def _bundle_problem(path):
+    problem = json.loads(path.read_text())["problem"]
+
+    class Args:
+        type = problem["type"]
+        cls = json.dumps(problem["class"]) if problem.get("class") is not None else None
+        s = json.dumps(problem["s"]) if problem.get("s") is not None else None
+
+    F = _parse_field(problem.get("field"))
+    _, obj = _parse_object(F, json.dumps(problem["object"]), problem.get("truncation_cap", 4))
+    return obj, _parse_request(F, Args)
+
+
+KERNEL_PROBLEMS = [_bundle_problem(path) for path in
+                   sorted((Path(__file__).parent / "data").glob("bundle_*.json"))] + [
+    (QuadraticSpace.diagonal(F3, [2, 2, 2, 2, 1, 2]),
+     {"kind": "first", "c": trivial_class(F3), "t": "orthogonal"}),
+    (QuadraticSpace.diagonal(F3, [1, 2, 1, 1, 2, 2, 1]),
+     {"kind": "first", "c": trivial_class(F3), "t": "orthogonal"}),
+] + [(diag(*entries), {"kind": "first", "c": c, "t": t})
+     for label, entries, c, t, _ in FIRST_KIND_CASES
+     if label in ("n3-hh-orth", "n3-triv-symp", "n5-hh-orth",
+                  "n6-field-center-orth", "n6-split-center-orth")]
+
+
+def test_constraint_kernel_matches_the_dense_reference(monkeypatch):
+    """Every solve on the proved generating set returns the basis that the
+    dense solve returns on the old generators: the solution space does not
+    depend on the generating set, and both read its unique reduced basis."""
+    calls, current = [], {}
+    constraints_for, solve = compose._constraints_for, compose._constraint_kernel
+
+    def recording_constraints(src, alpha_of):
+        current.update(src=src, alpha_of=alpha_of)
+        return constraints_for(src, alpha_of)
+
+    def recording_solve(B, constraints, sigma0, eps):
+        got = solve(B, constraints, sigma0, eps)
+        calls.append((B, current["src"], current["alpha_of"], sigma0, eps, got))
+        return got
+
+    monkeypatch.setattr(compose, "_constraints_for", recording_constraints)
+    monkeypatch.setattr(compose, "_constraint_kernel", recording_solve)
+    for obj, req in KERNEL_PROBLEMS:
+        construct_composition(obj, req)
+    assert len(calls) >= 8
+    for B, src, alpha_of, sigma0, eps, got in calls:
+        old = [(alpha_of(g), alpha_of(src.sigma.apply(g))) for g in reference_source_generators(src)]
+        assert reference_constraint_kernel(B, old, sigma0, eps) == got
+
+
+RESCALING_FORMS = [
+    (QQ, [[1, 0], [0, 3]], Fraction(-2)),
+    (QQ, [[1, 1, 0, 0], [0, -1, 0, 1], [0, 0, 2, 0], [0, 0, 0, 3]], Fraction(5)),
+    (QQ, [[1 if i == j else 0 for j in range(6)] for i in range(6)], Fraction(3)),
+    (F3, [[1, 1], [0, 2]], 2),
+    (F3, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 2),
+    (F3, [[1, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 2]], 2),
+]
+
+
+@pytest.mark.parametrize("F,M,lam", RESCALING_FORMS,
+                         ids=[f"{F}-n{len(M)}" for F, M, _ in RESCALING_FORMS])
+def test_rescaling_images_match_the_span_solve(F, M, lam):
+    src = compose.source_from_form(QuadraticSpace(F, M))
+    Cf, phi, _ = compose._scaled_even_iso(src, lam)
+    gens, imgs = [], []
+    for i in range(len(M)):
+        for j in range(i + 1, len(M)):
+            m = (1 << i) | (1 << j)
+            gens.append(src.C0.pos[m])
+            imgs.append(El(Cf, {m: F.inv(lam)}))
+    assert phi.images == hom_on_generators(src.C0, Cf, gens, imgs).images
+
+
+SCALING_FORMS = [(1, 3), (-1, -3, 2, 7), (1, 1, 1, 1, 1, 1), (1, -1, 2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("entries", SCALING_FORMS, ids=[str(e) for e in SCALING_FORMS])
+def test_scaling_formula_matches_the_rescaled_form(entries):
+    """The class _best_rescaling reads for each lam has the support of the
+    class of the rescaled form, wherever that one can be computed."""
+    q = diag(*entries)
+    seen = []
+    compose._best_rescaling(compose.source_from_form(q), lambda cls: seen.append(cls) or 1, [])
+    pool = compose._lambda_pool(QQ, [clifford_class_of_form(q)], q.center_datum())
+    assert len(seen) == len(pool)
+    checked = 0
+    for lam, cls in zip(pool, seen):
+        try:
+            old = clifford_class_of_form(q.scale(lam))
+        except InputTooLargeError:
+            continue
+        assert cls.support == old.support
+        checked += 1
+    assert checked
