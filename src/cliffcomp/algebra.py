@@ -23,7 +23,6 @@ finds None must compute one rather than guess.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from typing import Callable, Optional
 
@@ -109,6 +108,20 @@ class El:
         return " + ".join(f"{F.fmt(v)}*{self.A.basis_name(k)}" for k, v in sorted(self.c.items()))
 
 
+def sums_and_differences(vectors: list):
+    """The vectors, then v_i + v_j and v_i - v_j for each pair i < j.
+
+    A quadratic form that vanishes on all of them vanishes on their span
+    (its polar form vanishes on every pair), so the list holds an
+    anisotropic vector of every form that is nondegenerate on the span.
+    """
+    yield from vectors
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            yield vectors[i] + vectors[j]
+            yield vectors[i] - vectors[j]
+
+
 class Algebra:
     """Base class.  Subclasses set F, dim, _unit and implement mul_bb."""
 
@@ -190,7 +203,7 @@ class Algebra:
             raise UnsupportedInputError(f"{self.label}: no reduced trace available")
         if F.char and n % F.char == 0:
             raise UnsupportedInputError(
-                f"{self.label}: regular-trace fallback invalid in characteristic {F.char}"
+                f"{self.label}: tr(L_x)/deg is undefined in characteristic {F.char}"
             )
         t = F.zero()
         for i in range(self.dim):
@@ -208,20 +221,6 @@ class Algebra:
         F = self.F
         cols = [self.mul(self.basis_el(j), x).c for j in range(self.dim)]
         return [[cols[j].get(i, F.zero()) for j in range(self.dim)] for i in range(self.dim)]
-
-    def random_element(self, rng: random.Random, scale: int = 3) -> El:
-        F = self.F
-        coords = {}
-        for i in range(self.dim):
-            if rng.random() < 0.5:
-                continue
-            if F.char == 0:
-                from fractions import Fraction
-
-                coords[i] = Fraction(rng.randint(-scale, scale))
-            else:
-                coords[i] = F.from_int(rng.randrange(F.order))
-        return El(self, coords)
 
     def verify_unit(self) -> None:
         one = self.one()

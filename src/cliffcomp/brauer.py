@@ -24,9 +24,10 @@ from .algebra import (
     El,
     QuaternionAlgebra,
     hom_on_generators,
+    sums_and_differences,
 )
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import kernel
+from .linalg import kernel, solve
 from .scalars import (
     Field,
     Place,
@@ -241,141 +242,78 @@ def _as_scalar(A: Algebra, x: El):
     return lam if x == lam * one else None
 
 
-def quaternion_symbol_of(A: Algebra, tries: int = 400, seed: int = 0) -> tuple:
+def quaternion_symbol_of(A: Algebra) -> tuple:
     """Recover a symbol (a, b) with A isomorphic to the quaternion algebra
     (a, b) (char != 2) or [a, b) (char 2).  Certified by building the
-    isomorphism on generators."""
-    import random
+    isomorphism on generators.
 
+    Every generator is the first fit in a finite list: spanning vectors,
+    then their pairwise sums and differences (sums_and_differences).  The
+    norm form is nondegenerate on the pure quaternions, where x is sought,
+    and on the complement of x (or u), where y (or v) is sought, so the
+    list holds an anisotropic vector.  In char 2, u is c / alpha for the
+    first non-scalar candidate c with c^2 = alpha c + beta and alpha != 0:
+    alpha is Trd(c), a nonzero functional, so some basis element qualifies.
+    """
     F = A.F
     if A.dim != 4:
         raise UnsupportedInputError("symbol recovery needs a 4-dimensional algebra")
-    rng = random.Random(seed)
-
-    def trd(x: El):
-        t = F.zero()
-        for i in range(4):
-            t = F.add(t, A.mul(x, A.basis_el(i)).c.get(i, F.zero()))
-        # regular trace = 2 * reduced trace on a degree-2 algebra
-        return t
-
-    def candidates():
-        for i in range(4):
-            yield A.basis_el(i)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                yield A.basis_el(i) + A.basis_el(j)
-                yield A.basis_el(i) - A.basis_el(j)
-        for _ in range(tries):
-            yield A.random_element(rng)
-
     one = A.one()
+    basis = [A.basis_el(i) for i in range(4)]
+
+    def square_unit(vectors: list, what: str) -> tuple:
+        """(w, w^2) for the first candidate w whose square is a nonzero scalar."""
+        for w in sums_and_differences(vectors):
+            sq = _as_scalar(A, A.mul(w, w))
+            if sq is not None and not F.is_zero(sq):
+                return w, sq
+        raise CertificationError(f"no {what} found")
+
+    def kernel_elements(M: list) -> list:
+        return [El(A, {i: t for i, t in enumerate(v) if not F.is_zero(t)}) for v in kernel(F, M)]
+
     if F.char != 2:
-        half = F.inv(F.from_int(2))
-        x = None
-        for c in candidates():
-            # regular trace is twice the reduced trace, so Trd(c)/2 = trd(c)/4
-            c0 = c - F.mul(trd(c), F.mul(half, half)) * one
-            sq = A.mul(c0, c0)
-            a = _as_scalar(A, sq)
-            if a is not None and not F.is_zero(a) and not c0.is_zero():
-                x = c0
-                break
-        if x is None:
-            raise CertificationError("no invertible trace-zero element found")
+        # the regular trace is twice the reduced trace, so the trace-zero
+        # part of c is c - (regular trace / 4) 1
+        quarter = F.inv(F.from_int(4))
+        pure = []
+        for c in basis:
+            t = F.zero()
+            for i in range(4):
+                t = F.add(t, A.mul(c, basis[i]).c.get(i, F.zero()))
+            pure.append(c - F.mul(t, quarter) * one)
+        x, a = square_unit(pure, "invertible trace-zero element")
         # y anticommuting with x: kernel of L_x + R_x
-        L = A.lmul_matrix(x)
-        R = A.rmul_matrix(x)
-        M = [[F.add(L[r][c2], R[r][c2]) for c2 in range(4)] for r in range(4)]
-        ker = kernel(F, M)
-        y = None
-        for coeffs in _small_combos(F, len(ker), rng, tries):
-            cand = A.zero()
-            for cf, v in zip(coeffs, ker):
-                if not F.is_zero(cf):
-                    cand = cand + cf * El(A, {i: t for i, t in enumerate(v) if not F.is_zero(t)})
-            if cand.is_zero():
-                continue
-            sq = A.mul(cand, cand)
-            b = _as_scalar(A, sq)
-            if b is not None and not F.is_zero(b):
-                y = cand
-                break
-        if y is None:
-            raise CertificationError("no anticommuting unit found")
-        Qref = QuaternionAlgebra(F, a, b)
-        phi = hom_on_generators(Qref, A, [1, 2], [x, y], label="symbol")
-        phi.verify()
-        if not phi.is_bijective():
-            raise CertificationError("symbol witness is not an isomorphism")
-        return (a, b)
-    # char 2: u with u^2 = u + a, then v with vu = (u+1)v and v^2 = b
-    u = None
-    for c in candidates():
-        sq = A.mul(c, c)
-        a = _as_scalar(A, sq - c)
-        if a is not None and not c.is_zero():
-            # need a noncentral generator: scalars satisfy the equation too
+        L, R = A.lmul_matrix(x), A.rmul_matrix(x)
+        y, b = square_unit(kernel_elements(
+            [[F.add(L[r][c], R[r][c]) for c in range(4)] for r in range(4)]),
+            "anticommuting unit")
+        gens = [x, y]
+    else:
+        # u with u^2 = u + a, then v with vu = (u+1)v and v^2 = b
+        for c in sums_and_differences(basis):
             if _as_scalar(A, c) is not None:
                 continue
-            u = c
-            break
-    if u is None:
-        raise CertificationError("no separable generator found")
-    L = A.lmul_matrix(u)
-    R = A.rmul_matrix(u)
-    # v u + u v = v
-    M = [
-        [F.add(F.add(L[r][c2], R[r][c2]), F.neg(F.one()) if r == c2 else F.zero()) for c2 in range(4)]
-        for r in range(4)
-    ]
-    ker = kernel(F, M)
-    v = None
-    for coeffs in _small_combos(F, len(ker), rng, tries):
-        cand = A.zero()
-        for cf, w in zip(coeffs, ker):
-            if not F.is_zero(cf):
-                cand = cand + cf * El(A, {i: t for i, t in enumerate(w) if not F.is_zero(t)})
-        if cand.is_zero():
-            continue
-        sq = A.mul(cand, cand)
-        b = _as_scalar(A, sq)
-        if b is not None and not F.is_zero(b):
-            v = cand
-            break
-    if v is None:
-        raise CertificationError("no twisted-commuting unit found")
-    Qref = QuaternionAlgebra(F, a, b)
-    phi = hom_on_generators(Qref, A, [1, 2], [u, v], label="symbol")
+            ab = solve(F, [[ci, ei] for ci, ei in zip(c.dense(), one.dense())],
+                       A.mul(c, c).dense())
+            if ab is not None and not F.is_zero(ab[0]):
+                alpha, beta = ab
+                u, a = F.inv(alpha) * c, F.div(beta, F.mul(alpha, alpha))
+                break
+        else:
+            raise CertificationError("no separable generator found")
+        # v u + u v = v
+        L, R = A.lmul_matrix(u), A.rmul_matrix(u)
+        v, b = square_unit(kernel_elements(
+            [[F.sub(F.add(L[r][c], R[r][c]), F.one() if r == c else F.zero()) for c in range(4)]
+             for r in range(4)]),
+            "twisted-commuting unit")
+        gens = [u, v]
+    phi = hom_on_generators(QuaternionAlgebra(F, a, b), A, [1, 2], gens, label="symbol")
     phi.verify()
     if not phi.is_bijective():
         raise CertificationError("symbol witness is not an isomorphism")
     return (a, b)
-
-
-def _small_combos(F: Field, n: int, rng, tries: int):
-    if n == 0:
-        return
-    units = []
-    for i in range(n):
-        row = [F.zero()] * n
-        row[i] = F.one()
-        units.append(row)
-    yield from units
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [F.zero()] * n
-            row[i] = F.one()
-            row[j] = F.one()
-            yield row
-            row2 = list(row)
-            row2[j] = F.neg(F.one())
-            yield row2
-    for _ in range(tries):
-        if F.char == 0:
-            yield [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        else:
-            yield [F.from_int(rng.randrange(F.order)) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------

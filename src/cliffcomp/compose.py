@@ -23,6 +23,15 @@ the basis, e_S -> lam^(-|S|/2) e_S, and the class of C(lam q) comes from
 the scaling formula [C(lam q)] = [C(q)] (lam, d) for even n, so no
 rescaled form is diagonalized.
 
+Theorems replace trial searches.  For invertible u with sigma0(u) =
+eps u, Sym(Int(u) . sigma0) = u Sym_eps(sigma0), so outside
+characteristic 2 the sign eps fixes the type of the extension: one
+kernel, of the sign the wanted type needs, is solved, and an empty one
+proves that the type switch needs the 2x2 doubling.  Candidates for u,
+for the compressing idempotents of a corner and for the generators of
+a quaternion symbol come from finite lists: spanning vectors, then
+their pairwise sums and differences (sums_and_differences).
+
 Which certificate runs where: the source involution sigma_bar is
 certified when the source is built (even_clifford, clifford_of_pair).
 CompositionWitness.verify(), which construct_composition calls before
@@ -40,6 +49,7 @@ algebra (Algebra.generators).  The intertwining check runs on every
 basis element of C.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -69,6 +79,7 @@ from .algebra import (
     involution_on_tensor,
     involution_type,
     restrict_involution,
+    sums_and_differences,
     swap_involution,
 )
 from .quadform import QuadraticSpace
@@ -152,70 +163,61 @@ def _constraint_kernel(B: Algebra, constraints: list, sigma0: Involution, eps) -
     return sparse_kernel(B.F, rows(), B.dim)
 
 
-def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
-                      want: Optional[str] = None, seed: int = 0, tries: int = 64):
-    """An involution tau = Int(u) . sigma0 on B with tau(x) = y for every
-    constraint pair (x, y), of the wanted type when one is reachable.
+# Candidates tried for u: the kernel basis with its pairwise sums and
+# differences, then seeded random combinations of the basis.
+EXTENSION_CANDIDATES = 64
 
-    Returns (tau, type of tau) or None.  u ranges over the solution space
-    of the intertwining equations; different invertible u can realize
-    different types, so several candidates are classified before giving
-    up.  No candidate is certified here: the witness that keeps one
-    certifies it once, in CompositionWitness.verify.
+
+def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
+                      want: Optional[str] = None, seed: int = 0):
+    """An involution tau = Int(u) . sigma0 on B with tau(x) = y for every
+    constraint pair (x, y), of the wanted type.
+
+    Returns (tau, type of tau) or None.  For invertible u with sigma0(u) =
+    eps u, Sym(tau) = u Sym_eps(sigma0) (Knus-Merkurjev-Rost-Tignol, Prop.
+    2.7), so outside characteristic 2 the sign eps alone fixes the type:
+    eps = 1 keeps the type of sigma0 and eps = -1 switches the first-kind
+    type.  One kernel, of the sign the wanted type needs, is solved, and
+    its first invertible candidate is kept.  In characteristic 2 eps is 1
+    and Alt(tau), not eps, decides the type, so tau is typed there.  No
+    candidate is certified here: the witness that keeps one certifies it
+    once, in CompositionWitness.verify.
     """
     F = B.F
-    one = F.one()
-    type0 = None
-    if all(sigma0.apply(x) == y for x, y in constraints):
-        type0 = involution_type(B, sigma0)
-        if want is None or type0 == want:
-            return sigma0, type0
-    if F.char == 2:
-        eps_options = [one]
-    else:
-        eps_options = [one, F.neg(one)]
-        if want is not None and (type0 or involution_type(B, sigma0)) != want:
-            # a twist by an alternating unit flips the first-kind type
-            eps_options.reverse()
+    type0 = involution_type(B, sigma0)
+    if want in (None, type0) and all(sigma0.apply(x) == y for x, y in constraints):
+        return sigma0, type0
+    flip = F.char != 2 and want not in (None, type0)
+    if flip and "unitary" in (type0, want):
+        return None  # an inner twist keeps the kind
+    eps = F.neg(F.one()) if flip else F.one()
+    space = [El(B, {i: c for i, c in enumerate(v) if not F.is_zero(c)})
+             for v in _constraint_kernel(B, constraints, sigma0, eps)]
+    if not space:
+        return None
     rng = random.Random(seed)
-    fallback = None
-    for eps in eps_options:
-        space = _constraint_kernel(B, constraints, sigma0, eps)
-        if not space:
+
+    def random_combinations():
+        while True:
+            u = B.zero()
+            for v in space:
+                c = F.from_int(rng.randint(-2, 2))
+                if not F.is_zero(c):
+                    u = u + c * v
+            yield u
+
+    candidates = itertools.chain(sums_and_differences(space), random_combinations())
+    for u in itertools.islice(candidates, EXTENSION_CANDIDATES):
+        uinv = None if u.is_zero() else alg_inverse(B, u)
+        if uinv is None:
             continue
-        queue = list(space)
-        for i in range(len(space)):
-            for j in range(i + 1, len(space)):
-                queue.append([F.add(a, b) for a, b in zip(space[i], space[j])])
-        budget = tries
-        while budget > 0:
-            budget -= 1
-            if queue:
-                vec = queue.pop(0)
-            else:
-                vec = [F.zero()] * B.dim
-                for v in space:
-                    c = F.from_int(rng.randint(-2, 2))
-                    if F.is_zero(c):
-                        continue
-                    for i in range(B.dim):
-                        vec[i] = F.add(vec[i], F.mul(c, v[i]))
-            u = El(B, {i: c for i, c in enumerate(vec) if not F.is_zero(c)})
-            if u.is_zero():
-                continue
-            uinv = alg_inverse(B, u)
-            if uinv is None:
-                continue
-            imgs = [B.mul(B.mul(u, sigma0.apply(B.basis_el(i))), uinv).c
-                    for i in range(B.dim)]
-            tau = Involution(B, imgs, label="tau", verify=False)
-            ttype = involution_type(B, tau)
-            if want is None or ttype == want:
-                return tau, ttype
-            if fallback is None:
-                fallback = (tau, ttype)
-    if want is None and fallback is not None:
-        return fallback
+        imgs = [B.mul(B.mul(u, sigma0.apply(B.basis_el(i))), uinv).c
+                for i in range(B.dim)]
+        tau = Involution(B, imgs, label="tau", verify=False)
+        if F.char != 2:
+            return tau, want or type0
+        ttype = involution_type(B, tau)
+        return (tau, ttype) if want in (None, ttype) else None
     return None
 
 
@@ -280,14 +282,8 @@ def _compressed_class(F: Field, corner: Algebra, seeds: list) -> Optional[Brauer
     one = corner.one()
     half = F.inv(F.add(F.one(), F.one()))
     basis = [corner.basis_el(i) for i in range(corner.dim)]
-    pool = list(seeds)
-    pool.extend(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            pool.append(basis[i] + basis[j])
-            pool.append(basis[i] - basis[j])
     budget = 60
-    for w in pool:
+    for w in itertools.chain(seeds, sums_and_differences(basis)):
         lam = _as_scalar(corner, w * w)
         if lam is None or F.is_zero(lam):
             continue
@@ -601,10 +597,10 @@ def _twist(plan: _Plan, block: _Block, target: BrauerClass, dist) -> _Block:
     return _Block(T, lambda x: T.pure(block.alpha0(x), G.one()), sigma, target)
 
 
-def _extend(plan: _Plan, B: Algebra, alpha_of, sigma0: Involution, want, tries: int = 64):
+def _extend(plan: _Plan, B: Algebra, alpha_of, sigma0: Involution, want):
     """(tau, type) extending sigma0 to an involution that alpha_of intertwines."""
     return extend_involution(B, _constraints_for(plan.src, alpha_of), sigma0,
-                             want=want, seed=plan.seed, tries=tries)
+                             want=want, seed=plan.seed)
 
 
 def _matrix_layer(B0: Algebra, theta: Involution) -> tuple:
@@ -665,7 +661,7 @@ def construct_first_kind(src: SourceData, c: BrauerClass, t: str,
     elif deg1 < expected.value:
         # the formula includes a type-switch factor: a direct extension at
         # the lower degree must not exist
-        if _extend(plan, B1, a1, sigma1, t, tries=16) is not None:
+        if _extend(plan, B1, a1, sigma1, t) is not None:
             raise CertificationError(
                 f"found a type-{t} extension below the formula degree"
             )

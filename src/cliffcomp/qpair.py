@@ -21,7 +21,6 @@ from .algebra import (
     QuaternionAlgebra,
     TensorAlgebra,
     involution_on_tensor,
-    involution_type,
 )
 from .errors import CertificationError, UnsupportedInputError
 from .linalg import inv_matrix, solve
@@ -75,9 +74,6 @@ class QPair:
                 continue
             if self.f(s) != A.trd(x):
                 raise CertificationError(f"{self.label}: f(x + sigma x) != Trd(x) at basis {i}")
-
-    def involution_type(self) -> str:
-        return involution_type(self.A, self.sigma)
 
 
 def _solve_ell(A: Algebra, sigma: Involution, sym_rows: list, f_on_sym: list) -> El:

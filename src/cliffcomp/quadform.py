@@ -270,11 +270,15 @@ class QuadraticSpace:
         return f"QuadraticSpace({self.label}, n={self.n} over {self.F})"
 
 
-def random_form(F: Field, n: int, rng: random.Random, tries: int = 200) -> QuadraticSpace:
-    """A random regular (or semi-regular) n-dimensional form."""
+RANDOM_FORM_DRAWS = 200
+
+
+def random_form(F: Field, n: int, rng: random.Random) -> QuadraticSpace:
+    """A random regular (or semi-regular) n-dimensional form, from at most
+    RANDOM_FORM_DRAWS seeded draws."""
     from fractions import Fraction
 
-    for _ in range(tries):
+    for _ in range(RANDOM_FORM_DRAWS):
         M = [[F.zero()] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -285,7 +289,7 @@ def random_form(F: Field, n: int, rng: random.Random, tries: int = 200) -> Quadr
         q = QuadraticSpace(F, M)
         if q.is_usable():
             return q
-    raise UnsupportedInputError(f"no usable random form found in {tries} tries")
+    raise UnsupportedInputError(f"no usable random form found in {RANDOM_FORM_DRAWS} draws")
 
 
 def all_small_forms(F: Field, n: int, coeff_pool: Optional[list] = None):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcomp.algebra import QuaternionAlgebra
+from cliffcomp.algebra import ExplicitAlgebra, FieldAlgebra, ProductAlgebra, QuaternionAlgebra
 from cliffcomp.brauer import (
     BrauerClass,
     EtaleBase,
@@ -18,9 +18,12 @@ from cliffcomp.brauer import (
     quaternion_symbol_of,
     trivial_class,
 )
+from cliffcomp.errors import CertificationError
+from cliffcomp.linalg import solve
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import (
     PLACE_REAL,
+    ExtField,
     Place,
     PrimeField,
     QQ,
@@ -30,6 +33,7 @@ from cliffcomp.scalars import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F4 = ExtField(2, 2)
 
 
 def cls(*symbols):
@@ -145,21 +149,58 @@ def test_even_clifford_classes_split_and_field():
     assert kind2 == "field" and res.is_trivial()
 
 
+def rebased(A, basis):
+    """A as an explicit algebra on another basis (elements of A)."""
+    F = A.F
+    cols = [[v.dense()[r] for v in basis] for r in range(A.dim)]
+
+    def coords(x):
+        return {k: c for k, c in enumerate(solve(F, cols, x.dense())) if not F.is_zero(c)}
+
+    table = {(i, j): coords(A.mul(x, y)) for i, x in enumerate(basis) for j, y in enumerate(basis)}
+    return ExplicitAlgebra(F, A.dim, table, coords(A.one()), label=f"{A.label}'")
+
+
+def scrambled(A):
+    """A on the basis 1 + i, i + j, j + k, k, which holds no scalar."""
+    one, i, j, k = (A.basis_el(t) for t in range(4))
+    return rebased(A, [one + i, i + j, j + k, k])
+
+
+def in_t_basis(A):
+    """A over GF(4) on the basis 1, t i, t j, t k: no element of the
+    candidate list has reduced trace 1."""
+    t = A.F.gen()
+    return rebased(A, [A.basis_el(0)] + [t * A.basis_el(s) for s in (1, 2, 3)])
+
+
 @pytest.mark.parametrize(
-    "F,a,b,trivial",
+    "F,a,b,basis,trivial",
     [
-        (QQ, Fraction(-1), Fraction(-1), False),
-        (QQ, Fraction(1), Fraction(-3), True),
-        (F3, 1, 1, True),
-        (F3, 2, 2, True),
+        (QQ, Fraction(-1), Fraction(-1), None, False),
+        (QQ, Fraction(1), Fraction(-3), None, True),
+        (F3, 1, 1, None, True),
+        (F3, 2, 2, None, True),
+        (QQ, Fraction(-1), Fraction(-1), scrambled, False),
+        (QQ, Fraction(1), Fraction(-3), scrambled, True),
+        (F3, 1, 1, scrambled, True),
+        (F2, 1, 1, scrambled, True),
+        (F4, F4.one(), F4.gen(), in_t_basis, True),
     ],
 )
-def test_quaternion_symbol_recovery(F, a, b, trivial):
+def test_quaternion_symbol_recovery(F, a, b, basis, trivial):
     Q = QuaternionAlgebra(F, a, b)
-    sym = quaternion_symbol_of(Q)
+    sym = quaternion_symbol_of(Q if basis is None else basis(Q))
     assert BrauerClass(F, [sym]).is_trivial() == trivial
     if not trivial:
         assert BrauerClass(F, [sym]) == BrauerClass(F, [(a, b)])
+
+
+def test_quaternion_symbol_of_a_commutative_algebra_is_refused():
+    E = ProductAlgebra(ProductAlgebra(FieldAlgebra(QQ), FieldAlgebra(QQ)),
+                       ProductAlgebra(FieldAlgebra(QQ), FieldAlgebra(QQ)))
+    with pytest.raises(CertificationError):
+        quaternion_symbol_of(E)
 
 
 def test_quaternion_symbol_recovery_char2():

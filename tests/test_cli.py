@@ -53,6 +53,9 @@ def test_mcd_gram_object_and_finite_field():
                    "--object", '{"gram":[["1","1"],["0","1"]]}',
                    "--type", "unitary", "--s", '{"datum":"1"}')
     assert out["status"] == "exact" and out["value"] == 1
+    out = run_json("mcd", "--field", '{"kind": "GF", "p": 3}',
+                   "--object", '{"diag":["1","1","1"]}', "--type", "symplectic")
+    assert out["status"] == "exact" and out["value"] == 2
 
 
 def test_mcd_quaternion_pair_object():

@@ -7,7 +7,19 @@ from pathlib import Path
 import pytest
 
 from cliffcomp import compose
-from cliffcomp.algebra import El, Involution, QuaternionAlgebra, hom_on_generators, involution_type
+from cliffcomp.algebra import (
+    El,
+    FieldAlgebra,
+    Involution,
+    MatrixAlgebra,
+    ProductAlgebra,
+    QuaternionAlgebra,
+    alg_inverse,
+    hom_on_generators,
+    involution_type,
+    sums_and_differences,
+    transpose_involution,
+)
 from cliffcomp.brauer import BrauerClass, clifford_class_of_form, trivial_class
 from cliffcomp.cli import _parse_field, _parse_object, _parse_request
 from cliffcomp.clifford import clifford_of_pair
@@ -198,23 +210,82 @@ def test_witness_rejects_a_changed_involution_image(label, q, req, tau_label):
 
 
 def test_extend_involution_reports_the_type_of_tau(monkeypatch):
-    results = []
-    extend = compose.extend_involution
+    """The reported type is that of tau, and it follows the sign of u:
+    sigma0(u) = -u switches the first-kind type of sigma0, sigma0(u) = u
+    keeps it.  Each call solves at most one kernel, and a doubling is
+    proved by an empty kernel of the wanted sign."""
+    extensions, kernels = [], []
+    extend, solve = compose.extend_involution, compose._constraint_kernel
 
-    def recording(B, *args, **kwargs):
-        got = extend(B, *args, **kwargs)
-        if got is not None:
-            results.append((B, got))
+    def recording(B, constraints, sigma0, *args, **kwargs):
+        start = len(kernels)
+        got = extend(B, constraints, sigma0, *args, **kwargs)
+        extensions.append((B, sigma0, got, kernels[start:]))
+        return got
+
+    def recording_kernel(B, constraints, sigma0, eps):
+        got = solve(B, constraints, sigma0, eps)
+        kernels.append((eps, got))
         return got
 
     monkeypatch.setattr(compose, "extend_involution", recording)
-    for q, req in [(diag(1, 1, 1), {"kind": "first", "c": HH, "t": "orthogonal"}),
-                   (diag(1, 1, 1), {"kind": "first", "c": TRIV, "t": "symplectic"}),
-                   (diag(1, -1, 1, -1, 1, -1), {"kind": "first", "c": TRIV, "t": "orthogonal"})]:
-        construct_composition(q, req)
-    assert len(results) >= 3
-    for B, (tau, ttype) in results:
-        assert ttype == involution_type(B, tau)
+    monkeypatch.setattr(compose, "_constraint_kernel", recording_kernel)
+    switched = set()
+    for q, req, doubles in [
+        (diag(1, 1, 1), {"kind": "first", "c": HH, "t": "orthogonal"}, True),
+        (diag(1, 1, 1), {"kind": "first", "c": TRIV, "t": "symplectic"}, False),
+        (diag(1, -1, 1, -1, 1, -1), {"kind": "first", "c": TRIV, "t": "orthogonal"}, False),
+        (QuadraticSpace.diagonal(F3, [1, 1, 1]),
+         {"kind": "first", "c": trivial_class(F3), "t": "orthogonal"}, True),
+    ]:
+        extensions.clear()
+        kernels.clear()
+        wit = construct_composition(q, req)
+        for B, sigma0, got, solved in extensions:
+            assert len(solved) <= 1
+            if got is None:
+                continue
+            tau, ttype = got
+            assert ttype == involution_type(B, tau)
+            minus = bool(solved) and solved[0][0] == B.F.neg(B.F.one())
+            assert (ttype != involution_type(B, sigma0)) == minus
+            if minus:
+                switched.add(B.F.char)
+        if doubles:
+            eps, space = kernels[0]
+            assert eps == q.F.neg(q.F.one()) and space == []
+            assert any("doubling" in line for line in wit.trace)
+    assert switched == {0, 3}
+
+
+def test_extend_involution_random_tail_is_seeded():
+    """On M2(GF(3))^3 with the transpose on each factor and every matrix
+    unit g constrained to d g^t d^-1, d = diag(1, 2), the kernel is spanned
+    by (d,0,0), (0,d,0), (0,0,d): no basis vector, sum or difference is
+    invertible, so the seeded random combinations find tau."""
+    M = MatrixAlgebra(FieldAlgebra(F3), 2)
+    B = ProductAlgebra(ProductAlgebra(M, M), M)
+    t = transpose_involution(M)
+    sigma0 = Involution(B, [{4 * (i // 4) + k: v for k, v in t.images[i % 4].items()}
+                            for i in range(B.dim)])
+    d = M.from_matrix([[El(M.base, {0: 1}), M.base.zero()],
+                       [M.base.zero(), El(M.base, {0: 2})]])
+    constraints = []
+    for f in range(3):
+        for g in range(4):
+            y = M.mul(M.mul(d, t.apply(M.basis_el(g))), d)  # d^-1 = d over GF(3)
+            constraints.append((B.basis_el(4 * f + g),
+                                El(B, {4 * f + k: v for k, v in y.c.items()})))
+    space = [El(B, {i: c for i, c in enumerate(v) if c})
+             for v in compose._constraint_kernel(B, constraints, sigma0, F3.one())]
+    assert len(space) == 3
+    assert all(alg_inverse(B, u) is None for u in sums_and_differences(space))
+    tau, ttype = compose.extend_involution(B, constraints, sigma0, seed=5)
+    assert ttype == "orthogonal" == involution_type(B, tau)
+    tau.verify()
+    assert all(tau.apply(x) == y for x, y in constraints)
+    again, _ = compose.extend_involution(B, constraints, sigma0, seed=5)
+    assert again.images == tau.images
 
 
 # ---------------------------------------------------------------------------
