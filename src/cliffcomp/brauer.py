@@ -2,10 +2,13 @@
 
 A class over Q is a product of quaternion symbols (a, b).  Its complete
 invariant is the finite set of places where the product of Hilbert
-symbols is -1.  Classes over a quadratic or biquadratic etale extension S
-of Q arise here only as restrictions of classes from Q; a restricted
-class is trivial iff no support place stays degree-1 in S (splits, resp.
-splits completely).  Over finite fields every class is trivial.
+symbols is -1.  Classes over a quadratic or biquadratic field S over Q
+arise here only as restrictions of classes from Q, and are read from
+place behavior alone (EtaleQuadratic.place_behavior): a restricted class
+is trivial iff no place of its support splits completely in S, that is,
+splits in S (resp. in both quadratic subfields).  RestrictedClass holds
+the quadratic case; mcd reads distances over composita the same way.
+Over finite fields every class is trivial.
 
 Distances are 0 or 1: a nontrivial 2-torsion class over a number field
 has index exactly 2, so two distinct classes always differ by a
@@ -15,9 +18,7 @@ quaternion algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (
     Algebra,
@@ -36,6 +37,7 @@ from .scalars import (
     RationalField,
     hilbert_symbol,
     relevant_places,
+    squarefree_part,
 )
 
 
@@ -76,7 +78,7 @@ class BrauerClass:
         """0 if equal, else 1 (a quaternion factor always suffices)."""
         return 0 if self == other else 1
 
-    def restrict(self, S: "EtaleBase") -> "RestrictedClass":
+    def restrict(self, S: EtaleQuadratic) -> "RestrictedClass":
         return RestrictedClass(self, S)
 
     def invariant_at(self, v: Place) -> int:
@@ -118,112 +120,38 @@ def trivial_class(F: Field) -> BrauerClass:
 
 
 # ---------------------------------------------------------------------------
-# etale base extensions of Q and restricted classes
-
-@dataclass(frozen=True)
-class EtaleBase:
-    """A quadratic or biquadratic etale extension of Q, or Q itself.
-
-    data: () for Q, (m,) for Q(sqrt m), (m1, m2) for Q(sqrt m1, sqrt m2).
-    Split quadratic etale (square datum) is allowed with a flag; classes
-    over a split base are pairs and live outside this type.
-    """
-
-    data: tuple
-
-    def __post_init__(self):
-        if len(self.data) > 2:
-            raise UnsupportedInputError("at most biquadratic bases supported")
-        for m in self.data:
-            if QQ.is_square(Fraction(m)) or m == 0:
-                raise UnsupportedInputError("etale base data must be nonsquare")
-        if len(self.data) == 2:
-            m1, m2 = self.data
-            if QQ.is_square(Fraction(m1) * Fraction(m2)):
-                raise UnsupportedInputError("biquadratic base is degenerate")
-
-    @property
-    def degree(self) -> int:
-        return 1 << len(self.data)
-
-    def place_degree_one(self, v: Place) -> bool:
-        """Does v keep a degree-1 place upstairs (split completely)?"""
-        for m in self.data:
-            E = EtaleQuadratic(QQ, Fraction(m), False)
-            if E.place_behavior(v) != "split":
-                return False
-        return True
-
-    def __repr__(self):
-        if not self.data:
-            return "Q"
-        if len(self.data) == 1:
-            return f"Q(sqrt {self.data[0]})"
-        return f"Q(sqrt {self.data[0]}, sqrt {self.data[1]})"
-
-
-def etale_base_of(et: Optional[EtaleQuadratic]) -> EtaleBase:
-    """EtaleBase from a quadratic etale datum over Q (must be a field)."""
-    if et is None:
-        return EtaleBase(())
-    if et.split:
-        raise UnsupportedInputError("split etale base has no single field of scalars")
-    from .scalars import squarefree_part
-
-    return EtaleBase((squarefree_part(et.datum),))
-
-
-def compositum(Z: EtaleBase, S: EtaleBase) -> EtaleBase:
-    """The compositum of two (at most quadratic) field bases."""
-    data = tuple(dict.fromkeys(Z.data + S.data))
-    if len(data) == 2:
-        m1, m2 = data
-        if QQ.is_square(Fraction(m1) * Fraction(m2)):
-            # same field twice
-            return EtaleBase((m1,))
-    return EtaleBase(data)
-
+# restriction to a quadratic field
 
 class RestrictedClass:
-    """res_S(c) for a class c over Q and an etale field base S."""
+    """res_S(c) for a class c over Q and a quadratic field S over Q.
 
-    def __init__(self, cls: BrauerClass, S: EtaleBase):
-        if not isinstance(cls.F, RationalField) and S.data:
+    A place of Q stays degree 1 in S exactly when it splits there, so the
+    support of res_S(c) is the part of c's support that splits in S.
+    """
+
+    def __init__(self, cls: BrauerClass, S: EtaleQuadratic):
+        if not isinstance(cls.F, RationalField):
             raise UnsupportedInputError("restriction bases are for classes over Q")
         self.cls = cls
         self.S = S
-        self._support = frozenset(v for v in cls.support if S.place_degree_one(v))
+        self._support = frozenset(v for v in cls.support if S.place_behavior(v) == "split")
 
     def is_trivial(self) -> bool:
         return not self._support
 
-    def __mul__(self, other: "RestrictedClass") -> "RestrictedClass":
-        if self.S != other.S:
-            raise UnsupportedInputError("restricted classes over different bases")
-        return RestrictedClass(self.cls * other.cls, self.S)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RestrictedClass)
-            and self.S == other.S
-            and self._support == other._support
-        )
-
-    def __hash__(self):
-        return hash((self.S, self._support))
-
-    def distance(self, other: "RestrictedClass") -> int:
-        return 0 if self == other else 1
+    @property
+    def base(self) -> str:
+        return f"Q(sqrt {squarefree_part(self.S.datum)})"
 
     def to_json(self) -> dict:
         d = self.cls.to_json()
-        d["base"] = repr(self.S)
+        d["base"] = self.base
         d["support"] = sorted(repr(v) for v in self._support)
         d["trivial"] = self.is_trivial()
         return d
 
     def __repr__(self):
-        return f"Res[{self.S}]{self.cls!r}"
+        return f"Res[{self.base}]{self.cls!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +284,13 @@ def even_clifford_classes(q):
 
     Returns ("split", c_plus, c_minus) when the discriminant is trivial
     (both equal [C(q)] for a form, the adjoint algebra being split), or
-    ("field", EtaleBase, RestrictedClass) when the center is a field.
+    ("field", EtaleQuadratic, RestrictedClass) when the center is a field.
     """
     et = q.discriminant_algebra()
     c = clifford_class_of_form(q)
     if et.split:
         return ("split", c, c)
-    Z = etale_base_of(et)
-    return ("field", Z, c.restrict(Z))
+    return ("field", et, c.restrict(et))
 
 
 # ---------------------------------------------------------------------------

@@ -346,11 +346,10 @@ def _split_corners(src: SourceData) -> list:
 
 def _lambda_pool(F: Field, classes: list, extra) -> list:
     """Scaling candidates: signed squarefree products of small primes and
-    the primes supporting the classes in play."""
+    the primes supporting the classes in play.  Over a finite field every
+    class is trivial, so 1 is already at distance 0."""
     if not isinstance(F, RationalField):
-        if F.char == 2:
-            return [F.one()]
-        return [x for x in F.elements() if not F.is_zero(x)]
+        return [F.one()]
     primes = {2, 3}
     for cls in classes:
         for pl in cls.support:

@@ -4,10 +4,13 @@ SparseEchelon is the only elimination.  Its rows are dicts keyed by
 column labels with a caller-supplied column order; the pivot of a row is
 its minimal column, and the stored form stays fully reduced, so it is the
 unique reduced echelon form of the span of the rows inserted.  The dense
-entry points (rref, rank, kernel, solve, inv_matrix, det and
+entry points (rref, rank, kernel, solve, inv_matrix and
 lin_span_contains) take matrices as lists of lists of field elements,
 insert their rows into one echelon over columns 0, 1, ... and read the
 answer off it; sparse_kernel takes the rows as dicts already.
+Determinants are not computed here: the one the program needs, the
+discriminant of a form, is the product of the entries of the form's
+diagonalization (quadform).
 """
 
 from __future__ import annotations
@@ -185,28 +188,6 @@ def inv_matrix(F: Field, A):
         return None
     zero = F.zero()
     return [[ech.rows[p].get(n + c, zero) for c in range(n)] for p in range(n)]
-
-
-def det(F: Field, A):
-    """Determinant: the product of the pivots met while inserting the rows.
-
-    Row k is reduced only by earlier rows, which leaves the determinant
-    alone, and its residue vanishes at the earlier pivot columns; with the
-    columns reordered by pivot the residues are triangular.  The sign is
-    that of the permutation sending row k to its pivot column.
-    """
-    ech = SparseEchelon(F)
-    d = F.one()
-    pivots = []
-    for row in A:
-        res = ech.insert(_sparse(F, row))
-        if res is None:
-            return F.zero()
-        p = ech._pivot(res)
-        d = F.mul(d, res[p])
-        pivots.append(p)
-    inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:] if q < p)
-    return F.neg(d) if inversions % 2 else d
 
 
 def lin_span_contains(F: Field, basis, v) -> bool:

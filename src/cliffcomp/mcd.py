@@ -17,10 +17,7 @@ from typing import Optional
 
 from .brauer import (
     BrauerClass,
-    EtaleBase,
     clifford_class_of_form,
-    compositum,
-    etale_base_of,
     even_clifford_classes,
     quaternion_symbol_of,
     trivial_class,
@@ -78,11 +75,6 @@ class InvariantProfile:
             return 1 << ((self.n - 1) // 2)
         return 1 << (self.n // 2 - 1)
 
-    def z_base(self) -> EtaleBase:
-        if self.z_split:
-            raise UnsupportedInputError("split center has no field base")
-        return etale_base_of(self.z_etale)
-
     def to_json(self) -> dict:
         out = {
             "n": self.n,
@@ -98,7 +90,7 @@ class InvariantProfile:
             out["factor_classes"] = [self.c_plus.to_json(), self.c_minus.to_json()]
         if self.c_base is not None:
             if isinstance(self.F, RationalField):
-                out["clifford_class_over_center"] = self.c_base.restrict(self.z_base()).to_json()
+                out["clifford_class_over_center"] = self.c_base.restrict(self.z_etale).to_json()
             else:
                 # finite base: restriction cannot make a trivial class less so
                 out["clifford_class_over_center"] = self.c_base.to_json()
@@ -206,13 +198,16 @@ class McdResult:
 def _d_res(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuadratic) -> int:
     """d(res(c1), res(c2)) over the compositum of the given quadratic
     fields (over F itself when none is given); 0 off Q, where every class
-    is trivial."""
+    is trivial.
+
+    The restrictions differ exactly when a place where c1 and c2 differ
+    stays degree 1 upstairs, that is, splits completely in the compositum:
+    in each of the fields, so a repeated field changes nothing.
+    """
     if not isinstance(F, RationalField):
         return 0
-    base = EtaleBase(())
-    for et in fields:
-        base = compositum(base, etale_base_of(et))
-    return c1.restrict(base).distance(c2.restrict(base))
+    return int(any(all(et.place_behavior(v) == "split" for et in fields)
+                   for v in c1.support ^ c2.support))
 
 
 def distance_over_s(F: Field, S: EtaleQuadratic, c0: BrauerClass, cls: BrauerClass) -> int:
@@ -310,7 +305,7 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
                 False,
                 note="center of C isomorphic to S as fields; covered only for trivial algebras",
             )
-        d = _d_compositum(profile, S, c0)
+        d = _d_over_z_tensor_s(profile, S, c0)
         return McdResult(MULTIPLE, 2 * k + d, "unitary/4k/field-center", True)
 
     # n = 4k + 2
@@ -331,11 +326,11 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
             False,
             note="split center with a field S is not covered",
         )
-    d = _d_compositum(profile, S, c0)
+    d = _d_over_z_tensor_s(profile, S, c0)
     return McdResult(MULTIPLE, 2 * k + 1 + d, "unitary/4k+2/field-center", True)
 
 
-def _d_compositum(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> int:
+def _d_over_z_tensor_s(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> int:
     """d(res(c0), res(c_base)) over Z tensor S, for field Z not isomorphic
     to S.  S split gives Z x Z, where the distance equals the one over Z;
     S a field gives the biquadratic compositum."""
@@ -528,7 +523,7 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
         lo = 1 if n % 4 == 0 else 0  # kind mismatch on centers forces both terms
         sol = _two_term_form(degree, degC, d, d, lo, lo)
         return {"ok": sol is not None, "case": "cbound/center-matches-S", "params": sol}
-    d = _d_compositum(profile, S, c0)
+    d = _d_over_z_tensor_s(profile, S, c0)
     unit = degC << (d + 1)
     return {"ok": degree % unit == 0, "case": "cbound/compositum", "params": {"unit": unit}}
 

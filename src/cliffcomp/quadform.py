@@ -7,6 +7,10 @@ polar form b_q(x, y) = q(x+y) - q(x) - q(y) has matrix M + M^t.
 Regular means b_q nondegenerate.  In characteristic 2 an odd-dimensional
 form is never regular; the right notion is semi-regular: the radical of
 b_q is one-dimensional and q does not vanish on it.
+
+Outside characteristic 2 the diagonalization is a congruence elimination
+on the Gram matrix B/2, and the discriminant is the signed product of
+its entries, so no second elimination computes a determinant.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import random
 from typing import Optional
 
 from .errors import UnsupportedInputError
-from .linalg import det, kernel, mat_transpose
+from .linalg import kernel, mat_transpose
 from .scalars import Field, quad_ext_info
 
 
@@ -127,61 +131,49 @@ class QuadraticSpace:
         return QuadraticSpace(F, Mfull, label=label or f"{self.label}|W")
 
     def diagonalization(self) -> list:
-        """Diagonal entries of an equivalent diagonal form (char != 2 only)."""
+        """Diagonal entries of an equivalent diagonal form (char != 2 only).
+
+        Congruence elimination on the Gram matrix G = B/2.  Pivot at the
+        first nonzero diagonal entry; if the diagonal vanishes, shear at the
+        first pair a < b with G[a][a] + G[a][b] + G[b][a] + G[b][b] != 0
+        (add row and column b to row and column a) and pivot at a.  Record
+        the pivot and go on with its Schur complement.  Every step is a
+        congruence of determinant +-1, so the entries multiply to det(G).
+        """
         F = self.F
         if F.char == 2:
             raise UnsupportedInputError("no diagonal form in characteristic 2")
-        B = self.polar_matrix()  # = 2 * Gram
         half = F.inv(F.from_int(2))
-        G = [[F.mul(half, v) for v in row] for row in B]
-        n = self.n
-        basis = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
-
-        def gram(u, v):
-            acc = F.zero()
-            for i in range(n):
-                if F.is_zero(u[i]):
-                    continue
-                for j in range(n):
-                    if not F.is_zero(v[j]):
-                        acc = F.add(acc, F.mul(u[i], F.mul(G[i][j], v[j])))
-            return acc
-
+        G = [[F.mul(half, v) for v in row] for row in self.polar_matrix()]
         out = []
-        vecs = [list(b) for b in basis]
-        while vecs:
-            # find a vector of nonzero length, possibly after a shear
-            pick = None
-            for v in vecs:
-                if not F.is_zero(gram(v, v)):
-                    pick = v
-                    break
-            if pick is None:
-                found = False
-                for a in range(len(vecs)):
-                    for b in range(a + 1, len(vecs)):
-                        w = [F.add(x, y) for x, y in zip(vecs[a], vecs[b])]
-                        if not F.is_zero(gram(w, w)):
-                            vecs[a] = w
-                            pick = w
-                            found = True
-                            break
-                    if found:
-                        break
-                if pick is None:
+        while G:
+            k = len(G)
+            p = next((i for i in range(k) if not F.is_zero(G[i][i])), None)
+            if p is None:
+                shear = next(((a, b) for a in range(k) for b in range(a + 1, k)
+                              if not F.is_zero(F.add(F.add(G[a][a], G[a][b]),
+                                                     F.add(G[b][a], G[b][b])))), None)
+                if shear is None:
                     # the form vanishes identically on the remaining space
-                    out.extend(F.zero() for _ in vecs)
+                    out.extend(F.zero() for _ in G)
                     break
-            d = gram(pick, pick)
+                p, b = shear
+                G[p] = [F.add(x, y) for x, y in zip(G[p], G[b])]
+                for row in G:
+                    row[p] = F.add(row[p], row[b])
+            d = G[p][p]
             out.append(d)
-            rest = []
             dinv = F.inv(d)
-            for v in vecs:
-                if v is pick:
-                    continue
-                c = F.mul(dinv, gram(pick, v))
-                rest.append([F.sub(x, F.mul(c, y)) for x, y in zip(v, pick)])
-            vecs = rest
+            rest = [i for i in range(k) if i != p]
+            schur = []
+            for r in rest:
+                c = F.mul(dinv, G[r][p])
+                row = G[r]
+                if F.is_zero(c):
+                    schur.append([row[s] for s in rest])
+                else:
+                    schur.append([F.sub(row[s], F.mul(c, G[p][s])) for s in rest])
+            G = schur
         return out
 
     def symplectic_basis(self) -> list:
@@ -238,7 +230,8 @@ class QuadraticSpace:
     def center_datum(self):
         """Datum of the discriminant quadratic etale algebra.
 
-        char != 2: m = (-1)^(n(n-1)/2) det(Gram); char 2 (n even): the Arf
+        char != 2: m = (-1)^(n(n-1)/2) det(Gram), the determinant being the
+        product of the diagonalization's entries; char 2 (n even): the Arf
         invariant as an Artin-Schreier datum.
         """
         F = self.F
@@ -246,10 +239,9 @@ class QuadraticSpace:
             if self.n % 2:
                 raise UnsupportedInputError("odd-dimensional center datum undefined in char 2")
             return self.arf_invariant()
-        B = self.polar_matrix()
-        half = F.inv(F.from_int(2))
-        G = [[F.mul(half, v) for v in row] for row in B]
-        d = det(F, G)
+        d = F.one()
+        for a in self.diagonalization():
+            d = F.mul(d, a)
         if F.is_zero(d):
             raise UnsupportedInputError("degenerate form has no discriminant datum")
         e = (self.n * (self.n - 1) // 2) % 2

@@ -9,6 +9,7 @@ sparse dictionaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -223,13 +224,28 @@ class PrimeField(Field):
         return pow(x, (self.p - 1) // 2, self.p) == 1
 
     def sqrt(self, x):
-        x %= self.p
+        """The least square root of x in [0, p), or None (Tonelli-Shanks)."""
+        p = self.p
+        x %= p
         if not self.is_square(x):
             return None
-        for t in range(self.p):
-            if (t * t) % self.p == x:
-                return t
-        return None
+        if p == 2 or x == 0:
+            return x
+        # p - 1 = q 2^s with q odd; z is any non-residue
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        c, t, r = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return min(r, p - r)
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.p))
@@ -292,19 +308,14 @@ class ExtField(Field):
         return tuple((-a) % p for a in x)
 
     def mul(self, x, y):
-        prod = _poly_mul(x, y, self.p)
-        return tuple(_poly_mod(prod, self.modulus, self.p)[: self.k])
+        _, r = _poly_divmod(_poly_mul(x, y, self.p), self.modulus, self.p)
+        return r + (0,) * (self.k - len(r))
 
     def inv(self, x):
+        """x^(order - 2): the multiplicative group has order - 1 elements."""
         if self.is_zero(x):
             raise ZeroDivisionError("inverse of zero")
-        g, u, _ = _poly_egcd(tuple(x), self.modulus, self.p)
-        if len(_poly_trim(g)) != 1:
-            raise ZeroDivisionError("element not invertible")
-        c = pow(g[0], -1, self.p)
-        u = tuple((ci * c) % self.p for ci in u)
-        u = u + (0,) * (self.k - len(u))
-        return tuple(_poly_mod(u, self.modulus, self.p)[: self.k])
+        return self.pow(x, self.order - 2)
 
     def is_zero(self, x) -> bool:
         return all(c % self.p == 0 for c in x)
@@ -326,15 +337,7 @@ class ExtField(Field):
         return None
 
     def elements(self) -> Iterator[tuple]:
-        def rec(i):
-            if i == self.k:
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for c in range(self.p):
-                    yield (c,) + rest
-
-        return rec(0)
+        return _coeff_tuples(self.p, self.k)
 
     def parse(self, s: str):
         parts = [int(c) for c in str(s).split(",")]
@@ -513,6 +516,11 @@ def squarefree_part(x) -> int:
 # ---------------------------------------------------------------------------
 # polynomial helpers for GF(p^k)
 
+def _coeff_tuples(p: int, k: int) -> Iterator[tuple]:
+    """Every k-tuple over range(p), the first coefficient varying fastest."""
+    return (t[::-1] for t in itertools.product(range(p), repeat=k))
+
+
 def _poly_trim(a):
     a = list(a)
     while len(a) > 1 and a[-1] == 0:
@@ -528,43 +536,6 @@ def _poly_mul(a, b, p):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
     return tuple(out)
-
-
-def _poly_mod(a, m, p):
-    a = list(a)
-    dm = len(_poly_trim(m)) - 1
-    while len(_poly_trim(a)) - 1 >= dm and any(a):
-        a = list(_poly_trim(a))
-        da = len(a) - 1
-        if da < dm:
-            break
-        lead = a[-1] % p
-        shift = da - dm
-        for i in range(dm + 1):
-            a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a = list(_poly_trim(a))
-    a = list(a) + [0] * max(0, dm - len(a))
-    return tuple(c % p for c in a[:dm]) if dm > 0 else ()
-
-
-def _poly_egcd(a, b, p):
-    """Extended gcd of polynomials over GF(p): g, u, v with u*a + v*b = g."""
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    s0, s1 = (1,), (0,)
-    t0, t1 = (0,), (1,)
-    while any(r1) and r1 != (0,):
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
-    return r0, s0, t0
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
 def _poly_divmod(a, b, p):
@@ -593,42 +564,17 @@ def _poly_is_irreducible(m, p) -> bool:
     deg = len(m) - 1
     if deg <= 1:
         return deg == 1
-
-    def monic_polys(d):
-        def rec(i):
-            if i == d:
-                yield (1,)
-                return
-            for rest in rec(i + 1):
-                for c in range(p):
-                    yield (c,) + rest
-
-        for tail in rec(0):
-            yield tail
-
     for d in range(1, deg // 2 + 1):
-        for cand in monic_polys(d):
-            _, r = _poly_divmod(m, cand, p)
-            if r == (0,):
+        for tail in _coeff_tuples(p, d):
+            if _poly_divmod(m, tail + (1,), p)[1] == (0,):
                 return False
     return True
 
 
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    def candidates():
-        def rec(i):
-            if i == k:
-                yield (1,)
-                return
-            for rest in rec(i + 1):
-                for c in range(p):
-                    yield (c,) + rest
-
-        return rec(0)
-
-    for cand in candidates():
-        if _poly_is_irreducible(cand, p):
-            return cand
+    for tail in _coeff_tuples(p, k):
+        if _poly_is_irreducible(tail + (1,), p):
+            return tail + (1,)
     raise UnsupportedInputError(f"no irreducible polynomial found for GF({p}^{k})")
 
 

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from cliffcomp.algebra import ExplicitAlgebra, FieldAlgebra, ProductAlgebra, QuaternionAlgebra
 from cliffcomp.brauer import (
     BrauerClass,
-    EtaleBase,
     clifford_class_of_form,
-    compositum,
     even_clifford_classes,
     quaternion_model,
     quaternion_symbol_of,
@@ -23,6 +21,7 @@ from cliffcomp.linalg import solve
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import (
     PLACE_REAL,
+    EtaleQuadratic,
     ExtField,
     Place,
     PrimeField,
@@ -210,18 +209,12 @@ def test_quaternion_symbol_recovery_char2():
 
 def test_restriction_to_quadratic_fields():
     c = cls((-1, -1))
-    assert c.restrict(EtaleBase((-1,))).is_trivial()       # Q(i) splits it
-    assert not c.restrict(EtaleBase((2,))).is_trivial()    # stays definite
-    big = EtaleBase((2, 5))
-    assert big.degree == 4
-    assert big.place_degree_one(PLACE_REAL)        # totally real
-    assert not EtaleBase((-1,)).place_degree_one(PLACE_REAL)
-
-
-def test_compositum_degrees():
-    Zi, Z2 = EtaleBase((-1,)), EtaleBase((2,))
-    assert compositum(Zi, Z2).degree == 4
-    assert compositum(Zi, Zi).degree == 2
+    Zi, Z2 = EtaleQuadratic(QQ, Fraction(-1), False), EtaleQuadratic(QQ, Fraction(8), False)
+    assert c.restrict(Zi).is_trivial()       # Q(i) splits it
+    assert not c.restrict(Z2).is_trivial()    # stays definite
+    assert c.restrict(Z2).to_json()["base"] == "Q(sqrt 2)"
+    assert Z2.place_behavior(PLACE_REAL) == "split"        # totally real
+    assert Zi.place_behavior(PLACE_REAL) == "inert"
 
 
 def test_quaternion_model_roundtrip():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,25 @@ def test_compose_with_a_large_prime_entry_returns():
     assert p.returncode == 0, p.stderr
     out = json.loads(p.stdout)
     assert out["verified"] is True and out["witness"]["degree"] == 2
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("request_args", [
+    ["--object", '{"diag":[1,3]}', "--type", "unitary", "--s", '{"split": true}'],
+    ["--object", '{"diag":[1,2]}', "--type", "orthogonal"],
+    ["--object", '{"diag":[1,1,1,3]}', "--type", "orthogonal"],
+], ids=["unitary", "orthogonal-rescaled", "orthogonal-split-center"])
+def test_compose_over_a_large_prime_field_returns(request_args):
+    # neither the rescaling pool nor a square root walks the whole field;
+    # the address-space cap turns a runaway list into a MemoryError
+    p = subprocess.run(BASE + ["compose", "--field", "GF(1000000007)"] + request_args,
+                       capture_output=True, text=True, timeout=10,
+                       preexec_fn=_limit_address_space)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["verified"] is True
 
 
 def run_inprocess(*argv):

@@ -12,6 +12,7 @@ from cliffcomp.mcd import (
     EXACT,
     MULTIPLE,
     NOT_COVERED,
+    _d_res,
     admissible_degree,
     canonical_involution_type,
     dbound_min_degree,
@@ -24,7 +25,7 @@ from cliffcomp.mcd import (
 )
 from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
-from cliffcomp.scalars import QQ, EtaleQuadratic, PrimeField
+from cliffcomp.scalars import QQ, EtaleQuadratic, PrimeField, squarefree_part
 
 F3 = PrimeField(3)
 HH = BrauerClass(QQ, [(Fraction(-1), Fraction(-1))])
@@ -133,6 +134,44 @@ def test_mcd_unitary_values(entries, S, c0, value, status):
 def test_mcd_unitary_compositum_multiple_only():
     res = mcd_unitary(profile_from_form(diag(*([1] * 6))), S_SQRT2, TRIV)
     assert res.status == MULTIPLE
+
+
+# reference: the former distance through an explicit compositum, a tuple of
+# squarefree data with repeated fields dropped, over which both classes are
+# restricted and their supports compared
+
+def ref_d_res(c1, c2, *fields):
+    data = []
+    for et in fields:
+        m = squarefree_part(et.datum)
+        if m not in data:
+            data.append(m)
+
+    def restricted_support(c):
+        return {v for v in c.support
+                if all(EtaleQuadratic(QQ, Fraction(m), False).place_behavior(v) == "split"
+                       for m in data)}
+
+    return 0 if restricted_support(c1) == restricted_support(c2) else 1
+
+
+def test_d_res_matches_the_compositum_reference():
+    symbols = [[], [(-1, -1)], [(2, 5)], [(-1, 3)], [(3, 7)], [(-2, 5)], [(5, -7)],
+               [(-1, -1), (2, 5)], [(2, -3)], [(11, -1)], [(-1, -1), (3, 7)]]
+    classes = [BrauerClass(QQ, [(Fraction(a), Fraction(b)) for a, b in s]) for s in symbols]
+    data = (-1, 2, -2, 3, -3, 5, -7, 6, 17, 8, -4, 18)
+    fields = [EtaleQuadratic(QQ, Fraction(m), False) for m in data]
+    bases = [()] + [(f,) for f in fields]
+    bases += [(f, g) for f in fields for g in fields]  # distinct and repeated fields
+    hits = 0
+    for c1 in classes:
+        for c2 in classes:
+            for base in bases:
+                d = _d_res(QQ, c1, c2, *base)
+                assert d == ref_d_res(c1, c2, *base), (c1, c2, base)
+                hits += d
+    assert hits  # not every pair collapses
+    assert _d_res(F3, trivial_class(F3), BrauerClass(F3, [(1, 2)])) == 0
 
 
 def test_mcd_unitary_excluded_case():

@@ -128,6 +128,132 @@ def test_diagonalization_refused_char2():
         QuadraticSpace.diagonal(F2, [1, 1]).diagonalization()
 
 
+# ---------------------------------------------------------------------------
+# references for the congruence elimination: the former vector-based
+# diagonalization, which re-evaluates the Gram form on basis vectors, and a
+# dense forward elimination for the determinant
+
+def _gram(q):
+    F = q.F
+    half = F.inv(F.from_int(2))
+    return [[F.mul(half, v) for v in row] for row in q.polar_matrix()]
+
+
+def ref_diagonalization(q):
+    F, n, G = q.F, q.n, _gram(q)
+
+    def gram(u, v):
+        acc = F.zero()
+        for i in range(n):
+            for j in range(n):
+                acc = F.add(acc, F.mul(u[i], F.mul(G[i][j], v[j])))
+        return acc
+
+    out = []
+    vecs = [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
+    while vecs:
+        pick = next((v for v in vecs if not F.is_zero(gram(v, v))), None)
+        if pick is None:
+            for a in range(len(vecs)):
+                for b in range(a + 1, len(vecs)):
+                    w = [F.add(x, y) for x, y in zip(vecs[a], vecs[b])]
+                    if pick is None and not F.is_zero(gram(w, w)):
+                        vecs[a] = pick = w
+            if pick is None:
+                out.extend(F.zero() for _ in vecs)
+                break
+        d = gram(pick, pick)
+        out.append(d)
+        c = F.inv(d)
+        vecs = [[F.sub(x, F.mul(F.mul(c, gram(pick, v)), y)) for x, y in zip(v, pick)]
+                for v in vecs if v is not pick]
+    return out
+
+
+def ref_det(F, A):
+    n = len(A)
+    M = [list(row) for row in A]
+    d = F.one()
+    for c in range(n):
+        pr = next((i for i in range(c, n) if not F.is_zero(M[i][c])), None)
+        if pr is None:
+            return F.zero()
+        if pr != c:
+            M[c], M[pr] = M[pr], M[c]
+            d = F.neg(d)
+        d = F.mul(d, M[c][c])
+        inv = F.inv(M[c][c])
+        for i in range(c + 1, n):
+            if not F.is_zero(M[i][c]):
+                f = F.mul(inv, M[i][c])
+                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
+    return d
+
+
+def ref_center_datum(q):
+    F = q.F
+    d = ref_det(F, _gram(q))
+    if F.is_zero(d):
+        return None
+    return F.neg(d) if q.n * (q.n - 1) // 2 % 2 else d
+
+
+def _seeded_forms(F, rng):
+    """Dense, zero-diagonal (sheared) and degenerate forms with n <= 8."""
+    def entry():
+        return frac(rng.randint(-3, 3)) if F.char == 0 else rng.randrange(F.p)
+
+    def dense(n):
+        return QuadraticSpace(F, [[entry() if j >= i else F.zero() for j in range(n)]
+                                  for i in range(n)])
+
+    out = [QuadraticSpace(F, [[F.zero()] * 3 for _ in range(3)])]
+    for n in range(1, 9):
+        for _ in range(4):
+            out.append(dense(n))
+            q = dense(n)
+            out.append(QuadraticSpace(F, [[F.zero() if i == j else v for j, v in enumerate(row)]
+                                          for i, row in enumerate(q.M)]))
+            if n > 1:
+                # n vectors in an (n-1)-dimensional space: a degenerate form
+                vecs = [[entry() for _ in range(n - 1)] for _ in range(n - 1)]
+                vecs.append([F.add(x, y) for x, y in zip(vecs[0], vecs[-1])])
+                out.append(dense(n - 1).restrict(vecs))
+    return out
+
+
+def _diagonalization_corpus():
+    forms = [q for n in (1, 2, 3) for q in all_small_forms(F3, n)]
+    rng = random.Random(11)
+    for F in (QQ, PrimeField(5), PrimeField(7)):
+        forms += _seeded_forms(F, rng)
+    return forms
+
+
+def test_diagonalization_matches_the_vector_reference():
+    corpus = _diagonalization_corpus()
+    sheared = degenerate = 0
+    for q in corpus:
+        got = q.diagonalization()
+        assert got == ref_diagonalization(q), q.M
+        F = q.F
+        prod = F.one()
+        for a in got:
+            prod = F.mul(prod, a)
+        assert prod == ref_det(F, _gram(q)), q.M
+        expected = ref_center_datum(q)
+        if expected is None:
+            degenerate += 1
+            with pytest.raises(UnsupportedInputError):
+                q.center_datum()
+        else:
+            assert q.center_datum() == expected, q.M
+        G = _gram(q)
+        sheared += q.n > 1 and all(F.is_zero(G[i][i]) for i in range(q.n)) and any(
+            not F.is_zero(v) for row in G for v in row)
+    assert sheared > 20 and degenerate > 20
+
+
 def test_symplectic_basis_properties():
     q = QuadraticSpace.from_upper_entries(
         F2, 4, {(0, 0): 1, (0, 1): 1, (0, 2): 1, (2, 3): 1}

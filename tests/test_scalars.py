@@ -106,6 +106,29 @@ def test_finite_field_squares_count():
                 assert F.mul(r, r) == x
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 97, 101, 257, 1009, 65537])
+def test_prime_field_sqrt_is_the_least_root(p):
+    # the root a search over t = 0, 1, ... finds first: center_structure
+    # builds its idempotent from it
+    least = {}
+    for t in range(p):
+        least.setdefault(t * t % p, t)
+    F = PrimeField(p)
+    for x in range(p):
+        assert F.sqrt(x) == least.get(x), x
+
+
+def test_prime_field_sqrt_large_prime():
+    p = 1000000007
+    F = PrimeField(p)
+    for x in (2, 3, 5, 1000, p - 1):
+        r = F.sqrt(x)
+        if F.is_square(x):
+            assert r * r % p == x and r <= p - r
+        else:
+            assert r is None
+
+
 def test_trial_factor():
     assert trial_factor(360) == {2: 3, 3: 2, 5: 1}
     assert trial_factor(-7) == {7: 1}
