@@ -928,7 +928,7 @@ def center_structure(A: Algebra):
     split, a primitive central idempotent e (the other being 1 - e).
     dim-1 centers return (None, None).
     """
-    from .scalars import quad_ext_info
+    from .scalars import artin_schreier_root, quad_ext_info
 
     F = A.F
     cb = center_basis(A)
@@ -973,11 +973,7 @@ def center_structure(A: Algebra):
         et = quad_ext_info(F, c)
         if not et.split:
             return et, None
-        t = None
-        for cand_t in F.elements():
-            if F.add(F.mul(cand_t, cand_t), cand_t) == c:
-                t = cand_t
-                break
+        t = artin_schreier_root(F, c)
         if t is None:
             raise CertificationError("split etale datum without Artin-Schreier root")
         e = u + t * one

@@ -18,7 +18,6 @@ quaternion algebra.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .algebra import (
     Algebra,
@@ -301,7 +300,7 @@ def quaternion_model(cls: BrauerClass) -> tuple:
     if not isinstance(cls.F, RationalField):
         return (cls.F.one(), cls.F.one())
     if cls.is_trivial():
-        return (Fraction(1), Fraction(1))
+        return (QQ.one(), QQ.one())
     primes = sorted({v.p for v in cls.support if not v.is_real})
     pool = set()
     for r in range(len(primes) + 1):
@@ -309,9 +308,9 @@ def quaternion_model(cls: BrauerClass) -> tuple:
             prod = 1
             for p in sub:
                 prod *= p
-            pool.add(Fraction(prod))
-            pool.add(Fraction(-prod))
-    extra = [Fraction(p) for p in (2, 3, 5, 7, 11, 13) if p not in primes]
+            pool.add(QQ.from_int(prod))
+            pool.add(QQ.from_int(-prod))
+    extra = [QQ.from_int(p) for p in (2, 3, 5, 7, 11, 13) if p not in primes]
     widened = pool | {a * e for a in pool for e in extra[:3]} | {a * e for a in pool for e in [-f for f in extra[:3]]}
     for pair_pool in (pool, widened):
         for a in sorted(pair_pool, key=lambda x: (abs(x), x < 0)):

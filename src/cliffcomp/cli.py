@@ -224,11 +224,11 @@ def _cmd_example1(args) -> dict:
 
 
 def _selftest_cases():
-    from fractions import Fraction as Fr
+    Z = QQ.from_int
 
     def classes_metric():
         syms = [[], [(-1, -1)], [(2, 5)], [(-1, -1), (2, 5)], [(3, 7)]]
-        cs = [BrauerClass(QQ, [(Fr(a), Fr(b)) for a, b in s]) for s in syms]
+        cs = [BrauerClass(QQ, [(Z(a), Z(b)) for a, b in s]) for s in syms]
         for x in cs:
             assert x.distance(x) == 0
             for y in cs:
@@ -243,30 +243,30 @@ def _selftest_cases():
             for b in range(-6, 7):
                 if a and b:
                     for v in places:
-                        assert hilbert_symbol(Fr(a), Fr(b), v) == \
-                            hilbert_symbol_bruteforce(Fr(a), Fr(b), v)
+                        assert hilbert_symbol(Z(a), Z(b), v) == \
+                            hilbert_symbol_bruteforce(Z(a), Z(b), v)
         return "Hilbert symbols vs congruence oracle, |a|,|b| <= 6"
 
     def clifford_dims():
         for entries, dim in [([1, 1, 1], 4), ([1, 1, 1, 1], 8), ([1, -1], 2)]:
-            q = QuadraticSpace.diagonal(QQ, [Fr(v) for v in entries])
+            q = QuadraticSpace.diagonal(QQ, [Z(v) for v in entries])
             _, C0, _, _, _ = even_clifford(q)
             assert C0.dim == dim
         return "even Clifford dimensions"
 
     def pair_coherence():
-        q = QuadraticSpace.diagonal(QQ, [Fr(1), Fr(-1)])
+        q = QuadraticSpace.diagonal(QQ, [Z(1), Z(-1)])
         pair, aux = pair_from_form(q)
         data = clifford_of_pair(pair)
         split_compare(data, aux)
         return "pair Clifford matches the even Clifford algebra on <1,-1>"
 
     def compose_quick():
-        q3 = QuadraticSpace.diagonal(QQ, [Fr(1)] * 3)
-        c = BrauerClass(QQ, [(Fr(-1), Fr(-1))])
+        q3 = QuadraticSpace.diagonal(QQ, [Z(1)] * 3)
+        c = BrauerClass(QQ, [(Z(-1), Z(-1))])
         wit = construct_composition(q3, {"kind": "first", "c": c, "t": "symplectic"})
         assert wit.degree == 2
-        S = EtaleQuadratic(QQ, Fr(-1), False)
+        S = EtaleQuadratic(QQ, Z(-1), False)
         wit = construct_composition(q3, {"kind": "unitary", "S": S,
                                          "c0": trivial_class(QQ)})
         assert wit.degree == 2
@@ -279,20 +279,20 @@ def _selftest_cases():
         return "three composition witnesses at the formula degree"
 
     def model_check():
-        rep = quaternionic_even_model(QQ, Fr(-1), Fr(-1))
+        rep = quaternionic_even_model(QQ, Z(-1), Z(-1))
         assert all(rep.checks.values()) and rep.minimal_degree == 4
         return "quaternionic model certified"
 
     def dbound_check():
-        c = BrauerClass(QQ, [(Fr(-1), Fr(-1))])
+        c = BrauerClass(QQ, [(Z(-1), Z(-1))])
         assert dbound_min_degree(2, c, trivial_class(QQ)) == 4
-        H = QuaternionAlgebra(QQ, Fr(-1), Fr(-1))
+        H = QuaternionAlgebra(QQ, Z(-1), Z(-1))
         assert regular_representation(H).B.deg == 4
         return "distance bound realized by the regular representation"
 
     def exclusion_check():
-        q6 = QuadraticSpace.diagonal(QQ, [Fr(1), Fr(-1)] * 3)
-        S = EtaleQuadratic(QQ, Fr(2), False)
+        q6 = QuadraticSpace.diagonal(QQ, [Z(1), Z(-1)] * 3)
+        S = EtaleQuadratic(QQ, Z(2), False)
         try:
             construct_composition(q6, {"kind": "unitary", "S": S,
                                        "c0": trivial_class(QQ)})

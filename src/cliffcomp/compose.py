@@ -53,7 +53,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import CertificationError, NotCoveredError, UnsupportedInputError
@@ -360,7 +359,7 @@ def _lambda_pool(F: Field, classes: list, extra) -> list:
     primes = sorted(primes)[:6]
     pool = []
     for mask in range(1 << len(primes)):
-        prod = Fraction(1)
+        prod = F.one()
         for i, p in enumerate(primes):
             if mask >> i & 1:
                 prod *= p

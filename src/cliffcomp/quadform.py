@@ -268,16 +268,12 @@ RANDOM_FORM_DRAWS = 200
 def random_form(F: Field, n: int, rng: random.Random) -> QuadraticSpace:
     """A random regular (or semi-regular) n-dimensional form, from at most
     RANDOM_FORM_DRAWS seeded draws."""
-    from fractions import Fraction
-
     for _ in range(RANDOM_FORM_DRAWS):
         M = [[F.zero()] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                if F.char == 0:
-                    M[i][j] = Fraction(rng.randint(-4, 4))
-                else:
-                    M[i][j] = F.from_int(rng.randrange(F.order))
+                draw = rng.randint(-4, 4) if F.char == 0 else rng.randrange(F.order)
+                M[i][j] = F.from_int(draw)
         q = QuadraticSpace(F, M)
         if q.is_usable():
             return q

@@ -1,10 +1,10 @@
 """Exact base fields, square testing, Hilbert symbols, quadratic etale data.
 
-Two families of base fields are supported: the rationals (elements are
-stdlib Fractions) and finite fields GF(p^k) (elements are ints for k = 1,
-tuples of ints for k > 1).  A Field object carries the arithmetic; the
-elements themselves are plain hashable Python values so they can key
-sparse dictionaries.
+Two families of base fields are supported: the rationals (an integral
+value is an int, and only a non-integral one is a stdlib Fraction) and
+finite fields GF(p^k) (elements are ints for k = 1, tuples of ints for
+k > 1).  A Field object carries the arithmetic; the elements themselves
+are plain hashable Python values so they can key sparse dictionaries.
 """
 
 from __future__ import annotations
@@ -19,6 +19,14 @@ from .errors import InputTooLargeError, UnsupportedInputError
 # Default bound on |numerator|, |denominator| for exact factor work.
 FACTOR_BOUND = 2**63
 _ONE = Fraction(1)
+
+
+def _integral(r):
+    """r itself if it is an int, its numerator if it is an integral
+    Fraction, else r: the one normal form of a rational."""
+    if type(r) is int or r.denominator != 1:
+        return r
+    return r.numerator
 
 
 def _as_fraction(x) -> Fraction:
@@ -98,44 +106,58 @@ class Field:
 
 
 class RationalField(Field):
-    """The rationals with exact Fraction arithmetic."""
+    """The rationals with exact arithmetic.
+
+    An integral value is always an int and only a non-integral one is a
+    Fraction, so integral structure constants multiply as machine
+    integers, with no gcd and no object construction.
+    """
 
     char = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, x, y):
-        return x + y
+        r = x + y
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
     def neg(self, x):
         return -x
 
     def mul(self, x, y):
-        return x * y
+        r = x * y
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
-        return _ONE / x
+        return _integral(_ONE / x)
 
     def sub(self, x, y):
-        return x - y
+        r = x - y
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
     def div(self, x, y):
         if y == 0:
             raise ZeroDivisionError("division by zero")
         # int / int would be a float
-        return x / y if isinstance(x, Fraction) else Fraction(x) / y
+        return _integral(x / y if isinstance(x, Fraction) else Fraction(x) / y)
 
     def is_zero(self, x) -> bool:
         return x == 0
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return int(n)
 
     def is_square(self, x) -> bool:
         """Exact square test on a Fraction in lowest terms.
@@ -156,12 +178,14 @@ class RationalField(Field):
         x = _as_fraction(x)
         if not self.is_square(x):
             return None
-        return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+        return _integral(Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator)))
 
     def parse(self, s: str):
-        return Fraction(str(s))
+        return _integral(Fraction(str(s)))
 
     def fmt(self, x) -> str:
+        if type(x) is int:
+            return str(x)
         x = _as_fraction(x)
         if x.denominator == 1:
             return str(x.numerator)
@@ -329,12 +353,39 @@ class ExtField(Field):
         return self.pow(x, (self.order - 1) // 2) == self.one()
 
     def sqrt(self, x):
+        """The square root of x that comes first in element order, or None.
+
+        For p = 2 squaring is a bijection and the root is x^(2^(k-1)).
+        Otherwise Tonelli-Shanks in the cyclic group of order p^k - 1,
+        with z the first non-square past the prime field in element order
+        (for even k every element of GF(p) is a square, and any non-square
+        serves, since the roots are +-r whatever z is).
+        """
+        if self.p == 2:
+            return self.pow(x, self.order // 2)
         if not self.is_square(x):
             return None
-        for t in self.elements():
-            if self.mul(t, t) == x:
-                return t
-        return None
+        if self.is_zero(x):
+            return self.zero()
+        # order - 1 = q 2^s with q odd
+        q, s = self.order - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        one = self.one()
+        z = next(z for z in itertools.islice(self.elements(), self.p, None)
+                 if not self.is_square(z))
+        c, t, r = self.pow(z, q), self.pow(x, q), self.pow(x, (q + 1) // 2)
+        while t != one:
+            i, t2 = 0, t
+            while t2 != one:
+                t2 = self.mul(t2, t2)
+                i += 1
+            b = self.pow(c, 1 << (s - i - 1))
+            bb = self.mul(b, b)
+            s, c, t, r = i, bb, self.mul(t, bb), self.mul(r, b)
+        # element order varies the first coefficient fastest
+        return min(r, self.neg(r), key=lambda e: e[::-1])
 
     def elements(self) -> Iterator[tuple]:
         return _coeff_tuples(self.p, self.k)
@@ -837,13 +888,36 @@ class EtaleQuadratic:
 
 
 def _artin_schreier_solvable(F: Field, a) -> bool:
-    """Does t^2 + t = a have a solution?  Exhaustive over finite fields."""
+    """Does t^2 + t = a have a solution?  Over GF(2^k) it does iff the
+    absolute trace a + a^2 + ... + a^(2^(k-1)) is 0."""
     if F.char != 2:
         raise UnsupportedInputError("Artin-Schreier test needs char 2")
-    for t in F.elements():
-        if F.add(F.mul(t, t), t) == a:
-            return True
-    return False
+    tr, power = a, a
+    for _ in range(F.k - 1):
+        power = F.mul(power, power)
+        tr = F.add(tr, power)
+    return F.is_zero(tr)
+
+
+def artin_schreier_root(F: Field, a):
+    """The root of t^2 + t = a that comes first in F.elements() order, or None.
+
+    t -> t^2 + t is GF(2)-linear with kernel {0, 1}, so one k x k solve
+    over GF(2) finds a root t, and the roots are t and t + 1; the first
+    in element order is the one with constant coefficient 0.
+    """
+    from .linalg import solve
+
+    if not _artin_schreier_solvable(F, a):
+        return None
+    if F.k == 1:
+        return 0
+    basis = [tuple(int(i == j) for i in range(F.k)) for j in range(F.k)]
+    images = [F.add(F.mul(e, e), e) for e in basis]
+    A = [[im[i] for im in images] for i in range(F.k)]
+    t = solve(PrimeField(2), A, list(a))
+    t[0] = 0
+    return tuple(t)
 
 
 def quad_ext_info(F: Field, datum) -> EtaleQuadratic:

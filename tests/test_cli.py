@@ -1,6 +1,7 @@
 """Command line surface: schemas, exit codes, determinism, replay."""
 
 import contextlib
+import hashlib
 import io
 import json
 import resource
@@ -139,6 +140,29 @@ def test_compose_over_a_large_prime_field_returns(request_args):
                        preexec_fn=_limit_address_space)
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout)["verified"] is True
+
+
+def test_invariants_over_gf_2_20_returns():
+    # the Artin-Schreier test reads the absolute trace instead of walking
+    # the 2^20 elements
+    p = subprocess.run(BASE + ["invariants", "--field", '{"kind":"GF","p":2,"k":20}',
+                               "--object", '{"gram":[[1,1],[0,1]]}'],
+                       capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+    # t^2 + t = 1 is solvable iff k is even: the trace of 1 is k mod 2
+    assert json.loads(p.stdout)["center"]["split"] is True
+
+
+def test_compose_over_gf_1009_2_square_root_of_a_prime_nonsquare():
+    # 17 is a nonsquare mod 1009, so its root lies off GF(1009): Tonelli-Shanks
+    # finds the same root as the walk over the field did, and the output is
+    # byte-identical
+    p = subprocess.run(BASE + ["compose", "--field", '{"kind":"GF","p":1009,"k":2}',
+                               "--object", '{"diag":[1,1,1,17]}', "--type", "orthogonal"],
+                       capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        "8aa68f6ec1579c015eb78534d4cbad0989f57d16e3799a91a5d65c25d772e14c"
 
 
 def run_inprocess(*argv):

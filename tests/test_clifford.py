@@ -273,3 +273,30 @@ def test_compose_reads_even_products_on_demand():
     wit = construct_composition(q7, {"kind": "first", "c": trivial_class(F3), "t": "orthogonal"})
     wit.verify()
     assert len(wit.source.C0.C._mul_cache) < 4096
+
+
+def _integral_forms():
+    rng = random.Random(2024)
+    for n in range(1, 7):
+        yield QuadraticSpace.diagonal(QQ, [QQ.from_int(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+                                           for _ in range(n)])
+        while True:
+            M = [[QQ.from_int(rng.randint(-3, 3)) if j >= i else QQ.zero() for j in range(n)]
+                 for i in range(n)]
+            q = QuadraticSpace(QQ, M)
+            if q.is_usable():
+                yield q
+                break
+
+
+@pytest.mark.parametrize("q", list(_integral_forms()), ids=lambda q: f"n{q.n}")
+def test_integral_forms_keep_int_coefficients(q):
+    # an integral form has integral products and reversal over Q, and an
+    # integral rational is an int: no Fraction is left behind
+    C, C0, _, _, tau = even_clifford(q)
+    for i in range(C.dim):
+        for j in range(C.dim):
+            C.mul(C.basis_el(i), C.basis_el(j))
+    coeffs = [v for prod in C._mul_cache.values() for v in prod.values()]
+    coeffs += [v for im in tau.images for v in im.values()]
+    assert coeffs and all(type(v) is int for v in coeffs)

@@ -13,6 +13,8 @@ from cliffcomp.scalars import (
     Place,
     PrimeField,
     PLACE_REAL,
+    _artin_schreier_solvable,
+    artin_schreier_root,
     etale_split,
     field_from_json,
     hilbert_symbol,
@@ -165,6 +167,42 @@ def test_trial_factor_large_cofactors(n, factors):
     # a cofactor past the trial-division limit goes to Miller-Rabin and
     # Pollard rho instead of dividing toward its square root
     assert trial_factor(n) == factors
+
+
+RATIONALS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=1000),
+)
+
+
+def _assert_normal(got, want):
+    # an integral value is an int, and only a non-integral one a Fraction
+    assert got == want
+    assert type(got) is (int if Fraction(want).denominator == 1 else Fraction)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(RATIONALS, RATIONALS)
+def test_rational_values_are_ints_exactly_when_integral(x, y):
+    fx, fy = Fraction(x), Fraction(y)
+    _assert_normal(QQ.add(x, y), fx + fy)
+    _assert_normal(QQ.sub(x, y), fx - fy)
+    _assert_normal(QQ.mul(x, y), fx * fy)
+    _assert_normal(QQ.parse(str(fx)), fx)
+    _assert_normal(QQ.sqrt(QQ.mul(x, x)), abs(fx))
+    if not QQ.is_square(x):
+        assert QQ.sqrt(x) is None
+    if y != 0:
+        _assert_normal(QQ.div(x, y), fx / fy)
+        _assert_normal(QQ.inv(y), 1 / fy)
+
+
+def test_rational_constructors_are_ints():
+    for x, want in ((QQ.zero(), 0), (QQ.one(), 1), (QQ.from_int(-7), -7),
+                    (QQ.parse("6/3"), 2), (QQ.sqrt(Fraction(16, 4)), 2)):
+        assert type(x) is int and x == want
+    assert QQ.fmt(QQ.parse("-12")) == "-12"
+    assert QQ.fmt(QQ.parse("4/6")) == "2/3"
 
 
 def test_rational_inverse_and_quotient_stay_exact():
@@ -334,3 +372,28 @@ def test_etale_norm_multiplicative():
     # (1 + x)(1 + x) = 1 + x^2 = x, norm(1,1) = 1+1+1 = 1, norm(0,1) = 1
     assert E2.norm(1, 1) == 1
     assert E2.norm(0, 1) == 1
+
+
+def _walk_artin_schreier_root(F, a):
+    return next((t for t in F.elements() if F.add(F.mul(t, t), t) == a), None)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_artin_schreier_matches_the_walk(k):
+    # the trace decides solvability, and the solve returns the root a walk
+    # over F.elements() finds first, which center_structure builds on
+    F = PrimeField(2) if k == 1 else ExtField(2, k)
+    for a in F.elements():
+        root = _walk_artin_schreier_root(F, a)
+        assert _artin_schreier_solvable(F, a) is (root is not None)
+        assert artin_schreier_root(F, a) == root
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (2, 3), (2, 4)])
+def test_ext_field_sqrt_is_the_first_root(p, k):
+    F = ExtField(p, k)
+    first = {}
+    for t in F.elements():
+        first.setdefault(F.mul(t, t), t)
+    for x in F.elements():
+        assert F.sqrt(x) == first.get(x), x
