@@ -14,17 +14,18 @@ that satisfy it against every basis element form a subspace that contains
 1 and is closed under products, so holding on the generators it holds on
 all of the algebra.  Nothing is sampled.
 
-Brauer bookkeeping: an algebra may carry `brauer_symbols`, a list of
-(a, b) pairs over the base field whose quaternion classes multiply to the
-algebra's class.  Constructors propagate it; code that needs a class and
-finds None must compute one rather than guess.
+A subclass supplies products (mul_bb), its unit and, where the reduced
+trace is needed in characteristic 2, trd_vec.  Every other fact has one
+generic answer on the base class: the degree is the square root of the
+dimension, and the center, like the generating set, is computed once and
+kept on the algebra.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import CertificationError, UnsupportedInputError
 from .linalg import SparseEchelon, inv_matrix, kernel, lin_span_contains, rank, rref, solve, sparse_kernel
@@ -105,7 +106,7 @@ class El:
         if not self.c:
             return "0"
         F = self.A.F
-        return " + ".join(f"{F.fmt(v)}*{self.A.basis_name(k)}" for k, v in sorted(self.c.items()))
+        return " + ".join(f"{F.fmt(v)}*e{k}" for k, v in sorted(self.c.items()))
 
 
 def sums_and_differences(vectors: list):
@@ -128,12 +129,12 @@ class Algebra:
     F: Field
     dim: int
     label: str = "A"
-    brauer_symbols: Optional[list] = None
 
     def __init__(self):
         self._mul_cache: dict = {}
         self._unit: dict = {}
         self._generators: Optional[list] = None
+        self._center: Optional[list] = None
 
     def mul_bb(self, i: int, j: int) -> dict:
         """Product of basis elements i and j as sparse coords."""
@@ -173,9 +174,6 @@ class Algebra:
     def basis_el(self, i: int) -> El:
         return El(self, {i: self.F.one()})
 
-    def basis_name(self, i: int) -> str:
-        return f"e{i}"
-
     def el(self, coords: dict) -> El:
         return El(self, coords)
 
@@ -190,26 +188,15 @@ class Algebra:
         return None
 
     def trd(self, x: El):
-        """Reduced trace.  Falls back to tr(L_x)/deg when characteristic allows."""
+        """Reduced trace, read from trd_vec."""
         v = self.trd_vec()
-        F = self.F
-        if v is not None:
-            acc = F.zero()
-            for i, xi in x.c.items():
-                acc = F.add(acc, F.mul(xi, v[i]))
-            return acc
-        n = self.deg
-        if n is None:
+        if v is None:
             raise UnsupportedInputError(f"{self.label}: no reduced trace available")
-        if F.char and n % F.char == 0:
-            raise UnsupportedInputError(
-                f"{self.label}: tr(L_x)/deg is undefined in characteristic {F.char}"
-            )
-        t = F.zero()
-        for i in range(self.dim):
-            prod = self.mul(x, self.basis_el(i))
-            t = F.add(t, prod.c.get(i, F.zero()))
-        return F.div(t, F.from_int(n))
+        F = self.F
+        acc = F.zero()
+        for i, xi in x.c.items():
+            acc = F.add(acc, F.mul(xi, v[i]))
+        return acc
 
     def lmul_matrix(self, x: El) -> list:
         """Matrix of left multiplication by x, columns indexed by basis."""
@@ -310,9 +297,6 @@ class ExplicitAlgebra(Algebra):
         table: dict,
         unit: dict,
         label: str = "A",
-        names: Optional[list] = None,
-        trd: Optional[list] = None,
-        brauer_symbols: Optional[list] = None,
         verify: bool = True,
     ):
         super().__init__()
@@ -321,9 +305,6 @@ class ExplicitAlgebra(Algebra):
         self._table = table
         self._unit = {k: v for k, v in unit.items() if not F.is_zero(v)}
         self.label = label
-        self._names = names
-        self._trd = trd
-        self.brauer_symbols = brauer_symbols
         if verify:
             self.verify_associative()
         else:
@@ -331,14 +312,6 @@ class ExplicitAlgebra(Algebra):
 
     def mul_bb(self, i: int, j: int) -> dict:
         return self._table.get((i, j), {})
-
-    def basis_name(self, i: int) -> str:
-        if self._names:
-            return self._names[i]
-        return f"e{i}"
-
-    def trd_vec(self):
-        return self._trd
 
 
 class FieldAlgebra(Algebra):
@@ -350,19 +323,12 @@ class FieldAlgebra(Algebra):
         self.dim = 1
         self._unit = {0: F.one()}
         self.label = f"{F}"
-        self.brauer_symbols = []
 
     def mul_bb(self, i, j):
         return {0: self.F.one()}
 
-    def basis_name(self, i):
-        return "1"
-
     def trd_vec(self):
         return [self.F.one()]
-
-    def _center_basis_structured(self):
-        return [[self.F.one()]]
 
 
 class QuaternionAlgebra(Algebra):
@@ -386,7 +352,6 @@ class QuaternionAlgebra(Algebra):
         if label is None:
             label = f"({F.fmt(a)},{F.fmt(b)})" if not self.char2 else f"[{F.fmt(a)},{F.fmt(b)})"
         self.label = label
-        self.brauer_symbols = [(a, b)]
         self._table = self._build_table()
         self.verify_associative()
 
@@ -427,9 +392,6 @@ class QuaternionAlgebra(Algebra):
     def mul_bb(self, i, j):
         return self._table.get((i, j), {})
 
-    def basis_name(self, i):
-        return ["1", "i", "j", "k"][i]
-
     def trd_vec(self):
         F = self.F
         two = F.from_int(2)
@@ -448,9 +410,6 @@ class QuaternionAlgebra(Algebra):
             imgs = [{0: one}, {1: m1}, {2: m1}, {3: m1}]
         return Involution(self, imgs, label="gamma")
 
-    def _center_basis_structured(self):
-        return [self.one().dense()]
-
 
 class MatrixAlgebra(Algebra):
     """n x n matrices over a base algebra; basis (r, c, t) lexicographic."""
@@ -467,7 +426,6 @@ class MatrixAlgebra(Algebra):
             for t, v in one.c.items():
                 self._unit[self._idx(r, r, t)] = v
         self.label = label or f"M{n}({base.label})"
-        self.brauer_symbols = base.brauer_symbols
 
     def _idx(self, r: int, c: int, t: int) -> int:
         return (r * self.n + c) * self.base.dim + t
@@ -485,11 +443,6 @@ class MatrixAlgebra(Algebra):
         prod = self.base._mul_bb_cached(t1, t2)
         return {self._idx(r1, c2, t): v for t, v in prod.items()}
 
-    def basis_name(self, i):
-        r, c, t = self._unidx(i)
-        bn = self.base.basis_name(t)
-        return f"E{r}{c}" if bn == "1" else f"E{r}{c}*{bn}"
-
     def trd_vec(self):
         tv = self.base.trd_vec()
         if tv is None:
@@ -499,23 +452,6 @@ class MatrixAlgebra(Algebra):
         for r in range(self.n):
             for t in range(self.base.dim):
                 out[self._idx(r, r, t)] = tv[t]
-        return out
-
-    @property
-    def deg(self):
-        d = self.base.deg
-        return None if d is None else self.n * d
-
-    def _center_basis_structured(self):
-        F = self.F
-        out = []
-        for z in center_basis(self.base):
-            v = [F.zero()] * self.dim
-            for r in range(self.n):
-                for t, c in enumerate(z):
-                    if not F.is_zero(c):
-                        v[self._idx(r, r, t)] = c
-            out.append(v)
         return out
 
     def from_matrix(self, M: list) -> El:
@@ -553,8 +489,6 @@ class TensorAlgebra(Algebra):
             for j, v in B._unit.items():
                 self._unit[i * B.dim + j] = self.F.mul(u, v)
         self.label = label or f"{A.label}(x){B.label}"
-        if A.brauer_symbols is not None and B.brauer_symbols is not None:
-            self.brauer_symbols = list(A.brauer_symbols) + list(B.brauer_symbols)
 
     def _unidx(self, i):
         return i // self.B.dim, i % self.B.dim
@@ -578,10 +512,6 @@ class TensorAlgebra(Algebra):
                 out[self.idx(ka, kb)] = F.mul(va, vb)
         return out
 
-    def basis_name(self, i):
-        a, b = self._unidx(i)
-        return f"{self.A.basis_name(a)}(x){self.B.basis_name(b)}"
-
     def trd_vec(self):
         ta, tb = self.A.trd_vec(), self.B.trd_vec()
         if ta is None or tb is None:
@@ -593,11 +523,6 @@ class TensorAlgebra(Algebra):
                 out[self.idx(i, j)] = F.mul(ta[i], tb[j])
         return out
 
-    @property
-    def deg(self):
-        da, db = self.A.deg, self.B.deg
-        return None if da is None or db is None else da * db
-
     def pure(self, x: El, y: El) -> El:
         F = self.F
         coords = {}
@@ -605,21 +530,6 @@ class TensorAlgebra(Algebra):
             for j, yj in y.c.items():
                 coords[self.idx(i, j)] = F.mul(xi, yj)
         return El(self, coords)
-
-    def _center_basis_structured(self):
-        F = self.F
-        out = []
-        for za in center_basis(self.A):
-            for zb in center_basis(self.B):
-                v = [F.zero()] * self.dim
-                for i, ca in enumerate(za):
-                    if F.is_zero(ca):
-                        continue
-                    for j, cb in enumerate(zb):
-                        if not F.is_zero(cb):
-                            v[self.idx(i, j)] = F.mul(ca, cb)
-                out.append(v)
-        return out
 
 
 class OppositeAlgebra(Algebra):
@@ -632,23 +542,9 @@ class OppositeAlgebra(Algebra):
         self.dim = A.dim
         self._unit = dict(A._unit)
         self.label = f"{A.label}^op"
-        self.brauer_symbols = A.brauer_symbols
 
     def mul_bb(self, i, j):
         return self.A._mul_bb_cached(j, i)
-
-    def basis_name(self, i):
-        return self.A.basis_name(i)
-
-    def trd_vec(self):
-        return self.A.trd_vec()
-
-    @property
-    def deg(self):
-        return self.A.deg
-
-    def _center_basis_structured(self):
-        return center_basis(self.A)
 
 
 class ProductAlgebra(Algebra):
@@ -674,25 +570,11 @@ class ProductAlgebra(Algebra):
             return {k + self.A.dim: v for k, v in prod.items()}
         return {}
 
-    def basis_name(self, i):
-        if i < self.A.dim:
-            return f"l.{self.A.basis_name(i)}"
-        return f"r.{self.B.basis_name(i - self.A.dim)}"
-
     def inject_left(self, x: El) -> El:
         return El(self, dict(x.c))
 
     def inject_right(self, y: El) -> El:
         return El(self, {k + self.A.dim: v for k, v in y.c.items()})
-
-    def _center_basis_structured(self):
-        F = self.F
-        out = []
-        for za in center_basis(self.A):
-            out.append(list(za) + [F.zero()] * self.B.dim)
-        for zb in center_basis(self.B):
-            out.append([F.zero()] * self.A.dim + list(zb))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -900,14 +782,15 @@ def involution_type(A: Algebra, sigma: Involution) -> str:
 # centers, idempotents, corners
 
 def center_basis(A: Algebra) -> list:
-    """Basis of the center as dense vectors.
+    """Basis of the center as dense vectors: the joint commutant of
+    A.generators(), one sparse kernel.
 
-    Structured algebras compute it from their factors; otherwise it is the
-    joint commutant of the generators.
+    Computed once per algebra, like the generators; later calls return the
+    same list.  Callers read only basis-independent facts from it (its
+    dimension, and whether an involution fixes it).
     """
-    structured = getattr(A, "_center_basis_structured", None)
-    if structured is not None:
-        return structured()
+    if A._center is not None:
+        return A._center
     F = A.F
     n = A.dim
     rows = []
@@ -918,7 +801,8 @@ def center_basis(A: Algebra) -> list:
             for r, v in sp_sub(F, A._mul_bb_cached(g, c), A._mul_bb_cached(c, g)).items():
                 block[r][c] = v
         rows.extend(block)
-    return sparse_kernel(F, rows, n)
+    A._center = sparse_kernel(F, rows, n)
+    return A._center
 
 
 def center_structure(A: Algebra):
@@ -1057,9 +941,6 @@ class AlgebraHom:
                 else:
                     acc[k] = nv
         return El(self.B, acc)
-
-    def __call__(self, x):
-        return self.apply(x)
 
     def verify(self) -> dict:
         """Check phi(1) = 1 and phi(g e_j) = phi(g) phi(e_j) for every

@@ -117,11 +117,6 @@ class CliffordAlgebra(Algebra):
         low = i & -i
         return self._gens_times((low.bit_length() - 1,), self._mul_bb_cached(i ^ low, j))
 
-    def basis_name(self, i: int) -> str:
-        if i == 0:
-            return "1"
-        return "e" + "".join(str(t) for t in self._mask_to_word(i))
-
     def embed_vector(self, v: list) -> El:
         """The image of a vector of V inside C."""
         F = self.F
@@ -179,9 +174,6 @@ class EvenCliffordAlgebra(Algebra):
     def mul_bb(self, i: int, j: int) -> dict:
         pos = self.pos
         return {pos[m]: v for m, v in self.C._mul_bb_cached(self.masks[i], self.masks[j]).items()}
-
-    def basis_name(self, i: int) -> str:
-        return self.C.basis_name(self.masks[i])
 
 
 def even_clifford(q: QuadraticSpace):
@@ -477,17 +469,7 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
         for b, wb in enumerate(canon):
             red = reduce_long(wa + wb)
             table[(a, b)] = {index[w]: v for w, v in red.items()}
-    names = ["1"] + [
-        "n" + ".".join(str(worker.n_letters[p]) for p in w) for w in canon[1:]
-    ] if canon and canon[0] == () else None
-    C = ExplicitAlgebra(
-        F,
-        dim,
-        table,
-        {index[()]: F.one()},
-        label=f"C({A.label},pair)",
-        names=names,
-    )
+    C = ExplicitAlgebra(F, dim, table, {index[()]: F.one()}, label=f"C({A.label},pair)")
 
     # canonical linear map A -> C
     a_images = []

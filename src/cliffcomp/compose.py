@@ -97,7 +97,7 @@ from .mcd import (
     mcd_first_kind,
     mcd_unitary,
     admissible_degree,
-    distance_over_s,
+    distance_over,
     profile_from_form,
     profile_from_pair_clifford,
     EXACT,
@@ -119,7 +119,7 @@ def etale_algebra(S: EtaleQuadratic):
     one = F.one()
     ww = {0: S.datum, 1: one} if S.char2 else {0: S.datum}
     table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): ww}
-    E = ExplicitAlgebra(F, 2, table, {0: one}, label="S", names=["1", "w"])
+    E = ExplicitAlgebra(F, 2, table, {0: one}, label="S")
     imgs = []
     for t in range(2):
         c0, c1 = (one, F.zero()) if t == 0 else (F.zero(), one)
@@ -761,7 +761,7 @@ def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
                  [f"target: unitary, case {expected.case}"])
 
     def dist(cls):
-        return distance_over_s(F, S, c0, cls)
+        return distance_over(F, c0, cls, S)
 
     center_matches = (n % 4 == 2 and not prof.z_split and not S.split
                       and prof.z_etale.is_isomorphic(S))

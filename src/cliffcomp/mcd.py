@@ -195,25 +195,22 @@ class McdResult:
 # ---------------------------------------------------------------------------
 # distance plumbing
 
-def _d_res(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuadratic) -> int:
+def distance_over(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuadratic) -> int:
     """d(res(c1), res(c2)) over the compositum of the given quadratic
     fields (over F itself when none is given); 0 off Q, where every class
     is trivial.
 
     The restrictions differ exactly when a place where c1 and c2 differ
     stays degree 1 upstairs, that is, splits completely in the compositum:
-    in each of the fields, so a repeated field changes nothing.
+    in each of the fields, so a repeated field changes nothing.  A split
+    field F x F splits every place, so it changes nothing either: the
+    distance over a split S is the one over F, and over Z (x) S with S
+    split it is the one over Z.
     """
     if not isinstance(F, RationalField):
         return 0
     return int(any(all(et.place_behavior(v) == "split" for et in fields)
                    for v in c1.support ^ c2.support))
-
-
-def distance_over_s(F: Field, S: EtaleQuadratic, c0: BrauerClass, cls: BrauerClass) -> int:
-    """d(res_S(c0), res_S(cls)); for split S = F x F this is the distance
-    over F."""
-    return _d_res(F, c0, cls) if S.split else _d_res(F, c0, cls, S)
 
 
 def _d_split_pair(c: BrauerClass, cp: BrauerClass, cm: BrauerClass) -> int:
@@ -248,7 +245,7 @@ def mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResu
             hit = profile.c_plus == c or profile.c_minus == c
             delta = 1 if (hit and eps == 1) else 0
             return McdResult(EXACT, 2 * k - 1 + dmin + delta, "first-kind/4k/split-center", False)
-        d = _d_res(F, c, profile.c_base, profile.z_etale)
+        d = distance_over(F, c, profile.c_base, profile.z_etale)
         delta = 1 if (d == 0 and eps == 1) else 0
         return McdResult(MULTIPLE, 2 * k + d + delta, "first-kind/4k/field-center", True)
 
@@ -257,7 +254,7 @@ def mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResu
     if profile.z_split:
         d = _d_split_pair(c, profile.c_plus, profile.c_minus)
     else:
-        d = _d_res(F, c, profile.c_base, profile.z_etale)
+        d = distance_over(F, c, profile.c_base, profile.z_etale)
     return McdResult(EXACT, 2 * k + 1 + d, "first-kind/4k+2", False)
 
 
@@ -279,18 +276,18 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
 
     if n % 2:
         k = (n - 1) // 2
-        return McdResult(EXACT, k + distance_over_s(F, S, c0, profile.c_odd), "unitary/odd", True)
+        return McdResult(EXACT, k + distance_over(F, c0, profile.c_odd, S), "unitary/odd", True)
 
     if n % 4 == 0:
         k = n // 4
         if profile.z_split:
-            dmin = min(distance_over_s(F, S, c0, profile.c_plus),
-                       distance_over_s(F, S, c0, profile.c_minus))
+            dmin = min(distance_over(F, c0, profile.c_plus, S),
+                       distance_over(F, c0, profile.c_minus, S))
             return McdResult(EXACT, 2 * k - 1 + dmin, "unitary/4k/split-center", False)
         # Z a field
         if not S.split and profile.z_etale.is_isomorphic(S):
             if profile.source == "form":
-                d = distance_over_s(F, S, c0, profile.c_base)
+                d = distance_over(F, c0, profile.c_base, S)
                 return McdResult(
                     EXACT,
                     2 * k + d,
@@ -305,7 +302,7 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
                 False,
                 note="center of C isomorphic to S as fields; covered only for trivial algebras",
             )
-        d = _d_over_z_tensor_s(profile, S, c0)
+        d = distance_over(F, c0, profile.c_base, profile.z_etale, S)
         return McdResult(MULTIPLE, 2 * k + d, "unitary/4k/field-center", True)
 
     # n = 4k + 2
@@ -314,7 +311,7 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
         if profile.z_split:
             d = _d_split_pair(c0, profile.c_plus, profile.c_minus)
         else:
-            d = distance_over_s(F, S, c0, profile.c_base)
+            d = distance_over(F, c0, profile.c_base, S)
         # the opposite class coincides with the class itself at 2-torsion,
         # so the min over {C, op C} collapses
         return McdResult(EXACT, 2 * k + d, "unitary/4k+2/center-matches-S", False)
@@ -326,16 +323,8 @@ def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -
             False,
             note="split center with a field S is not covered",
         )
-    d = _d_over_z_tensor_s(profile, S, c0)
+    d = distance_over(F, c0, profile.c_base, profile.z_etale, S)
     return McdResult(MULTIPLE, 2 * k + 1 + d, "unitary/4k+2/field-center", True)
-
-
-def _d_over_z_tensor_s(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> int:
-    """d(res(c0), res(c_base)) over Z tensor S, for field Z not isomorphic
-    to S.  S split gives Z x Z, where the distance equals the one over Z;
-    S a field gives the biquadratic compositum."""
-    fields = (profile.z_etale,) if S.split else (profile.z_etale, S)
-    return _d_res(profile.F, c0, profile.c_base, *fields)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +381,7 @@ def lower_bound_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) ->
     if profile.z_split:
         d = _d_split_pair(c, profile.c_plus, profile.c_minus)
     else:
-        d = _d_res(profile.F, c, profile.c_base, profile.z_etale)
+        d = distance_over(profile.F, c, profile.c_base, profile.z_etale)
     return BoundReport(
         2 * k + 1, d == 0, "bound/first-kind/4k+2", "class of C over Z equals the restricted target"
     )
@@ -404,13 +393,13 @@ def lower_bound_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: Brauer
 
     if n % 2:
         k = (n - 1) // 2
-        eq = distance_over_s(F, S, c0, profile.c_odd) == 0
+        eq = distance_over(F, c0, profile.c_odd, S) == 0
         return BoundReport(k, eq, "bound/unitary/odd", "restriction of C matches the target")
     if n % 4 == 0:
         k = n // 4
         eq = profile.z_split and (
-            min(distance_over_s(F, S, c0, profile.c_plus),
-                distance_over_s(F, S, c0, profile.c_minus)) == 0
+            min(distance_over(F, c0, profile.c_plus, S),
+                distance_over(F, c0, profile.c_minus, S)) == 0
         )
         return BoundReport(
             2 * k - 1, eq, "bound/unitary/4k", "center splits and a factor restricts to the target"
@@ -420,7 +409,7 @@ def lower_bound_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: Brauer
         if profile.z_split:
             d = _d_split_pair(c0, profile.c_plus, profile.c_minus)
         else:
-            d = distance_over_s(F, S, c0, profile.c_base)
+            d = distance_over(F, c0, profile.c_base, S)
         eq = d == 0
     else:
         eq = False
@@ -478,7 +467,7 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
                 d2 = c.distance(profile.c_minus)
                 sol = _two_term_form(degree, degC, d1, d2, 0, 0)
                 return {"ok": sol is not None, "case": "cbound/split-center", "params": sol}
-            d = _d_res(F, c, profile.c_base, profile.z_etale)
+            d = distance_over(F, c, profile.c_base, profile.z_etale)
             need_even = d == 0 and eps == 1
             unit = degC << (d + 1)
             ok = degree % unit == 0 and (not need_even or (degree // unit) % 2 == 0)
@@ -489,7 +478,7 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
             d2 = c.distance(profile.c_minus)
             sol = _two_term_form(degree, degC, d1, d2, 1, 1)
             return {"ok": sol is not None, "case": "cbound/split-center-injective", "params": sol}
-        d = _d_res(F, c, profile.c_base, profile.z_etale)
+        d = distance_over(F, c, profile.c_base, profile.z_etale)
         unit = degC << (d + 1)
         return {
             "ok": degree % unit == 0,
@@ -500,11 +489,11 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
     S, c0 = request["S"], request["c0"]
 
     if n % 2:
-        unit = degC << distance_over_s(F, S, c0, profile.c_odd)
+        unit = degC << distance_over(F, c0, profile.c_odd, S)
         return {"ok": degree % unit == 0, "case": "cbound/Z-trivial", "params": {"unit": unit}}
     if profile.z_split:
-        d1 = distance_over_s(F, S, c0, profile.c_plus)
-        d2 = distance_over_s(F, S, c0, profile.c_minus)
+        d1 = distance_over(F, c0, profile.c_plus, S)
+        d2 = distance_over(F, c0, profile.c_minus, S)
         lo = 1 if n % 4 == 2 else 0
         if lo and S.split:
             # split target center: the two product factors can absorb one
@@ -519,11 +508,11 @@ def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> 
         case = "cbound/split-center" + ("-injective" if lo else "")
         return {"ok": sol is not None, "case": case, "params": sol}
     if not S.split and profile.z_etale.is_isomorphic(S):
-        d = distance_over_s(F, S, c0, profile.c_base)
+        d = distance_over(F, c0, profile.c_base, S)
         lo = 1 if n % 4 == 0 else 0  # kind mismatch on centers forces both terms
         sol = _two_term_form(degree, degC, d, d, lo, lo)
         return {"ok": sol is not None, "case": "cbound/center-matches-S", "params": sol}
-    d = _d_over_z_tensor_s(profile, S, c0)
+    d = distance_over(F, c0, profile.c_base, profile.z_etale, S)
     unit = degC << (d + 1)
     return {"ok": degree % unit == 0, "case": "cbound/compositum", "params": {"unit": unit}}
 

@@ -568,8 +568,21 @@ def squarefree_part(x) -> int:
 # polynomial helpers for GF(p^k)
 
 def _coeff_tuples(p: int, k: int) -> Iterator[tuple]:
-    """Every k-tuple over range(p), the first coefficient varying fastest."""
-    return (t[::-1] for t in itertools.product(range(p), repeat=k))
+    """Every k-tuple over range(p), the first coefficient varying fastest.
+
+    Counted lazily: itertools.product would first hold range(p) as a tuple,
+    which for a large p exhausts memory before the first tuple comes out.
+    """
+    t = [0] * k
+    while True:
+        yield tuple(t)
+        i = 0
+        while i < k and t[i] == p - 1:
+            t[i] = 0
+            i += 1
+        if i == k:
+            return
+        t[i] += 1
 
 
 def _poly_trim(a):
@@ -609,15 +622,45 @@ def _poly_divmod(a, b, p):
     return _poly_trim(tuple(q)), _poly_trim(tuple(a))
 
 
+def _poly_gcd(a, b, p):
+    """A greatest common divisor over GF(p), not normalized."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b != (0,):
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
+
+
+def _poly_pow_mod(a, e: int, m, p):
+    """a^e mod m over GF(p), by repeated squaring."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, a, p), m, p)[1]
+        e >>= 1
+        if e:
+            a = _poly_divmod(_poly_mul(a, a, p), m, p)[1]
+    return out
+
+
 def _poly_is_irreducible(m, p) -> bool:
-    """Exhaustive divisor test, adequate at desk scale (small p, small degree)."""
+    """Rabin's test: m of degree k is irreducible over GF(p) exactly when
+    x^(p^k) = x mod m and gcd(x^(p^(k/r)) - x, m) = 1 for each prime r | k.
+    It costs k powerings to the p-th power modulo m."""
     m = _poly_trim(m)
-    deg = len(m) - 1
-    if deg <= 1:
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for tail in _coeff_tuples(p, d):
-            if _poly_divmod(m, tail + (1,), p)[1] == (0,):
+    k = len(m) - 1
+    if k <= 1:
+        return k == 1
+    x = (0, 1)
+    frob = [x]  # frob[j] = x^(p^j) mod m
+    for _ in range(k):
+        frob.append(_poly_pow_mod(frob[-1], p, m, p))
+    if frob[k] != x:
+        return False
+    for r in range(2, k + 1):
+        if k % r == 0 and _is_prime(r):
+            f = list(frob[k // r]) + [0]
+            f[1] = (f[1] - 1) % p
+            if len(_poly_gcd(m, f, p)) > 1:
                 return False
     return True
 

@@ -1,9 +1,11 @@
 """Algebra constructors, involutions, centers, homomorphisms."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from cliffcomp import algebra
 from cliffcomp.algebra import (
     AlgebraHom,
     ExplicitAlgebra,
@@ -26,8 +28,12 @@ from cliffcomp.algebra import (
     swap_involution,
     transpose_involution,
 )
+from cliffcomp.clifford import even_clifford
+from cliffcomp.compose import etale_algebra
 from cliffcomp.errors import CertificationError, UnsupportedInputError
-from cliffcomp.scalars import QQ, PrimeField
+from cliffcomp.linalg import rank
+from cliffcomp.quadform import QuadraticSpace
+from cliffcomp.scalars import QQ, PrimeField, quad_ext_info
 
 
 F2 = PrimeField(2)
@@ -113,7 +119,6 @@ def test_tensor_of_quaternions():
     Q2 = QuaternionAlgebra(QQ, frac(2), frac(5))
     T = TensorAlgebra(Q1, Q2)
     assert T.dim == 16 and T.deg == 4
-    assert T.brauer_symbols == [(frac(-1), frac(-1)), (frac(2), frac(5))]
     s = involution_on_tensor(T, Q1.gamma(), Q2.gamma())
     s.verify()
     # symplectic (x) symplectic = orthogonal
@@ -270,3 +275,139 @@ def test_quaternion_gf3():
             if alg_inverse(Q, x) is None and not x.is_zero():
                 found = True
     assert found
+
+
+# ---------------------------------------------------------------------------
+# one cached center and one degree, against the per-class versions they
+# replaced
+
+def ref_center_basis(A):
+    """The per-class centers that the single commutant replaced: each
+    constructor's center assembled from its factors' centers.  Other
+    algebras (explicit tables, corners, C0) took the commutant already."""
+    F = A.F
+    zero = F.zero()
+    if isinstance(A, FieldAlgebra):
+        return [[F.one()]]
+    if isinstance(A, QuaternionAlgebra):
+        return [A.one().dense()]
+    if isinstance(A, MatrixAlgebra):
+        out = []
+        for z in ref_center_basis(A.base):
+            v = [zero] * A.dim
+            for r in range(A.n):
+                for t, c in enumerate(z):
+                    if not F.is_zero(c):
+                        v[A._idx(r, r, t)] = c
+            out.append(v)
+        return out
+    if isinstance(A, TensorAlgebra):
+        out = []
+        for za in ref_center_basis(A.A):
+            for zb in ref_center_basis(A.B):
+                v = [zero] * A.dim
+                for i, ca in enumerate(za):
+                    for j, cb in enumerate(zb):
+                        if not F.is_zero(ca) and not F.is_zero(cb):
+                            v[A.idx(i, j)] = F.mul(ca, cb)
+                out.append(v)
+        return out
+    if isinstance(A, OppositeAlgebra):
+        return ref_center_basis(A.A)
+    if isinstance(A, ProductAlgebra):
+        return ([list(z) + [zero] * A.B.dim for z in ref_center_basis(A.A)]
+                + [[zero] * A.A.dim + list(z) for z in ref_center_basis(A.B)])
+    return center_basis(A)
+
+
+def ref_deg(A):
+    """The per-class degree overrides that Algebra.deg replaced."""
+    if isinstance(A, MatrixAlgebra):
+        d = ref_deg(A.base)
+        return None if d is None else A.n * d
+    if isinstance(A, TensorAlgebra):
+        da, db = ref_deg(A.A), ref_deg(A.B)
+        return None if da is None or db is None else da * db
+    if isinstance(A, OppositeAlgebra):
+        return ref_deg(A.A)
+    d = math.isqrt(A.dim)
+    return d if d * d == A.dim else None
+
+
+def _split_corner(q):
+    """A corner e C0 e of an even form with split center, as compose takes it."""
+    _, C0, _, _, _ = even_clifford(q)
+    et, e = center_structure(C0)
+    assert et.split
+    return corner_algebra(C0, e)[0]
+
+
+def center_corpus():
+    """Every algebra class that compose builds, over Q, GF(3) and GF(2)."""
+    HQ = QuaternionAlgebra(QQ, frac(-1), frac(-1))
+    Q3 = QuaternionAlgebra(F3, 1, 2)
+    Q2 = QuaternionAlgebra(F2, 1, 1)
+    cornerQ = _split_corner(QuadraticSpace.diagonal(QQ, [frac(1), frac(-1), frac(2), frac(-2)]))
+    corner3 = _split_corner(QuadraticSpace.diagonal(F3, [1, 1, 1, 1]))
+    # x1 x2 + x3 x4 has Arf invariant 0, so its C0 has a split center
+    corner2 = _split_corner(QuadraticSpace(F2, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]))
+    _, C0odd, _, _, _ = even_clifford(QuadraticSpace.diagonal(QQ, [frac(1), frac(2), frac(3)]))
+    S, _ = etale_algebra(quad_ext_info(QQ, frac(-1)))
+    S3, _ = etale_algebra(quad_ext_info(F3, 2))
+    return [
+        FieldAlgebra(QQ), HQ, Q3, Q2, C0odd, cornerQ, corner3, corner2, S,
+        MatrixAlgebra(FieldAlgebra(F3), 3),
+        MatrixAlgebra(HQ, 2), MatrixAlgebra(Q3, 2), MatrixAlgebra(cornerQ, 2),
+        MatrixAlgebra(corner2, 2),
+        TensorAlgebra(cornerQ, HQ), TensorAlgebra(corner3, Q3), TensorAlgebra(C0odd, HQ),
+        TensorAlgebra(C0odd, S), TensorAlgebra(Q3, S3), TensorAlgebra(HQ, QuaternionAlgebra(QQ, frac(2), frac(5))),
+        OppositeAlgebra(HQ), OppositeAlgebra(cornerQ),
+        ProductAlgebra(C0odd, OppositeAlgebra(C0odd)), ProductAlgebra(corner2, OppositeAlgebra(corner2)),
+        ProductAlgebra(Q3, OppositeAlgebra(Q3)),
+    ]
+
+
+def test_cached_center_spans_the_structured_center():
+    corpus = center_corpus()
+    assert {type(A).__name__ for A in corpus} >= {
+        "FieldAlgebra", "QuaternionAlgebra", "MatrixAlgebra", "TensorAlgebra",
+        "OppositeAlgebra", "ProductAlgebra", "ExplicitAlgebra", "EvenCliffordAlgebra"}
+    for A in corpus:
+        got, ref = center_basis(A), ref_center_basis(A)
+        F = A.F
+        assert len(got) == len(ref) == rank(F, got) == rank(F, ref) == rank(F, got + ref), A
+
+
+def test_degree_matches_the_per_class_overrides():
+    for A in center_corpus():
+        assert A.deg == ref_deg(A), A
+
+
+def test_center_is_computed_once(monkeypatch):
+    calls = []
+    real = algebra.sparse_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "sparse_kernel", counting)
+    A = MatrixAlgebra(QuaternionAlgebra(QQ, frac(-1), frac(3)), 2)
+    first = center_basis(A)
+    assert len(calls) == 1 and len(first) == 1
+    assert center_basis(A) is first
+    assert len(calls) == 1
+
+
+def test_trace_needs_a_trace_vector():
+    # no tr(L_x)/deg fallback: an algebra without trd_vec has no trace
+    t = {(0, 0): {0: frac(1)}, (0, 1): {1: frac(1)}, (1, 0): {1: frac(1)}, (1, 1): {0: frac(2)}}
+    A = ExplicitAlgebra(QQ, 2, t, {0: frac(1)})
+    with pytest.raises(UnsupportedInputError):
+        A.trd(A.one())
+
+
+def test_element_repr_names_basis_indices():
+    Q = QuaternionAlgebra(QQ, frac(-1), frac(-1))
+    assert repr(Q.one() + 2 * Q.basis_el(3)) == "1*e0 + 2*e3"
+    assert repr(Q.zero()) == "0"

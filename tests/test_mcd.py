@@ -12,10 +12,10 @@ from cliffcomp.mcd import (
     EXACT,
     MULTIPLE,
     NOT_COVERED,
-    _d_res,
     admissible_degree,
     canonical_involution_type,
     dbound_min_degree,
+    distance_over as _d_res,
     lower_bound_first_kind,
     lower_bound_unitary,
     mcd_first_kind,
@@ -172,6 +172,18 @@ def test_d_res_matches_the_compositum_reference():
                 hits += d
     assert hits  # not every pair collapses
     assert _d_res(F3, trivial_class(F3), BrauerClass(F3, [(1, 2)])) == 0
+
+
+def test_split_fields_leave_the_distance_unchanged():
+    # a split S splits every place, so it neither restricts nor adds a field
+    split = EtaleQuadratic(QQ, Fraction(1), True)
+    z = EtaleQuadratic(QQ, Fraction(-1), False)
+    symbols = [[], [(-1, -1)], [(2, 5)], [(3, 7)], [(-1, -1), (2, 5)]]
+    classes = [BrauerClass(QQ, [(Fraction(a), Fraction(b)) for a, b in s]) for s in symbols]
+    for c1 in classes:
+        for c2 in classes:
+            assert _d_res(QQ, c1, c2, split) == _d_res(QQ, c1, c2)
+            assert _d_res(QQ, c1, c2, z, split) == _d_res(QQ, c1, c2, z)
 
 
 def test_mcd_unitary_excluded_case():

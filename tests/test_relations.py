@@ -1,0 +1,141 @@
+"""Metamorphic relations: changes of the input that must not change the answer.
+
+Permuting the coordinates of a form, and scaling one diagonal entry by a
+nonzero square, give an isometric form.  So `invariants` keeps its supports
+and trivial flags (the chosen symbols and datum may move), `mcd` and
+`bound` keep their values, and `compose` keeps the witness's degree and
+type.  The forms are diagonal over Q and GF(3), and Gram forms over GF(2).
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from cliffcomp import cli
+from cliffcomp.quadform import QuadraticSpace
+from cliffcomp.scalars import PrimeField
+
+Q_ENTRIES = (1, -1, 2, -2, 3, -3, 5, -5, 7, -7)
+Q_SQUARES = (4, 9, Fraction(1, 4), Fraction(25, 9))
+TRIVIAL = {"type": "symplectic"}
+TARGETS = {
+    "Q": [{"type": "orthogonal"}, TRIVIAL, {"type": "orthogonal", "class": [[-1, -1]]},
+          {"type": "unitary", "s": {"datum": -1}}, {"type": "unitary", "s": {"datum": 2}},
+          {"type": "unitary", "s": {"split": True}}],
+    "GF(3)": [{"type": "orthogonal"}, TRIVIAL, {"type": "unitary", "s": {"datum": 2}},
+              {"type": "unitary", "s": {"split": True}}],
+    "GF(2)": [TRIVIAL, {"type": "unitary", "s": {"datum": 1}},
+              {"type": "unitary", "s": {"split": True}}],
+}
+COMPOSE_MAX_N = 4
+EXAMPLES = 4
+
+
+def call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.run(list(argv))
+    return rc, (json.loads(out.getvalue()) if out.getvalue() else None)
+
+
+def args(field, obj, target=None):
+    argv = ["--field", field, "--object", json.dumps(obj)]
+    if target is not None:
+        argv += ["--type", target["type"]]
+        if "class" in target:
+            argv += ["--class", json.dumps(target["class"])]
+        if "s" in target:
+            argv += ["--s", json.dumps(target["s"])]
+    return argv
+
+
+def _classes(inv):
+    """Supports and trivial flags of every class in an invariants object;
+    the two factor classes of a split center as an unordered pair, since a
+    permutation may swap the central idempotents."""
+    def key(c):
+        return (tuple(c["support"]), c["trivial"])
+    out = {k: key(inv[k]) for k in ("clifford_class", "clifford_class_over_center") if k in inv}
+    if "factor_classes" in inv:
+        out["factor_classes"] = sorted(key(c) for c in inv["factor_classes"])
+    if "center" in inv:
+        out["center_split"] = inv["center"]["split"]
+    return out
+
+
+def answers(field, obj, n, compose_target):
+    """The facts the relations keep, read from the CLI's JSON."""
+    rc, inv = call("invariants", *args(field, obj))
+    got = {"invariants": (rc, inv and _classes(inv))}
+    for k, target in enumerate(TARGETS[field]):
+        rc, res = call("mcd", *args(field, obj, target))
+        got[f"mcd{k}"] = (rc, res and (res["status"], res["value"]))
+        rc, res = call("bound", *args(field, obj, target))
+        got[f"bound{k}"] = (rc, res and (res["lower_bound"]["value"], res["lower_bound"]["equality"]))
+    if n <= COMPOSE_MAX_N:
+        rc, res = call("compose", *args(field, obj, compose_target))
+        got["compose"] = (rc, res and (res["witness"]["degree"], res["witness"]["involution_type"]))
+    return got
+
+
+def permuted_gram(M, perm):
+    """The coefficient matrix of q(x_perm) in upper-triangular form."""
+    n = len(M)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a, b = sorted((perm[i], perm[j]))
+            out[a][b] += M[i][j]
+    return out
+
+
+def diagonal_cases(field, n):
+    pool = Q_ENTRIES if field == "Q" else (1, 2)
+    return st.tuples(
+        st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+        st.permutations(range(n)),
+        st.integers(0, n - 1),
+        st.sampled_from(Q_SQUARES if field == "Q" else (1, 4)),
+        st.sampled_from(TARGETS[field]),
+    )
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(3)"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_diagonal_forms_keep_their_answers(field, n):
+    @settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+    @given(diagonal_cases(field, n))
+    def check(case):
+        diag, perm, at, square, target = case
+        base = answers(field, {"diag": diag}, n, target)
+        permuted = [diag[perm[i]] for i in range(n)]
+        assert answers(field, {"diag": permuted}, n, target) == base
+        scaled = list(diag)
+        scaled[at] = str(Fraction(diag[at]) * Fraction(square))
+        assert answers(field, {"diag": scaled}, n, target) == base
+
+    check()
+
+
+def gf2_gram_cases(n):
+    entries = st.lists(st.integers(0, 1), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
+    return st.tuples(entries, st.permutations(range(n)), st.sampled_from(TARGETS["GF(2)"]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gf2_gram_forms_keep_their_answers_under_permutation(n):
+    @settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+    @given(gf2_gram_cases(n))
+    def check(case):
+        entries, perm, target = case
+        slots = iter(entries)
+        M = [[next(slots) if j >= i else 0 for j in range(n)] for i in range(n)]
+        assume(QuadraticSpace(PrimeField(2), M).regularity() != "degenerate")
+        base = answers("GF(2)", {"gram": M}, n, target)
+        assert answers("GF(2)", {"gram": permuted_gram(M, perm)}, n, target) == base
+
+    check()

@@ -1,5 +1,7 @@
 """Field arithmetic, square classes, Hilbert symbols, quadratic etale data."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,10 @@ from cliffcomp.scalars import (
     PrimeField,
     PLACE_REAL,
     _artin_schreier_solvable,
+    _coeff_tuples,
+    _poly_divmod,
+    _poly_is_irreducible,
+    _poly_trim,
     artin_schreier_root,
     etale_split,
     field_from_json,
@@ -66,6 +72,45 @@ def test_ext_field_modulus_checked():
         ExtField(2, 2, (0, 0, 1))  # X^2 reducible
     with pytest.raises(UnsupportedInputError):
         ExtField(2, 2, (1, 1))  # wrong degree
+
+
+def ref_poly_is_irreducible(m, p) -> bool:
+    """The exhaustive divisor test that Rabin's test replaced: try every
+    monic polynomial of degree up to deg(m) / 2."""
+    m = _poly_trim(m)
+    deg = len(m) - 1
+    if deg <= 1:
+        return deg == 1
+    for d in range(1, deg // 2 + 1):
+        for tail in _coeff_tuples(p, d):
+            if _poly_divmod(m, tail + (1,), p)[1] == (0,):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3)), (7, (2, 3))])
+def test_rabin_matches_the_divisor_search(p, degrees):
+    irreducible = 0
+    for d in degrees:
+        for tail in _coeff_tuples(p, d):
+            m = tail + (1,)
+            verdict = _poly_is_irreducible(m, p)
+            assert verdict == ref_poly_is_irreducible(m, p), m
+            irreducible += verdict
+    assert irreducible  # both verdicts occur
+
+
+def test_coeff_tuples_order():
+    # the first coefficient varies fastest, which fixes the default moduli
+    for p, k in ((2, 3), (3, 2), (5, 3)):
+        assert list(_coeff_tuples(p, k)) == [t[::-1] for t in itertools.product(range(p), repeat=k)]
+
+
+def test_large_prime_extension_builds_fast():
+    t0 = time.perf_counter()
+    F = ExtField(100003, 2)
+    assert time.perf_counter() - t0 < 0.2
+    assert F.modulus == (1, 0, 1)
 
 
 def test_field_json_roundtrip():
