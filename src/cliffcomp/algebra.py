@@ -19,6 +19,12 @@ trace is needed in characteristic 2, trd_vec.  Every other fact has one
 generic answer on the base class: the degree is the square root of the
 dimension, and the center, like the generating set, is computed once and
 kept on the algebra.
+
+Linear algebra stays in these coordinates: a map on elements (x -> gx -
+xg, sigma - id, left multiplication) goes to linalg as the list of its
+column images, the sparse coords of the images of the basis elements, and
+kernels and solutions come back as sparse coords.  No dense matrix is
+built on the way.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from collections import deque
 from typing import Optional
 
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import SparseEchelon, inv_matrix, kernel, lin_span_contains, rank, rref, solve, sparse_kernel
+from .linalg import SparseEchelon, inverse, kernel, rref, solve
 from .scalars import Field
 
 
@@ -197,17 +203,6 @@ class Algebra:
         for i, xi in x.c.items():
             acc = F.add(acc, F.mul(xi, v[i]))
         return acc
-
-    def lmul_matrix(self, x: El) -> list:
-        """Matrix of left multiplication by x, columns indexed by basis."""
-        F = self.F
-        cols = [self.mul(x, self.basis_el(j)).c for j in range(self.dim)]
-        return [[cols[j].get(i, F.zero()) for j in range(self.dim)] for i in range(self.dim)]
-
-    def rmul_matrix(self, x: El) -> list:
-        F = self.F
-        cols = [self.mul(self.basis_el(j), x).c for j in range(self.dim)]
-        return [[cols[j].get(i, F.zero()) for j in range(self.dim)] for i in range(self.dim)]
 
     def verify_unit(self) -> None:
         one = self.one()
@@ -605,11 +600,6 @@ class Involution:
     def __call__(self, x: El) -> El:
         return self.apply(x)
 
-    def matrix(self) -> list:
-        F = self.A.F
-        n = self.A.dim
-        return [[self.images[j].get(i, F.zero()) for j in range(n)] for i in range(n)]
-
     def verify(self) -> dict:
         """Check sigma(1) = 1, sigma^2 = id on the basis, and
         sigma(g e_j) = sigma(e_j) sigma(g) for every generator g and basis e_j.
@@ -637,24 +627,10 @@ class Involution:
         return {"generators": len(gens), "checks": 1 + n + len(gens) * n}
 
     def sym_basis(self) -> list:
-        """Basis of Sym(A, sigma) = ker(sigma - id), as dense vectors."""
+        """Basis of Sym(A, sigma) = ker(sigma - id), as sparse coords."""
         F = self.A.F
-        M = self.matrix()
-        n = self.A.dim
-        N = [[F.sub(M[i][j], F.one() if i == j else F.zero()) for j in range(n)] for i in range(n)]
-        return kernel(F, N)
-
-    def alt_basis(self) -> list:
-        """Basis of Alt(A, sigma) = {x - sigma(x)}, as dense vectors."""
-        F = self.A.F
-        n = self.A.dim
-        rows = []
-        for i in range(n):
-            x = self.A.basis_el(i)
-            d = x - self.apply(x)
-            rows.append(d.dense())
-        R, piv, r = rref(F, rows)
-        return [R[i] for i in range(r)]
+        cols = [sp_sub(F, im, {j: F.one()}) for j, im in enumerate(self.images)]
+        return kernel(F, cols, self.A.dim)
 
 
 def involution_on_tensor(T: TensorAlgebra, sA: Involution, sB: Involution, label=None) -> Involution:
@@ -734,14 +710,11 @@ def adjoint_involution(M: MatrixAlgebra, G: list, base_inv: Optional[Involution]
 
 
 def alg_inverse(A: Algebra, x: El) -> Optional[El]:
-    """Inverse of x in A via the left-multiplication matrix, or None."""
-    F = A.F
-    L = A.lmul_matrix(x)
-    one = A.one().dense()
-    y = solve(F, L, one)
+    """Inverse of x in A, solving x y = 1 for y, or None."""
+    y = solve(A.F, [A.mul(x, A.basis_el(j)).c for j in range(A.dim)], A._unit)
     if y is None:
         return None
-    inv = El(A, {i: v for i, v in enumerate(y) if not F.is_zero(v)})
+    inv = El(A, y)
     if A.mul(x, inv) != A.one() or A.mul(inv, x) != A.one():
         return None
     return inv
@@ -759,13 +732,13 @@ def involution_type(A: Algebra, sigma: Involution) -> str:
     F = A.F
     cb = center_basis(A)
     for v in cb:
-        x = El(A, {i: c for i, c in enumerate(v) if not F.is_zero(c)})
+        x = El(A, v)
         if sigma.apply(x) != x:
             return "unitary"
     if F.char == 2:
-        alt = sigma.alt_basis()
-        one = A.one().dense()
-        return "symplectic" if lin_span_contains(F, alt, one) else "orthogonal"
+        # symplectic exactly when 1 lies in Alt, the span of the x - sigma(x)
+        alt = rref(F, [sp_sub(F, {i: F.one()}, im) for i, im in enumerate(sigma.images)])
+        return "symplectic" if alt.contains(A._unit) else "orthogonal"
     z = len(cb)
     m = math.isqrt(A.dim // z)
     if z * m * m != A.dim:
@@ -782,8 +755,8 @@ def involution_type(A: Algebra, sigma: Involution) -> str:
 # centers, idempotents, corners
 
 def center_basis(A: Algebra) -> list:
-    """Basis of the center as dense vectors: the joint commutant of
-    A.generators(), one sparse kernel.
+    """Basis of the center as sparse coords: the joint commutant of
+    A.generators(), one kernel.
 
     Computed once per algebra, like the generators; later calls return the
     same list.  Callers read only basis-independent facts from it (its
@@ -792,16 +765,12 @@ def center_basis(A: Algebra) -> list:
     if A._center is not None:
         return A._center
     F = A.F
-    n = A.dim
-    rows = []
-    for g in A.generators():
-        # row r of L_g - R_g holds the e_r coefficients of g e_c - e_c g
-        block = [{} for _ in range(n)]
-        for c in range(n):
-            for r, v in sp_sub(F, A._mul_bb_cached(g, c), A._mul_bb_cached(c, g)).items():
-                block[r][c] = v
-        rows.extend(block)
-    A._center = sparse_kernel(F, rows, n)
+    gens = A.generators()
+    # column c holds g e_c - e_c g for every generator g, under labels (g, r)
+    cols = [{(g, r): v for g in gens
+             for r, v in sp_sub(F, A._mul_bb_cached(g, c), A._mul_bb_cached(c, g)).items()}
+            for c in range(A.dim)]
+    A._center = kernel(F, cols, A.dim)
     return A._center
 
 
@@ -822,24 +791,15 @@ def center_structure(A: Algebra):
         raise UnsupportedInputError(f"center has dimension {len(cb)}")
     one = A.one()
     # pick w in the center, independent of 1
-    cand = []
-    for v in cb:
-        x = El(A, {i: c for i, c in enumerate(v) if not F.is_zero(c)})
-        cand.append(x)
-    w = None
-    one_dense = one.dense()
-    for x in cand:
-        if not lin_span_contains(F, [one_dense], x.dense()):
-            w = x
-            break
+    scalars = rref(F, [one.c])
+    w = next((El(A, v) for v in cb if not scalars.contains(v)), None)
     if w is None:
         raise CertificationError("center basis degenerate")
     # w^2 = alpha w + beta
-    w2 = A.mul(w, w)
-    sol = solve(F, _two_col(w.dense(), one_dense), w2.dense())
+    sol = solve(F, [w.c, one.c], A.mul(w, w).c)
     if sol is None:
         raise CertificationError("center element fails its quadratic equation")
-    alpha, beta = sol
+    alpha, beta = sol.get(0, F.zero()), sol.get(1, F.zero())
     if F.char != 2:
         half = F.inv(F.from_int(2))
         v = w - (F.mul(alpha, half)) * one
@@ -864,10 +824,6 @@ def center_structure(A: Algebra):
     if A.mul(e, e) != e:
         raise CertificationError("constructed central idempotent fails e^2 = e")
     return et, e
-
-
-def _two_col(u: list, v: list) -> list:
-    return [[a, b] for a, b in zip(u, v)]
 
 
 def corner_algebra(A: Algebra, e: El, label: str = "corner"):
@@ -964,9 +920,7 @@ class AlgebraHom:
         return {"generators": len(gens), "checks": 1 + len(gens) * n}
 
     def is_injective(self) -> bool:
-        F = self.B.F
-        M = [El(self.B, im).dense() for im in self.images]
-        return rank(F, M) == self.A.dim
+        return rref(self.B.F, self.images).rank == self.A.dim
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.A.dim == self.B.dim
@@ -989,38 +943,35 @@ def hom_on_generators(A: Algebra, B: Algebra, gen_indices: list, gen_images: lis
     """
     F = A.F
     ech = SparseEchelon(F)
-    span_rows: list = []
+    span_A: list = []
     span_elems_B: list = []
     one_A, one_B = A.one(), B.one()
     frontier = [(one_A, one_B)]
-    ech.insert(dict(one_A.c))
-    span_rows.append(one_A.dense())
+    ech.insert(one_A.c)
+    span_A.append(one_A.c)
     span_elems_B.append(one_B)
     gen_images = [gim if isinstance(gim, El) else El(B, gim) for gim in gen_images]
-    while frontier and len(span_rows) < A.dim:
+    while frontier and len(span_A) < A.dim:
         new_frontier = []
         for xa, xb in frontier:
             for gi, gim in zip(gen_indices, gen_images):
                 ya = A.mul(xa, A.basis_el(gi))
-                if ech.insert(dict(ya.c)) is None:
+                if ech.insert(ya.c) is None:
                     continue
                 yb = B.mul(xb, gim)
-                span_rows.append(ya.dense())
+                span_A.append(ya.c)
                 span_elems_B.append(yb)
                 new_frontier.append((ya, yb))
         frontier = new_frontier
-    if len(span_rows) != A.dim:
-        raise UnsupportedInputError(f"{label}: generators span only {len(span_rows)} of {A.dim}")
-    S = [list(col) for col in zip(*span_rows)]  # columns are the span elements
-    Sinv = inv_matrix(F, S)
+    if len(span_A) != A.dim:
+        raise UnsupportedInputError(f"{label}: generators span only {len(span_A)} of {A.dim}")
+    Sinv = inverse(F, span_A)
     if Sinv is None:
         raise CertificationError("span solve failed")
     images = []
-    for i in range(A.dim):
+    for coeffs in Sinv:  # e_i written in the span elements
         img = B.zero()
-        for j in range(A.dim):
-            c = Sinv[j][i]
-            if not F.is_zero(c):
-                img = img + c * span_elems_B[j]
+        for j, c in coeffs.items():
+            img = img + c * span_elems_B[j]
         images.append(img.c)
     return AlgebraHom(A, B, images, label=label)

@@ -44,16 +44,23 @@ from .scalars import (
 # classes over the base field
 
 class BrauerClass:
-    """A 2-torsion class over the base field, as a list of symbols."""
+    """A 2-torsion class over the base field, as a list of symbols.
 
-    def __init__(self, F: Field, symbols: list):
+    Over Q its support is computed from the symbols unless it is passed
+    in, already known: a product of classes has the symmetric difference
+    of their supports, the classes forming an F2-vector space.
+    """
+
+    def __init__(self, F: Field, symbols: list, support=None):
         self.F = F
         self.symbols = [(a, b) for a, b in symbols]
-        if isinstance(F, RationalField):
-            self._support = frozenset(_support_places(self.symbols))
-        else:
+        if not isinstance(F, RationalField):
             # finite base field: Brauer group is trivial
             self._support = frozenset()
+        elif support is not None:
+            self._support = frozenset(support)
+        else:
+            self._support = frozenset(_support_places(self.symbols))
 
     @property
     def support(self) -> frozenset:
@@ -65,7 +72,7 @@ class BrauerClass:
     def __mul__(self, other: "BrauerClass") -> "BrauerClass":
         if self.F != other.F:
             raise UnsupportedInputError("classes live over different fields")
-        return BrauerClass(self.F, self.symbols + other.symbols)
+        return BrauerClass(self.F, self.symbols + other.symbols, self._support ^ other._support)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BrauerClass) and self.F == other.F and self._support == other._support
@@ -98,14 +105,18 @@ class BrauerClass:
         return f"BrauerClass({sym}; support {sorted(repr(v) for v in self._support)})"
 
 
-def _support_places(symbols: list) -> list:
-    vals = []
-    for a, b in symbols:
-        vals.extend([a, b])
-    if not vals:
+def _support_places(symbols: list, places=None) -> list:
+    """The places where the product of the symbols' Hilbert symbols is -1.
+
+    Only `places` are tried; by default they are inf, 2 and the odd primes
+    of the symbols' entries, outside which every symbol is 1.
+    """
+    if not symbols:
         return []
+    if places is None:
+        places = relevant_places([x for ab in symbols for x in ab])
     out = []
-    for v in relevant_places(vals):
+    for v in places:
         prod = 1
         for a, b in symbols:
             prod *= hilbert_symbol(a, b, v)
@@ -196,8 +207,9 @@ def quaternion_symbol_of(A: Algebra) -> tuple:
                 return w, sq
         raise CertificationError(f"no {what} found")
 
-    def kernel_elements(M: list) -> list:
-        return [El(A, {i: t for i, t in enumerate(v) if not F.is_zero(t)}) for v in kernel(F, M)]
+    def kernel_elements(images: list) -> list:
+        """The kernel of the linear map sending basis[c] to images[c]."""
+        return [El(A, v) for v in kernel(F, [im.c for im in images], 4)]
 
     if F.char != 2:
         # the regular trace is twice the reduced trace, so the trace-zero
@@ -211,30 +223,24 @@ def quaternion_symbol_of(A: Algebra) -> tuple:
             pure.append(c - F.mul(t, quarter) * one)
         x, a = square_unit(pure, "invertible trace-zero element")
         # y anticommuting with x: kernel of L_x + R_x
-        L, R = A.lmul_matrix(x), A.rmul_matrix(x)
-        y, b = square_unit(kernel_elements(
-            [[F.add(L[r][c], R[r][c]) for c in range(4)] for r in range(4)]),
-            "anticommuting unit")
+        y, b = square_unit(kernel_elements([A.mul(x, e) + A.mul(e, x) for e in basis]),
+                           "anticommuting unit")
         gens = [x, y]
     else:
         # u with u^2 = u + a, then v with vu = (u+1)v and v^2 = b
         for c in sums_and_differences(basis):
             if _as_scalar(A, c) is not None:
                 continue
-            ab = solve(F, [[ci, ei] for ci, ei in zip(c.dense(), one.dense())],
-                       A.mul(c, c).dense())
-            if ab is not None and not F.is_zero(ab[0]):
-                alpha, beta = ab
+            ab = solve(F, [c.c, one.c], A.mul(c, c).c)
+            if ab is not None and 0 in ab:
+                alpha, beta = ab[0], ab.get(1, F.zero())
                 u, a = F.inv(alpha) * c, F.div(beta, F.mul(alpha, alpha))
                 break
         else:
             raise CertificationError("no separable generator found")
-        # v u + u v = v
-        L, R = A.lmul_matrix(u), A.rmul_matrix(u)
-        v, b = square_unit(kernel_elements(
-            [[F.sub(F.add(L[r][c], R[r][c]), F.one() if r == c else F.zero()) for c in range(4)]
-             for r in range(4)]),
-            "twisted-commuting unit")
+        # v u + u v = v: kernel of L_u + R_u - 1
+        v, b = square_unit(kernel_elements([A.mul(u, e) + A.mul(e, u) - e for e in basis]),
+                           "twisted-commuting unit")
         gens = [u, v]
     phi = hom_on_generators(QuaternionAlgebra(F, a, b), A, [1, 2], gens, label="symbol")
     phi.verify()
@@ -267,6 +273,10 @@ def clifford_class_of_form(q) -> BrauerClass:
 
 
 def _clifford_class_even(diag: list) -> BrauerClass:
+    """The splitting recursion.  Its entries grow as products of the input
+    entries, beyond what can be factored, but each is +- such a product, so
+    its odd primes are among the inputs': those are factored once, and the
+    Hilbert symbols on the large entries need no factoring."""
     F = QQ
     symbols = []
     work = list(diag)
@@ -275,7 +285,7 @@ def _clifford_class_even(diag: list) -> BrauerClass:
         symbols.append((b1, b2))
         scale = F.neg(F.mul(b1, b2))
         work = [F.mul(scale, a) for a in work[2:]]
-    return BrauerClass(F, symbols)
+    return BrauerClass(F, symbols, _support_places(symbols, relevant_places(diag)))
 
 
 def even_clifford_classes(q):

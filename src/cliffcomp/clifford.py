@@ -37,7 +37,7 @@ from .algebra import (
     sp_scale,
 )
 from .errors import CertificationError, InputTooLargeError, SaturationError, UnsupportedInputError
-from .linalg import SparseEchelon, inv_matrix, sparse_kernel
+from .linalg import SparseEchelon, inverse, kernel, rref
 from .quadform import QuadraticSpace
 
 # C(V, q) has 2^n basis elements and its products fill up to 4^n table
@@ -228,25 +228,15 @@ def _w_space_paper(A: Algebra, sigma: Involution) -> list:
         y = x - sigma.apply(x)
         if seen.insert(y.c) is not None:
             ys.append(y)
-    rows = []
-    for y in ys:
-        # row r holds the e_r coefficients of e_i y e_j, in column i * d + j
-        block = [{} for _ in range(d)]
-        for i in range(d):
-            left = A.mul(A.basis_el(i), y)
-            for j in range(d):
-                for r, v in A.mul(left, A.basis_el(j)).c.items():
-                    block[r][i * d + j] = v
-        rows.extend(block)
-    ker = sparse_kernel(F, rows, d * d) if rows else []
-    out = []
-    for v in ker:
-        u = {}
-        for t, c in enumerate(v):
-            if not F.is_zero(c):
-                u[(t // d, t % d)] = c
-        out.append(u)
-    return out
+    # column i * d + j holds e_i y e_j for every y, under labels (y index, r)
+    cols = []
+    for i in range(d):
+        lefts = [A.mul(A.basis_el(i), y) for y in ys]
+        for j in range(d):
+            ej = A.basis_el(j)
+            cols.append({(k, r): v for k, left in enumerate(lefts)
+                         for r, v in A.mul(left, ej).c.items()})
+    return [{(t // d, t % d): c for t, c in v.items()} for v in kernel(F, cols, d * d)]
 
 
 class _PairQuotient:
@@ -265,36 +255,26 @@ class _PairQuotient:
         """Choose complement letters and decompose every A-basis vector."""
         F = self.F
         d = self.A.dim
-        rows = [list(r) for r in self.sym_rows]
-        spanned = SparseEchelon(F)
-        for row in rows:
-            spanned.insert({t: v for t, v in enumerate(row) if not F.is_zero(v)})
+        spanned = rref(F, self.sym_rows)
         n_letters = [i for i in range(d) if spanned.insert({i: F.one()}) is not None]
         self.n_letters = n_letters
         self.nu = len(n_letters)
         # solve e_i = sum_s c_s sym_s + sum_p d_p e_{n_p} for all i at once
-        cols = [list(col) for col in zip(*(rows + [self._unit_row(t) for t in n_letters]))]
-        Minv = inv_matrix(F, cols) if len(cols) == len(cols[0]) else None
+        cols = self.sym_rows + [{t: F.one()} for t in n_letters]
+        Minv = inverse(F, cols)
         if Minv is None:
             raise CertificationError("symmetric subspace plus complement fails to span")
-        s_count = len(rows)
+        s_count = len(self.sym_rows)
         self.letter_decomp = []
-        for i in range(d):
-            coeffs = [Minv[r][i] for r in range(d)]
+        for coeffs in Minv:
             c_sym = F.zero()
-            for s in range(s_count):
-                if not F.is_zero(coeffs[s]):
-                    c_sym = F.add(c_sym, F.mul(coeffs[s], self.f_on_sym[s]))
-            letters = [
-                (p, coeffs[s_count + p])
-                for p in range(self.nu)
-                if not F.is_zero(coeffs[s_count + p])
-            ]
+            letters = []
+            for s, c in coeffs.items():
+                if s < s_count:
+                    c_sym = F.add(c_sym, F.mul(c, self.f_on_sym[s]))
+                else:
+                    letters.append((s - s_count, c))
             self.letter_decomp.append((c_sym, letters))
-
-    def _unit_row(self, t: int) -> list:
-        F = self.F
-        return [F.one() if s == t else F.zero() for s in range(self.A.dim)]
 
     def phi_of_element(self, x: El) -> dict:
         """Push an element of A down to T(N): scalar + letter terms."""
@@ -540,7 +520,7 @@ def split_compare(data: PairCliffordData, aux: dict):
     def psi_of_letter(t: int) -> El:
         r, c, _ = A._unidx(t)
         er = [F.one() if s == r else F.zero() for s in range(q.n)]
-        bc = [Binv[s][c] for s in range(q.n)]
+        bc = [Binv[c].get(s, F.zero()) for s in range(q.n)]
         prod = Cfull.mul(Cfull.embed_vector(er), Cfull.embed_vector(bc))
         return project(prod)
 

@@ -57,7 +57,7 @@ from typing import Optional
 
 from .errors import CertificationError, NotCoveredError, UnsupportedInputError
 from .scalars import Field, RationalField, EtaleQuadratic, squarefree_part, trial_factor
-from .linalg import sparse_kernel
+from .linalg import kernel
 from .algebra import (
     Algebra,
     AlgebraHom,
@@ -144,22 +144,19 @@ def model_algebra(F: Field, cls: BrauerClass) -> Optional[QuaternionAlgebra]:
 def _constraint_kernel(B: Algebra, constraints: list, sigma0: Involution, eps) -> list:
     """Basis of {u : u sigma0(x) = y u for all (x, y), sigma0(u) = eps u}.
 
-    Each condition is a linear map in u; the rows of every map, written on
-    the basis of B, go into one sparse solve.
+    Each condition is a linear map in u; column j stacks the images of
+    e_j under every map, labelled (map index, basis index), and one kernel
+    solves them all.
     """
     maps = [lambda u, sx=sigma0.apply(x), y=y: B.mul(u, sx) - B.mul(y, u)
             for x, y in constraints]
     maps.append(lambda u: sigma0.apply(u) - eps * u)
-
-    def rows():
-        for image_of in maps:
-            block = [{} for _ in range(B.dim)]
-            for j in range(B.dim):
-                for i, v in image_of(B.basis_el(j)).c.items():
-                    block[i][j] = v
-            yield from block
-
-    return sparse_kernel(B.F, rows(), B.dim)
+    cols = []
+    for j in range(B.dim):
+        ej = B.basis_el(j)
+        cols.append({(m, i): v for m, image_of in enumerate(maps)
+                     for i, v in image_of(ej).c.items()})
+    return kernel(B.F, cols, B.dim)
 
 
 # Candidates tried for u: the kernel basis with its pairwise sums and
@@ -190,8 +187,7 @@ def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
     if flip and "unitary" in (type0, want):
         return None  # an inner twist keeps the kind
     eps = F.neg(F.one()) if flip else F.one()
-    space = [El(B, {i: c for i, c in enumerate(v) if not F.is_zero(c)})
-             for v in _constraint_kernel(B, constraints, sigma0, eps)]
+    space = [El(B, v) for v in _constraint_kernel(B, constraints, sigma0, eps)]
     if not space:
         return None
     rng = random.Random(seed)
@@ -836,9 +832,10 @@ def regular_representation(A: Algebra) -> AlgebraHom:
     M = MatrixAlgebra(FieldAlgebra(F), A.dim, label=f"End({A.label})")
     images = []
     for i in range(A.dim):
-        L = A.lmul_matrix(A.basis_el(i))
-        rows = [[El(M.base, {0: c}) for c in row] for row in L]
-        images.append(M.from_matrix(rows).c)
+        # the matrix of left multiplication by e_i has e_i e_c as column c
+        ei = A.basis_el(i)
+        images.append({M._idx(r, c, 0): v for c in range(A.dim)
+                       for r, v in A.mul(ei, A.basis_el(c)).c.items()})
     hom = AlgebraHom(A, M, images, label="regular")
     hom.verify()
     if not hom.is_injective():

@@ -1,13 +1,20 @@
 """Exact linear algebra over an arbitrary Field, by one sparse echelon.
 
+A linear map is given by the list of its column images: cols[j] is the
+image of the j-th coordinate vector, a dict {row label: coefficient}.
+That is the form in which the algebras already hold their maps (products
+x e_j, Involution.images, AlgebraHom.images), so nothing is converted on
+the way in; vectors of the domain come back as dicts {column index:
+coefficient} with keys in increasing order.
+
 SparseEchelon is the only elimination.  Its rows are dicts keyed by
 column labels with a caller-supplied column order; the pivot of a row is
 its minimal column, and the stored form stays fully reduced, so it is the
-unique reduced echelon form of the span of the rows inserted.  The dense
-entry points (rref, rank, kernel, solve, inv_matrix and
-lin_span_contains) take matrices as lists of lists of field elements,
-insert their rows into one echelon over columns 0, 1, ... and read the
-answer off it; sparse_kernel takes the rows as dicts already.
+unique reduced echelon form of the span of the rows inserted.  rref
+inserts dict rows and returns the echelon, from which rank and span
+membership are read.  kernel, solve and inverse gather the map's rows
+(the entries of every column under one row label), insert them into one
+echelon over the column indices 0, 1, ... and read the answer off it.
 Determinants are not computed here: the one the program needs, the
 discriminant of a form, is the product of the entries of the form's
 diagonalization (quadform).
@@ -16,10 +23,6 @@ diagonalization (quadform).
 from __future__ import annotations
 
 from .scalars import Field
-
-
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 class SparseEchelon:
@@ -98,98 +101,74 @@ class SparseEchelon:
 
 
 # ---------------------------------------------------------------------------
-# dense entry points, read off one echelon
+# maps given by their columns, read off one echelon
 
-def _sparse(F: Field, row) -> dict:
-    return {c: x for c, x in enumerate(row) if not F.is_zero(x)}
-
-
-def _echelon(F: Field, rows) -> SparseEchelon:
-    """The echelon of dense rows, over integer columns in their natural order."""
-    ech = SparseEchelon(F)
-    for row in rows:
-        ech.insert(_sparse(F, row))
-    return ech
-
-
-def rref(F: Field, A):
-    """Reduced row echelon form.  Returns (R, pivots, rank)."""
-    if not A:
-        return [], [], 0
-    cols = len(A[0])
-    ech = _echelon(F, A)
-    pivots = sorted(ech.rows)
-    zero = F.zero()
-    R = [[ech.rows[p].get(c, zero) for c in range(cols)] for p in pivots]
-    R += [[zero] * cols for _ in range(len(A) - len(pivots))]
-    return R, pivots, len(pivots)
-
-
-def rank(F: Field, A) -> int:
-    return _echelon(F, A).rank
-
-
-def kernel(F: Field, A):
-    """Basis of the right kernel of A, as a list of vectors."""
-    if not A:
-        return []
-    return sparse_kernel(F, [_sparse(F, row) for row in A], len(A[0]))
-
-
-def sparse_kernel(F: Field, rows, cols: int):
-    """Basis of the right kernel of dict rows over columns 0..cols-1, as
-    dense vectors: one per free column, read off the reduced echelon."""
+def rref(F: Field, rows: list) -> SparseEchelon:
+    """The reduced echelon form of the span of a list of dict rows."""
     ech = SparseEchelon(F)
     for row in rows:
         ech.insert(row)
-    reduced = ech.rows
+    return ech
+
+
+def _rows(cols) -> dict:
+    """The rows of the map with the given columns: row label -> {column index: entry}."""
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            rows.setdefault(r, {})[j] = v
+    return rows
+
+
+def kernel(F: Field, cols, n: int) -> list:
+    """Basis of the kernel of the map with columns cols[0..n-1].
+
+    One vector per free column f, in increasing order: e_f minus the
+    entries of column f of the reduced echelon form, placed at the pivots.
+    """
+    reduced = rref(F, list(_rows(cols).values())).rows
+    pivots = sorted(reduced)
     basis = []
-    for fc in range(cols):
+    for fc in range(n):
         if fc in reduced:
             continue
-        v = [F.zero()] * cols
+        v = {pc: F.neg(reduced[pc][fc]) for pc in pivots if fc in reduced[pc]}
         v[fc] = F.one()
-        for pc, row in reduced.items():
-            if fc in row:
-                v[pc] = F.neg(row[fc])
         basis.append(v)
     return basis
 
 
-def solve(F: Field, A, b):
-    """One solution x of A x = b, or None if inconsistent.
+def solve(F: Field, cols: list, b: dict):
+    """One x with sum_j x_j cols[j] = b, or None if there is none.
 
     Free variables are set to zero, so x is the right-hand column of the
-    reduced echelon form of (A | b), read at the pivots.
+    reduced echelon form of (A | b), read at the pivots; b's label,
+    len(cols), sorts after every variable.
     """
-    if not A:
-        return None if any(not F.is_zero(x) for x in b) else []
-    cols = len(A[0])
-    rows = _echelon(F, (list(row) + [bv] for row, bv in zip(A, b))).rows
-    if cols in rows:
+    n = len(cols)
+    reduced = rref(F, list(_rows([*cols, b]).values())).rows
+    if n in reduced:
         return None
-    x = [F.zero()] * cols
-    for pc, row in rows.items():
-        x[pc] = row.get(cols, F.zero())
-    return x
+    return {pc: reduced[pc][n] for pc in sorted(reduced) if n in reduced[pc]}
 
 
-def inv_matrix(F: Field, A):
-    """Inverse of a square matrix, or None if singular.
+def inverse(F: Field, cols: list):
+    """The columns of the inverse of the map with columns cols[0..n-1] on
+    row labels 0..n-1, or None if it is not invertible.
 
-    (A | I) always has rank n; A is invertible exactly when every pivot
-    lies in A's columns, and the inverse is then the right-hand block.
+    Column r of the inverse is the x with sum_j x_j cols[j] = e_r.  The
+    rows of (A | I) span a space of rank at least n; A is invertible
+    exactly when every pivot lies in A's columns, and the inverse is then
+    the right-hand block.
     """
-    n = len(A)
-    ech = SparseEchelon(F)
-    for i, row in enumerate(A):
-        ech.insert({**_sparse(F, row), n + i: F.one()})
-    if any(p >= n for p in ech.rows):
+    n = len(cols)
+    identity = [{r: F.one()} for r in range(n)]
+    reduced = rref(F, list(_rows([*cols, *identity]).values())).rows
+    if any(p >= n for p in reduced):
         return None
-    zero = F.zero()
-    return [[ech.rows[p].get(n + c, zero) for c in range(n)] for p in range(n)]
-
-
-def lin_span_contains(F: Field, basis, v) -> bool:
-    """Is v in the row span of basis?"""
-    return _echelon(F, basis).contains(_sparse(F, v))
+    out: list = [{} for _ in range(n)]
+    for p in range(n):
+        for c, v in reduced[p].items():
+            if c >= n:
+                out[c - n][p] = v
+    return out

@@ -21,9 +21,10 @@ from .algebra import (
     QuaternionAlgebra,
     TensorAlgebra,
     involution_on_tensor,
+    sp_add,
 )
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import inv_matrix, solve
+from .linalg import inverse, solve
 from .quadform import QuadraticSpace
 
 
@@ -41,14 +42,12 @@ class QPair:
     def f(self, s: El):
         """Evaluate f on a symmetric element."""
         F = self.A.F
-        cols = [list(col) for col in zip(*self.sym_rows)]
-        sol = solve(F, cols, s.dense())
+        sol = solve(F, self.sym_rows, s.c)
         if sol is None:
             raise UnsupportedInputError("f evaluated off the symmetric subspace")
         acc = F.zero()
-        for c, v in zip(sol, self.f_on_sym):
-            if not F.is_zero(c):
-                acc = F.add(acc, F.mul(c, v))
+        for t, c in sol.items():
+            acc = F.add(acc, F.mul(c, self.f_on_sym[t]))
         return acc
 
     def verify(self) -> None:
@@ -58,7 +57,7 @@ class QPair:
         if self.ell + self.sigma.apply(self.ell) != one:
             raise CertificationError(f"{self.label}: l + sigma(l) != 1")
         for t, row in enumerate(self.sym_rows):
-            s = El(A, {i: v for i, v in enumerate(row) if not F.is_zero(v)})
+            s = El(A, row)
             if self.sigma.apply(s) != s:
                 raise CertificationError(f"{self.label}: symmetric basis row {t} not fixed")
             lhs = A.trd(A.mul(self.ell, s))
@@ -77,28 +76,25 @@ class QPair:
 
 
 def _solve_ell(A: Algebra, sigma: Involution, sym_rows: list, f_on_sym: list) -> El:
-    """Find l with l + sigma(l) = 1 and Trd(l s_t) = f(s_t)."""
+    """Find l with l + sigma(l) = 1 and Trd(l s_t) = f(s_t).
+
+    Column i is the image of e_i under l -> (l + sigma(l), Trd(l s_t)),
+    the trace of the t-th symmetric element under the label d + t.
+    """
     F = A.F
     d = A.dim
-    rows = []
-    rhs = []
-    smat = sigma.matrix()
-    for r in range(d):
-        row = [F.add(smat[r][c], F.one() if r == c else F.zero()) for c in range(d)]
-        rows.append(row)
-        rhs.append(A.one().dense()[r])
-    for srow, val in zip(sym_rows, f_on_sym):
-        s = El(A, {i: v for i, v in enumerate(srow) if not F.is_zero(v)})
-        # Trd(l s) as a linear form in the coords of l
-        coefs = []
-        for i in range(d):
-            coefs.append(A.trd(A.mul(A.basis_el(i), s)))
-        rows.append(coefs)
-        rhs.append(val)
-    sol = solve(F, rows, rhs)
+    syms = [El(A, row) for row in sym_rows]
+    cols = []
+    for i, im in enumerate(sigma.images):
+        col = sp_add(F, {i: F.one()}, im)
+        for t, s in enumerate(syms):
+            col[d + t] = A.trd(A.mul(A.basis_el(i), s))
+        cols.append(col)
+    rhs = {**A.one().c, **{d + t: v for t, v in enumerate(f_on_sym)}}
+    sol = solve(F, cols, rhs)
     if sol is None:
         raise UnsupportedInputError("no splitting element: not a quadratic pair")
-    return El(A, {i: v for i, v in enumerate(sol) if not F.is_zero(v)})
+    return El(A, sol)
 
 
 def _half_trd_pair(A: Algebra, sigma: Involution, label: str) -> QPair:
@@ -108,10 +104,7 @@ def _half_trd_pair(A: Algebra, sigma: Involution, label: str) -> QPair:
         raise UnsupportedInputError("canonical half-trace pair needs char != 2")
     half = F.inv(F.from_int(2))
     sym = sigma.sym_basis()
-    f_vals = []
-    for row in sym:
-        s = El(A, {i: v for i, v in enumerate(row) if not F.is_zero(v)})
-        f_vals.append(F.mul(half, A.trd(s)))
+    f_vals = [F.mul(half, A.trd(El(A, row))) for row in sym]
     ell = El(A, {k: F.mul(half, v) for k, v in A.one().c.items()})
     pair = QPair(A, sigma, sym, f_vals, ell, label=label)
     pair.verify()
@@ -120,14 +113,10 @@ def _half_trd_pair(A: Algebra, sigma: Involution, label: str) -> QPair:
 
 def pair_from_ell(A: Algebra, sigma: Involution, ell: El, label: str) -> QPair:
     """The pair with f(s) = Trd(l s) for a chosen l with l + sigma(l) = 1."""
-    F = A.F
     if ell + sigma.apply(ell) != A.one():
         raise UnsupportedInputError("l + sigma(l) != 1")
     sym = sigma.sym_basis()
-    f_vals = []
-    for row in sym:
-        s = El(A, {i: v for i, v in enumerate(row) if not F.is_zero(v)})
-        f_vals.append(A.trd(A.mul(ell, s)))
+    f_vals = [A.trd(A.mul(ell, El(A, row))) for row in sym]
     pair = QPair(A, sigma, sym, f_vals, ell, label=label)
     pair.verify()
     return pair
@@ -138,8 +127,9 @@ def pair_from_form(q: QuadraticSpace):
 
     Returns (pair, aux) where aux carries the identification of V (x) V
     with End(V): aux["phi"](i, j) is the matrix of the rank-one map
-    phi(e_i (x) e_j), aux["B"] the polar matrix, aux["A"] the matrix
-    algebra, for use by the comparison with the even Clifford algebra.
+    phi(e_i (x) e_j), aux["B"] the polar matrix, aux["Binv"] the columns
+    of its inverse as sparse dicts, aux["A"] the matrix algebra, for use
+    by the comparison with the even Clifford algebra.
 
     In characteristic not 2 odd dimensions are allowed as well.
     """
@@ -151,7 +141,7 @@ def pair_from_form(q: QuadraticSpace):
         raise UnsupportedInputError("char 2 quadratic pairs need even dimension")
     A = MatrixAlgebra(FieldAlgebra(F), n, label=f"End({q.label})")
     B = q.polar_matrix()
-    Binv = inv_matrix(F, B)
+    Binv = inverse(F, q.polar_columns())
     if Binv is None:
         raise UnsupportedInputError("polar form is singular")
 
@@ -159,13 +149,11 @@ def pair_from_form(q: QuadraticSpace):
     imgs = []
     for idx in range(A.dim):
         r, c, _ = A._unidx(idx)
-        # X = E_rc; X^t = E_cr; B^-1 E_cr B has entries Binv[i][c] B[r][j]
+        # X = E_rc; X^t = E_cr; B^-1 E_cr B has entries (B^-1)_ic B[r][j]
         out = {}
-        for i in range(n):
-            if F.is_zero(Binv[i][c]):
-                continue
+        for i, bic in Binv[c].items():
             for j in range(n):
-                v = F.mul(Binv[i][c], B[r][j])
+                v = F.mul(bic, B[r][j])
                 if not F.is_zero(v):
                     out[A._idx(i, j, 0)] = v
         imgs.append(out)
@@ -193,16 +181,15 @@ def pair_from_form(q: QuadraticSpace):
             gam_vals.append(B[i][j])
     sym = sigma.sym_basis()
     # express each symmetric basis row in the Gamma span
-    cols = [list(col) for col in zip(*[g.dense() for g in gam_elems])]
+    gam_cols = [g.c for g in gam_elems]
     f_vals = []
     for row in sym:
-        sol = solve(F, cols, list(row))
+        sol = solve(F, gam_cols, row)
         if sol is None:
             raise CertificationError("Gamma set fails to span the symmetric elements")
         acc = F.zero()
-        for c, v in zip(sol, gam_vals):
-            if not F.is_zero(c):
-                acc = F.add(acc, F.mul(c, v))
+        for j, c in sol.items():
+            acc = F.add(acc, F.mul(c, gam_vals[j]))
         f_vals.append(acc)
     ell = _solve_ell(A, sigma, sym, f_vals)
     pair = QPair(A, sigma, sym, f_vals, ell, label=f"Ad({q.label})")

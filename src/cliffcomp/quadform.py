@@ -19,7 +19,7 @@ import random
 from typing import Optional
 
 from .errors import UnsupportedInputError
-from .linalg import kernel, mat_transpose
+from .linalg import kernel
 from .scalars import Field, quad_ext_info
 
 
@@ -66,9 +66,14 @@ class QuadraticSpace:
         return acc
 
     def polar_matrix(self) -> list:
+        F, M = self.F, self.M
+        return [[F.add(M[i][j], M[j][i]) for j in range(self.n)] for i in range(self.n)]
+
+    def polar_columns(self) -> list:
+        """The columns of the polar matrix as sparse dicts, as linalg takes a map."""
         F = self.F
-        Mt = mat_transpose(self.M)
-        return [[F.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.M, Mt)]
+        B = self.polar_matrix()
+        return [{i: B[i][j] for i in range(self.n) if not F.is_zero(B[i][j])} for j in range(self.n)]
 
     def bq(self, x: list, y: list):
         F = self.F
@@ -83,8 +88,8 @@ class QuadraticSpace:
         return acc
 
     def radical(self) -> list:
-        """Basis of the radical of the polar form."""
-        return kernel(self.F, self.polar_matrix())
+        """Basis of the radical of the polar form, as sparse dicts."""
+        return kernel(self.F, self.polar_columns(), self.n)
 
     def regularity(self) -> str:
         """'regular', 'semi-regular', or 'degenerate'."""
@@ -93,7 +98,7 @@ class QuadraticSpace:
         if not rad:
             return "regular"
         if F.char == 2 and self.n % 2 == 1 and len(rad) == 1:
-            if not F.is_zero(self.q(rad[0])):
+            if not F.is_zero(self.q([rad[0].get(i, F.zero()) for i in range(self.n)])):
                 return "semi-regular"
         return "degenerate"
 

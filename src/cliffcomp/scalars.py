@@ -359,7 +359,9 @@ class ExtField(Field):
         Otherwise Tonelli-Shanks in the cyclic group of order p^k - 1,
         with z the first non-square past the prime field in element order
         (for even k every element of GF(p) is a square, and any non-square
-        serves, since the roots are +-r whatever z is).
+        serves, since the roots are +-r whatever z is).  The search for z
+        starts at t, the first element past GF(p); about half the elements
+        from there on are non-squares.
         """
         if self.p == 2:
             return self.pow(x, self.order // 2)
@@ -373,7 +375,10 @@ class ExtField(Field):
             q //= 2
             s += 1
         one = self.one()
-        z = next(z for z in itertools.islice(self.elements(), self.p, None)
+        # past GF(p) the elements run through the nonzero tails in order,
+        # the constant coefficient varying fastest
+        tails = itertools.islice(_coeff_tuples(self.p, self.k - 1), 1, None)
+        z = next(z for tail in tails for z in ((c,) + tail for c in range(self.p))
                  if not self.is_square(z))
         c, t, r = self.pow(z, q), self.pow(x, q), self.pow(x, (q + 1) // 2)
         while t != one:
@@ -956,11 +961,9 @@ def artin_schreier_root(F: Field, a):
     if F.k == 1:
         return 0
     basis = [tuple(int(i == j) for i in range(F.k)) for j in range(F.k)]
-    images = [F.add(F.mul(e, e), e) for e in basis]
-    A = [[im[i] for im in images] for i in range(F.k)]
-    t = solve(PrimeField(2), A, list(a))
-    t[0] = 0
-    return tuple(t)
+    cols = [dict(enumerate(F.add(F.mul(e, e), e))) for e in basis]
+    t = solve(PrimeField(2), cols, dict(enumerate(a)))
+    return (0,) + tuple(t.get(i, 0) for i in range(1, F.k))
 
 
 def quad_ext_info(F: Field, datum) -> EtaleQuadratic:

@@ -5,28 +5,27 @@ from cliffcomp.scalars import quad_ext_info
 
 
 def _center_elements(A, cb):
-    F = A.F
-    return [El(A, {i: c for i, c in enumerate(v) if not F.is_zero(c)}) for v in cb]
+    return [El(A, v) for v in cb]
 
 
 def central_etale_split(A, cb) -> bool:
     """Split flag of a dimension-2 center with the given basis."""
-    from cliffcomp.linalg import lin_span_contains, solve
+    from cliffcomp.linalg import rref, solve
 
     F = A.F
     assert len(cb) == 2
-    one = A.one().dense()
+    one = A.one().c
     w = None
     for x in _center_elements(A, cb):
-        if not lin_span_contains(F, [one], x.dense()):
+        if not rref(F, [one]).contains(x.c):
             w = x
             break
     assert w is not None, "center basis degenerate"
-    w2 = (w * w).dense()
-    cols = [[a, b] for a, b in zip(w.dense(), one)]
+    w2 = (w * w).c
+    cols = [w.c, one]
     sol = solve(F, cols, w2)
     assert sol is not None, "central element fails a quadratic equation"
-    alpha, beta = sol
+    alpha, beta = sol.get(0, F.zero()), sol.get(1, F.zero())
     if F.char != 2:
         quarter = F.inv(F.from_int(4))
         m = F.add(beta, F.mul(F.mul(alpha, alpha), quarter))

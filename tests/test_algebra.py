@@ -31,7 +31,7 @@ from cliffcomp.algebra import (
 from cliffcomp.clifford import even_clifford
 from cliffcomp.compose import etale_algebra
 from cliffcomp.errors import CertificationError, UnsupportedInputError
-from cliffcomp.linalg import rank
+from cliffcomp.linalg import rref
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import QQ, PrimeField, quad_ext_info
 
@@ -317,7 +317,7 @@ def ref_center_basis(A):
     if isinstance(A, ProductAlgebra):
         return ([list(z) + [zero] * A.B.dim for z in ref_center_basis(A.A)]
                 + [[zero] * A.A.dim + list(z) for z in ref_center_basis(A.B)])
-    return center_basis(A)
+    return [A.el(z).dense() for z in center_basis(A)]
 
 
 def ref_deg(A):
@@ -367,6 +367,11 @@ def center_corpus():
     ]
 
 
+def rank(F, vectors):
+    """Rank of vectors given densely (the references) or sparsely (center_basis)."""
+    return rref(F, [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]).rank
+
+
 def test_cached_center_spans_the_structured_center():
     corpus = center_corpus()
     assert {type(A).__name__ for A in corpus} >= {
@@ -385,13 +390,13 @@ def test_degree_matches_the_per_class_overrides():
 
 def test_center_is_computed_once(monkeypatch):
     calls = []
-    real = algebra.sparse_kernel
+    real = algebra.kernel
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(algebra, "sparse_kernel", counting)
+    monkeypatch.setattr(algebra, "kernel", counting)
     A = MatrixAlgebra(QuaternionAlgebra(QQ, frac(-1), frac(3)), 2)
     first = center_basis(A)
     assert len(calls) == 1 and len(first) == 1

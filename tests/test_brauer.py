@@ -28,6 +28,7 @@ from cliffcomp.scalars import (
     QQ,
     hilbert_symbol,
     hilbert_symbol_bruteforce,
+    relevant_places,
 )
 
 F2 = PrimeField(2)
@@ -141,6 +142,57 @@ def test_clifford_class_of_form(entries, expected):
     assert got == cls(*expected)
 
 
+def hasse_witt_support(diag):
+    """Places where c(q) of <a_1, ..., a_n> is -1, from the Hasse-Witt
+    invariant s = prod_{i<j} (a_i, a_j) and d = prod a_i (Lam, Introduction
+    to Quadratic Forms over Fields, V.3.20):
+    n = 1, 2 mod 8: s;  3, 4: s (-1, -d);  5, 6: s (-1, -1);  7, 0: s (-1, d)."""
+    n = len(diag)
+    d = Fraction(1)
+    for a in diag:
+        d *= a
+    extra = {1: None, 2: None, 3: -d, 4: -d, 5: Fraction(-1), 6: Fraction(-1), 7: d, 0: d}[n % 8]
+    out = set()
+    for v in relevant_places(diag):
+        s = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                s *= hilbert_symbol(diag[i], diag[j], v)
+        if extra is not None:
+            s *= hilbert_symbol(Fraction(-1), extra, v)
+        if s == -1:
+            out.add(v)
+    return out
+
+
+@pytest.mark.parametrize("entries", [
+    (7, 11, 3, 1, 5, 5, 1, 7),        # recursion entries reach 4.5e20
+    (13, 17, 19, 23, 29, 31, 37, 41),
+    (-3, 5, 7, -11, 13, 2, -17, 19, 23),
+    (1000003, 999983, 3, 5, 7, 11),
+    (1, -1, 2, 3),
+    (2, 3, 5),
+])
+def test_clifford_class_support_matches_the_hasse_witt_product(entries):
+    diag = fracs(*entries)
+    got = clifford_class_of_form(QuadraticSpace.diagonal(QQ, diag))
+    assert got.support == frozenset(hasse_witt_support(diag))
+    if entries[:2] == (7, 11):
+        assert got.support == {Place(7), Place(11)}
+
+
+def test_product_support_is_the_symmetric_difference():
+    rng = random.Random(29)
+    pool = [-1, 2, 3, 5, -7, 15, -30, 11, Fraction(3, 7), -13]
+    for _ in range(40):
+        s1 = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+        s2 = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+        c1, c2 = cls(*s1), cls(*s2)
+        assert (c1 * c2).support == c1.support ^ c2.support
+        assert (c1 * c2).support == cls(*(s1 + s2)).support
+        assert (c1 * c2).symbols == c1.symbols + c2.symbols
+
+
 def test_even_clifford_classes_split_and_field():
     kind, cp, cm = even_clifford_classes(QuadraticSpace.diagonal(QQ, fracs(1, 1, 1, 1)))
     assert kind == "split" and cp == cls((-1, -1)) and cm == cls((-1, -1))
@@ -151,10 +203,10 @@ def test_even_clifford_classes_split_and_field():
 def rebased(A, basis):
     """A as an explicit algebra on another basis (elements of A)."""
     F = A.F
-    cols = [[v.dense()[r] for v in basis] for r in range(A.dim)]
+    cols = [v.c for v in basis]
 
     def coords(x):
-        return {k: c for k, c in enumerate(solve(F, cols, x.dense())) if not F.is_zero(c)}
+        return solve(F, cols, x.c)
 
     table = {(i, j): coords(A.mul(x, y)) for i, x in enumerate(basis) for j, y in enumerate(basis)}
     return ExplicitAlgebra(F, A.dim, table, coords(A.one()), label=f"{A.label}'")

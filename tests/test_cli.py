@@ -172,6 +172,23 @@ def run_inprocess(*argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("command", [
+    ["invariants"],
+    ["mcd", "--type", "orthogonal", "--class", "[[-1, -1]]"],
+    ["bound", "--type", "orthogonal", "--class", "[[-1, -1]]"],
+], ids=["invariants", "mcd", "bound"])
+def test_splitting_recursion_beyond_the_factoring_bound_returns(command):
+    # the last symbol of the recursion holds -64227393753190719975, above
+    # the factoring bound; the places come from the diagonal entries
+    rc, out, err = run_inprocess(*command, "--field", "Q",
+                                 "--object", '{"diag": [7, 11, 3, 1, 5, 5, 1, 7]}')
+    assert rc == 0, err
+    if command[0] == "invariants":
+        over_center = json.loads(out)["clifford_class_over_center"]
+        assert over_center["base"] == "Q(sqrt 33)" and over_center["support"] == []
+        assert ["-64227393753190719975", "-449591756272335039825"] in over_center["symbols"]
+
+
 def test_compose_six_dim_form_over_q_reaches_the_formula_degree():
     # the rescaled class comes from the scaling formula, so no entry grows
     rc, out, err = run_inprocess("compose", "--object", '{"diag":[1,-1,2,3,5,7]}',

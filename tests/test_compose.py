@@ -276,8 +276,7 @@ def test_extend_involution_random_tail_is_seeded():
             y = M.mul(M.mul(d, t.apply(M.basis_el(g))), d)  # d^-1 = d over GF(3)
             constraints.append((B.basis_el(4 * f + g),
                                 El(B, {4 * f + k: v for k, v in y.c.items()})))
-    space = [El(B, {i: c for i, c in enumerate(v) if c})
-             for v in compose._constraint_kernel(B, constraints, sigma0, F3.one())]
+    space = [El(B, v) for v in compose._constraint_kernel(B, constraints, sigma0, F3.one())]
     assert len(space) == 3
     assert all(alg_inverse(B, u) is None for u in sums_and_differences(space))
     tau, ttype = compose.extend_involution(B, constraints, sigma0, seed=5)
@@ -321,13 +320,10 @@ def reference_constraint_kernel(B, constraints, sigma0, eps):
             return
         cols = [image_of(El(B, {i: c for i, c in enumerate(v) if not F.is_zero(c)}))
                 for v in space]
-        rows = [[cols[j].c.get(i, F.zero()) for j in range(len(cols))] for i in range(dim)]
         new_space = []
-        for kv in kernel(F, rows):
+        for kv in kernel(F, [c.c for c in cols], len(cols)):
             acc = [F.zero()] * dim
-            for j, kc in enumerate(kv):
-                if F.is_zero(kc):
-                    continue
+            for j, kc in kv.items():
                 for i in range(dim):
                     acc[i] = F.add(acc[i], F.mul(kc, space[j][i]))
             new_space.append(acc)
@@ -337,7 +333,7 @@ def reference_constraint_kernel(B, constraints, sigma0, eps):
         sx = sigma0.apply(x)
         shrink(lambda u, sx=sx, y=y: B.mul(u, sx) - B.mul(y, u))
     shrink(lambda u: sigma0.apply(u) - eps * u)
-    return space
+    return [El(B, {i: c for i, c in enumerate(v) if not F.is_zero(c)}).c for v in space]
 
 
 def _bundle_problem(path):

@@ -165,6 +165,27 @@ def test_prime_field_sqrt_is_the_least_root(p):
         assert F.sqrt(x) == least.get(x), x
 
 
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)], ids=["GF(9)", "GF(25)", "GF(27)"])
+def test_ext_field_sqrt_is_the_first_root_in_element_order(p, k):
+    # the root the walk over F.elements() meets first
+    F = ExtField(p, k)
+    first = {}
+    for r in F.elements():
+        first.setdefault(F.mul(r, r), r)
+    for x in F.elements():
+        assert F.sqrt(x) == first.get(x), x
+
+
+def test_ext_field_sqrt_large_prime():
+    # the non-square z is sought from t on, so no step walks through GF(p)
+    F = ExtField(1000000007, 2)
+    for x in (F.from_int(3), F.from_int(5), F.mul(F.gen(), F.gen())):
+        t0 = time.perf_counter()
+        r = F.sqrt(x)
+        assert time.perf_counter() - t0 < 1
+        assert F.mul(r, r) == x
+
+
 def test_prime_field_sqrt_large_prime():
     p = 1000000007
     F = PrimeField(p)
