@@ -20,9 +20,11 @@ generic answer on the base class: the degree is the square root of the
 dimension, and the center, like the generating set, is computed once and
 kept on the algebra.
 
-Linear algebra stays in these coordinates: a map on elements (x -> gx -
+Linear algebra stays in these coordinates, and linalg owns them: a sum
+of elements is linalg.axpy, an involution or homomorphism applies its
+basis images with linalg.apply_cols, and a map on elements (x -> gx -
 xg, sigma - id, left multiplication) goes to linalg as the list of its
-column images, the sparse coords of the images of the basis elements, and
+column images, the sparse coords of the images of the basis elements;
 kernels and solutions come back as sparse coords.  No dense matrix is
 built on the way.
 """
@@ -34,36 +36,8 @@ from collections import deque
 from typing import Optional
 
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import SparseEchelon, inverse, kernel, rref, solve
+from .linalg import SparseEchelon, apply_cols, axpy, inverse, kernel, rref, solve
 from .scalars import Field
-
-
-# ---------------------------------------------------------------------------
-# sparse coordinate helpers
-
-def sp_add(F: Field, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        nv = F.add(out.get(k, F.zero()), v)
-        if F.is_zero(nv):
-            out.pop(k, None)
-        else:
-            out[k] = nv
-    return out
-
-
-def sp_scale(F: Field, c, a: dict) -> dict:
-    if F.is_zero(c):
-        return {}
-    return {k: F.mul(c, v) for k, v in a.items()}
-
-
-def sp_sub(F: Field, a: dict, b: dict) -> dict:
-    return sp_add(F, a, sp_scale(F, F.neg(F.one()), b))
-
-
-def sp_eq(F: Field, a: dict, b: dict) -> bool:
-    return not sp_sub(F, a, b)
 
 
 class El:
@@ -76,27 +50,28 @@ class El:
         self.c = {k: v for k, v in coords.items() if not A.F.is_zero(v)}
 
     def __add__(self, other):
-        return El(self.A, sp_add(self.A.F, self.c, other.c))
+        return El(self.A, axpy(self.A.F, dict(self.c), self.A.F.one(), other.c))
 
     def __sub__(self, other):
-        return El(self.A, sp_sub(self.A.F, self.c, other.c))
+        F = self.A.F
+        return El(self.A, axpy(F, dict(self.c), F.neg(F.one()), other.c))
 
     def __neg__(self):
-        return El(self.A, sp_scale(self.A.F, self.A.F.neg(self.A.F.one()), self.c))
+        return self * self.A.F.neg(self.A.F.one())
 
     def __mul__(self, other):
         if isinstance(other, El):
             return self.A.mul(self, other)
-        return El(self.A, sp_scale(self.A.F, other, self.c))
+        F = self.A.F
+        return El(self.A, {k: F.mul(other, v) for k, v in self.c.items()})
 
-    def __rmul__(self, scalar):
-        return El(self.A, sp_scale(self.A.F, scalar, self.c))
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         # equal coordinate dicts settle it; otherwise compare by field
         # arithmetic, which does not rely on one representation per element
         return (isinstance(other, El) and self.A is other.A
-                and (self.c == other.c or sp_eq(self.A.F, self.c, other.c)))
+                and (self.c == other.c or (self - other).is_zero()))
 
     def __hash__(self):
         return hash((id(self.A), frozenset(self.c.items())))
@@ -160,15 +135,8 @@ class Algebra:
         for i, xi in x.c.items():
             for j, yj in y.c.items():
                 prod = self._mul_bb_cached(i, j)
-                if not prod:
-                    continue
-                s = F.mul(xi, yj)
-                for k, v in prod.items():
-                    nv = F.add(acc.get(k, F.zero()), F.mul(s, v))
-                    if F.is_zero(nv):
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = nv
+                if prod:
+                    axpy(F, acc, F.mul(xi, yj), prod)
         return El(self, acc)
 
     def zero(self) -> El:
@@ -586,16 +554,7 @@ class Involution:
             self.verify()
 
     def apply(self, x: El) -> El:
-        F = self.A.F
-        acc: dict = {}
-        for i, xi in x.c.items():
-            for k, v in self.images[i].items():
-                nv = F.add(acc.get(k, F.zero()), F.mul(xi, v))
-                if F.is_zero(nv):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = nv
-        return El(self.A, acc)
+        return El(self.A, apply_cols(self.A.F, self.images, x.c))
 
     def __call__(self, x: El) -> El:
         return self.apply(x)
@@ -629,7 +588,7 @@ class Involution:
     def sym_basis(self) -> list:
         """Basis of Sym(A, sigma) = ker(sigma - id), as sparse coords."""
         F = self.A.F
-        cols = [sp_sub(F, im, {j: F.one()}) for j, im in enumerate(self.images)]
+        cols = [axpy(F, dict(im), F.neg(F.one()), {j: F.one()}) for j, im in enumerate(self.images)]
         return kernel(F, cols, self.A.dim)
 
 
@@ -737,7 +696,7 @@ def involution_type(A: Algebra, sigma: Involution) -> str:
             return "unitary"
     if F.char == 2:
         # symplectic exactly when 1 lies in Alt, the span of the x - sigma(x)
-        alt = rref(F, [sp_sub(F, {i: F.one()}, im) for i, im in enumerate(sigma.images)])
+        alt = rref(F, [axpy(F, {i: F.one()}, F.neg(F.one()), im) for i, im in enumerate(sigma.images)])
         return "symplectic" if alt.contains(A._unit) else "orthogonal"
     z = len(cb)
     m = math.isqrt(A.dim // z)
@@ -768,7 +727,8 @@ def center_basis(A: Algebra) -> list:
     gens = A.generators()
     # column c holds g e_c - e_c g for every generator g, under labels (g, r)
     cols = [{(g, r): v for g in gens
-             for r, v in sp_sub(F, A._mul_bb_cached(g, c), A._mul_bb_cached(c, g)).items()}
+             for r, v in axpy(F, dict(A._mul_bb_cached(g, c)), F.neg(F.one()),
+                              A._mul_bb_cached(c, g)).items()}
             for c in range(A.dim)]
     A._center = kernel(F, cols, A.dim)
     return A._center
@@ -854,10 +814,7 @@ def corner_algebra(A: Algebra, e: El, label: str = "corner"):
     B = ExplicitAlgebra(F, dim, table, unit, label=label, verify=False)
 
     def embed(x: El) -> El:
-        acc = A.zero()
-        for i, v in x.c.items():
-            acc = acc + v * basis[i]
-        return acc
+        return El(A, apply_cols(F, [b.c for b in basis], x.c))
 
     def project(x: El) -> El:
         return El(B, coords_of(A.mul(e, A.mul(x, e))))
@@ -887,16 +844,7 @@ class AlgebraHom:
         self.label = label
 
     def apply(self, x: El) -> El:
-        F = self.B.F
-        acc: dict = {}
-        for i, xi in x.c.items():
-            for k, v in self.images[i].items():
-                nv = F.add(acc.get(k, F.zero()), F.mul(xi, v))
-                if F.is_zero(nv):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = nv
-        return El(self.B, acc)
+        return El(self.B, apply_cols(self.B.F, self.images, x.c))
 
     def verify(self) -> dict:
         """Check phi(1) = 1 and phi(g e_j) = phi(g) phi(e_j) for every
@@ -968,10 +916,7 @@ def hom_on_generators(A: Algebra, B: Algebra, gen_indices: list, gen_images: lis
     Sinv = inverse(F, span_A)
     if Sinv is None:
         raise CertificationError("span solve failed")
-    images = []
-    for coeffs in Sinv:  # e_i written in the span elements
-        img = B.zero()
-        for j, c in coeffs.items():
-            img = img + c * span_elems_B[j]
-        images.append(img.c)
+    span_B = [y.c for y in span_elems_B]
+    # e_i written in the span elements, mapped to their images
+    images = [apply_cols(F, span_B, coeffs) for coeffs in Sinv]
     return AlgebraHom(A, B, images, label=label)

@@ -31,7 +31,7 @@ from .scalars import (
 from .quadform import QuadraticSpace
 from .algebra import QuaternionAlgebra
 from .qpair import pair_from_form, pair_on_quaternion_tensor
-from .clifford import clifford_of_pair, even_clifford, split_compare
+from .clifford import MIN_SATURATION_DEGREE, clifford_of_pair, even_clifford, split_compare
 from .brauer import BrauerClass, trivial_class
 from .mcd import (
     NOT_COVERED,
@@ -72,6 +72,10 @@ def _parse_matrix(F: Field, rows: list) -> list:
 
 def _parse_object(F: Field, spec: str, cap: int):
     """Returns ("form", QuadraticSpace) or ("pair", PairCliffordData)."""
+    if cap < MIN_SATURATION_DEGREE:
+        raise UnsupportedInputError(
+            f"truncation cap must be at least {MIN_SATURATION_DEGREE}, "
+            f"the first saturation degree; got {cap}")
     d = json.loads(spec)
     if "diag" in d:
         return "form", QuadraticSpace.diagonal(F, [F.parse(str(v)) for v in d["diag"]])
@@ -349,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  '{"datum": "m"} or {"split": true}')
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--truncation-cap", dest="truncation_cap", type=int, default=4,
-                        help="tensor-length cap for pair Clifford construction")
+                        help="tensor-length cap for pair Clifford construction, at least 3")
 
     common(sub.add_parser("invariants", help="invariant profile of the object"),
            with_type=False)

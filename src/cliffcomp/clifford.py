@@ -33,17 +33,20 @@ from .algebra import (
     ExplicitAlgebra,
     Involution,
     center_structure,
-    sp_add,
-    sp_scale,
 )
 from .errors import CertificationError, InputTooLargeError, SaturationError, UnsupportedInputError
-from .linalg import SparseEchelon, inverse, kernel, rref
+from .linalg import SparseEchelon, apply_cols, axpy, inverse, kernel, rref
 from .quadform import QuadraticSpace
 
 # C(V, q) has 2^n basis elements and its products fill up to 4^n table
 # entries: a witness search at n = 10 takes seconds, one at n = 11 ran
 # past a minute and hundreds of MB, so larger spaces are refused up front.
 MAX_GENERATORS = 10
+
+# The pushed-down sandwich relations are words of length at most 2, and a
+# quotient certifies only once no canonical word has the top degree, so
+# saturation starts at degree 3.
+MIN_SATURATION_DEGREE = 3
 
 
 class CliffordAlgebra(Algebra):
@@ -98,12 +101,7 @@ class CliffordAlgebra(Algebra):
         for i in reversed(word):
             acc: dict = {}
             for m, c in x.items():
-                for m2, c2 in self._gen_times(i, m).items():
-                    nv = F.add(acc.get(m2, F.zero()), F.mul(c, c2))
-                    if F.is_zero(nv):
-                        acc.pop(m2, None)
-                    else:
-                        acc[m2] = nv
+                axpy(F, acc, c, self._gen_times(i, m))
             x = acc
         return x
 
@@ -206,11 +204,7 @@ class PairCliffordData:
 
     def embed_a(self, x: El) -> El:
         """Canonical map A -> C (not an algebra map; linear)."""
-        F = self.C.F
-        acc: dict = {}
-        for i, xi in x.c.items():
-            acc = sp_add(F, acc, sp_scale(F, xi, self.a_images[i]))
-        return El(self.C, acc)
+        return El(self.C, apply_cols(self.C.F, self.a_images, x.c))
 
 
 def _w_space_paper(A: Algebra, sigma: Involution) -> list:
@@ -264,78 +258,34 @@ class _PairQuotient:
         Minv = inverse(F, cols)
         if Minv is None:
             raise CertificationError("symmetric subspace plus complement fails to span")
-        s_count = len(self.sym_rows)
-        self.letter_decomp = []
-        for coeffs in Minv:
-            c_sym = F.zero()
-            letters = []
-            for s, c in coeffs.items():
-                if s < s_count:
-                    c_sym = F.add(c_sym, F.mul(c, self.f_on_sym[s]))
-                else:
-                    letters.append((s - s_count, c))
-            self.letter_decomp.append((c_sym, letters))
-
-    def phi_of_element(self, x: El) -> dict:
-        """Push an element of A down to T(N): scalar + letter terms."""
-        F = self.F
-        out: dict = {}
-        for i, xi in x.c.items():
-            c_sym, letters = self.letter_decomp[i]
-            if not F.is_zero(c_sym):
-                k = ()
-                nv = F.add(out.get(k, F.zero()), F.mul(xi, c_sym))
-                if F.is_zero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-            for p, cp in letters:
-                k = (p,)
-                nv = F.add(out.get(k, F.zero()), F.mul(xi, cp))
-                if F.is_zero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-        return out
+        # letter_decomp[i] is e_i pushed down to T(N), as words over the
+        # letters: a symmetric element s becomes the scalar f(s), the word
+        # (), and complement letter p the word (p,).  apply_cols with these
+        # columns pushes down any element of A.
+        words = [{(): f} for f in self.f_on_sym] + [{(p,): F.one()} for p in range(self.nu)]
+        self.letter_decomp = [apply_cols(F, words, coeffs) for coeffs in Minv]
 
     def _word_product(self, wa: dict, wb: dict) -> dict:
         F = self.F
         out: dict = {}
         for w1, c1 in wa.items():
-            for w2, c2 in wb.items():
-                k = w1 + w2
-                nv = F.add(out.get(k, F.zero()), F.mul(c1, c2))
-                if F.is_zero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
+            axpy(F, out, c1, {w1 + w2: c2 for w2, c2 in wb.items()})
         return out
 
     def generator_rows(self, w_basis: list) -> list:
         """Pushed-down relations u - Sand(u)(l) for u in the sandwich basis."""
         F = self.F
         A = self.A
-        phi = [self.phi_of_element(A.basis_el(i)) for i in range(A.dim)]
+        phi = self.letter_decomp
         left = [A.mul(A.basis_el(i), self.ell) for i in range(A.dim)]
         out = []
         for u in w_basis:
             row: dict = {}
-            sand = A.zero()
+            sand: dict = {}
             for (i, j), c in u.items():
-                prod = self._word_product(phi[i], phi[j])
-                for k, v in prod.items():
-                    nv = F.add(row.get(k, F.zero()), F.mul(c, v))
-                    if F.is_zero(nv):
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-                sand = sand + c * A.mul(left[i], A.basis_el(j))
-            for k, v in self.phi_of_element(sand).items():
-                nv = F.sub(row.get(k, F.zero()), v)
-                if F.is_zero(nv):
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
+                axpy(F, row, c, self._word_product(phi[i], phi[j]))
+                axpy(F, sand, c, A.mul(left[i], A.basis_el(j)).c)
+            axpy(F, row, F.neg(F.one()), apply_cols(F, phi, sand))
             if row:
                 out.append(row)
         return out
@@ -398,7 +348,7 @@ def clifford_of_pair(pair, max_degree: int = 4) -> PairCliffordData:
 
 def _try_build(pair, worker: _PairQuotient, gens: list, wdim: int,
                expected: int, max_degree: int) -> Optional[PairCliffordData]:
-    for degree in range(3, max_degree + 1):
+    for degree in range(MIN_SATURATION_DEGREE, max_degree + 1):
         ech = worker.saturate(gens, degree)
         canon = worker.quotient(ech, degree)
         if len(canon) != expected:
@@ -433,15 +383,16 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
         head, rest = word[0], word[1:]
         out: dict = {}
         for w2, c2 in reduce_long(rest).items():
-            sub = reduce_long((head,) + w2)
-            for w3, c3 in sub.items():
-                nv = F.add(out.get(w3, F.zero()), F.mul(c2, c3))
-                if F.is_zero(nv):
-                    out.pop(w3, None)
-                else:
-                    out[w3] = nv
+            axpy(F, out, c2, reduce_long((head,) + w2))
         memo[word] = out
         return out
+
+    def reduce_coords(x: dict) -> dict:
+        """Coords on the canonical basis of a combination of words."""
+        red: dict = {}
+        for w, c in x.items():
+            axpy(F, red, c, reduce_long(w))
+        return {index[w]: v for w, v in red.items()}
 
     dim = len(canon)
     table = {}
@@ -452,38 +403,16 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
     C = ExplicitAlgebra(F, dim, table, {index[()]: F.one()}, label=f"C({A.label},pair)")
 
     # canonical linear map A -> C
-    a_images = []
-    for i in range(A.dim):
-        phi = worker.phi_of_element(A.basis_el(i))
-        red: dict = {}
-        for w, c in phi.items():
-            for w2, c2 in reduce_long(w).items():
-                nv = F.add(red.get(w2, F.zero()), F.mul(c, c2))
-                if F.is_zero(nv):
-                    red.pop(w2, None)
-                else:
-                    red[w2] = nv
-        a_images.append({index[w]: v for w, v in red.items()})
+    a_images = [reduce_coords(phi) for phi in worker.letter_decomp]
 
     # the involution: reverse words, apply sigma to each letter, push down
-    sig_letter = []
-    for p in range(worker.nu):
-        img = pair.sigma.apply(A.basis_el(worker.n_letters[p]))
-        sig_letter.append(worker.phi_of_element(img))
+    sig_letter = [apply_cols(F, worker.letter_decomp, pair.sigma.images[t]) for t in worker.n_letters]
     imgs = []
     for w in canon:
         acc = {(): F.one()}
         for p in reversed(w):
             acc = worker._word_product(acc, sig_letter[p])
-        red: dict = {}
-        for ww, c in acc.items():
-            for w2, c2 in reduce_long(ww).items():
-                nv = F.add(red.get(w2, F.zero()), F.mul(c, c2))
-                if F.is_zero(nv):
-                    red.pop(w2, None)
-                else:
-                    red[w2] = nv
-        imgs.append({index[ww]: v for ww, v in red.items()})
+        imgs.append(reduce_coords(acc))
     sigma_bar = Involution(C, imgs, label="sigma_bar")
 
     et, e = center_structure(C)

@@ -1,11 +1,16 @@
-"""Exact linear algebra over an arbitrary Field, by one sparse echelon.
+"""Exact linear algebra over an arbitrary Field: the sparse coordinate
+format, and one sparse echelon.
 
-A linear map is given by the list of its column images: cols[j] is the
-image of the j-th coordinate vector, a dict {row label: coefficient}.
-That is the form in which the algebras already hold their maps (products
-x e_j, Involution.images, AlgebraHom.images), so nothing is converted on
-the way in; vectors of the domain come back as dicts {column index:
-coefficient} with keys in increasing order.
+linalg owns sparse coordinates.  A vector is a dict {label: coefficient}
+that never stores a zero; axpy adds a multiple of one vector into another
+in place, and it is the only loop in the program that accumulates such a
+sum.  A linear map is given by the list of its column images: cols[j] is
+the image of the j-th coordinate vector.  That is the form in which the
+algebras already hold their maps (products x e_j, Involution.images,
+AlgebraHom.images), so nothing is converted on the way in; apply_cols
+maps coordinates through it, and vectors of the domain come back from
+kernel and solve as dicts {column index: coefficient} with keys in
+increasing order.
 
 SparseEchelon is the only elimination.  Its rows are dicts keyed by
 column labels with a caller-supplied column order; the pivot of a row is
@@ -23,6 +28,27 @@ diagonalization (quadform).
 from __future__ import annotations
 
 from .scalars import Field
+
+
+def axpy(F: Field, acc: dict, c, x: dict) -> dict:
+    """acc <- acc + c x in place, dropping every key whose sum is zero;
+    returns acc."""
+    zero = F.zero()
+    for k, v in x.items():
+        nv = F.add(acc.get(k, zero), F.mul(c, v))
+        if F.is_zero(nv):
+            acc.pop(k, None)
+        else:
+            acc[k] = nv
+    return acc
+
+
+def apply_cols(F: Field, cols, x: dict) -> dict:
+    """The image of the coordinates x under the map with columns cols."""
+    acc: dict = {}
+    for j, xj in x.items():
+        axpy(F, acc, xj, cols[j])
+    return acc
 
 
 class SparseEchelon:
@@ -53,22 +79,14 @@ class SparseEchelon:
         clears them all.
         """
         F = self.F
-        zero = F.zero()
         work = {c: v for c, v in row.items() if not F.is_zero(v)}
         for hit in [c for c in work if c in self.rows]:
-            coef = work[hit]
-            for cc, vv in self.rows[hit].items():
-                nv = F.sub(work.get(cc, zero), F.mul(coef, vv))
-                if F.is_zero(nv):
-                    work.pop(cc, None)
-                else:
-                    work[cc] = nv
+            axpy(F, work, F.neg(work[hit]), self.rows[hit])
         return work
 
     def insert(self, row: dict):
         """Reduce and insert; returns the residue row or None."""
         F = self.F
-        zero = F.zero()
         res = self.reduce(row)
         if not res:
             return None
@@ -78,13 +96,7 @@ class SparseEchelon:
         # back-substitute into existing rows so the form stays reduced
         for prow in self.rows.values():
             if p in prow:
-                coef = prow[p]
-                for cc, vv in new.items():
-                    nv = F.sub(prow.get(cc, zero), F.mul(coef, vv))
-                    if F.is_zero(nv):
-                        prow.pop(cc, None)
-                    else:
-                        prow[cc] = nv
+                axpy(F, prow, F.neg(prow[p]), new)
         self.rows[p] = new
         return res
 

@@ -12,7 +12,7 @@ split-field route still giving an exact answer for trivial algebras).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .brauer import (

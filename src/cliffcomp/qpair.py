@@ -10,7 +10,8 @@ the Clifford quotient construction consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 from .algebra import (
     Algebra,
@@ -21,11 +22,29 @@ from .algebra import (
     QuaternionAlgebra,
     TensorAlgebra,
     involution_on_tensor,
-    sp_add,
 )
 from .errors import CertificationError, UnsupportedInputError
-from .linalg import inverse, solve
+from .linalg import axpy, inverse, rref, solve
 from .quadform import QuadraticSpace
+
+
+def _linear_form(F, rows: list, values: list, last):
+    """The linear form with rows[t] -> values[t] on the span of the
+    linearly independent dict rows, as a function of a dict that returns
+    None off the span.
+
+    One echelon of the rows, each carrying its value under the label last,
+    which sorts after every other: reducing s clears its other labels and
+    leaves -f(s) under last.
+    """
+    ech = rref(F, [{**row, last: v} for row, v in zip(rows, values)])
+
+    def f(s: dict):
+        res = ech.reduce(s)
+        v = res.pop(last, F.zero())
+        return None if res else F.neg(v)
+
+    return f
 
 
 @dataclass
@@ -39,16 +58,16 @@ class QPair:
     ell: El
     label: str = "(A,sigma,f)"
 
+    @cached_property
+    def _f(self):
+        return _linear_form(self.A.F, self.sym_rows, self.f_on_sym, self.A.dim)
+
     def f(self, s: El):
         """Evaluate f on a symmetric element."""
-        F = self.A.F
-        sol = solve(F, self.sym_rows, s.c)
-        if sol is None:
+        v = self._f(s.c)
+        if v is None:
             raise UnsupportedInputError("f evaluated off the symmetric subspace")
-        acc = F.zero()
-        for t, c in sol.items():
-            acc = F.add(acc, F.mul(c, self.f_on_sym[t]))
-        return acc
+        return v
 
     def verify(self) -> None:
         """Check the defining identities of a quadratic pair."""
@@ -86,7 +105,7 @@ def _solve_ell(A: Algebra, sigma: Involution, sym_rows: list, f_on_sym: list) ->
     syms = [El(A, row) for row in sym_rows]
     cols = []
     for i, im in enumerate(sigma.images):
-        col = sp_add(F, {i: F.one()}, im)
+        col = axpy(F, {i: F.one()}, F.one(), im)
         for t, s in enumerate(syms):
             col[d + t] = A.trd(A.mul(A.basis_el(i), s))
         cols.append(col)
@@ -180,17 +199,11 @@ def pair_from_form(q: QuadraticSpace):
             gam_elems.append(phi(i, j) + phi(j, i))
             gam_vals.append(B[i][j])
     sym = sigma.sym_basis()
-    # express each symmetric basis row in the Gamma span
-    gam_cols = [g.c for g in gam_elems]
-    f_vals = []
-    for row in sym:
-        sol = solve(F, gam_cols, row)
-        if sol is None:
-            raise CertificationError("Gamma set fails to span the symmetric elements")
-        acc = F.zero()
-        for j, c in sol.items():
-            acc = F.add(acc, F.mul(c, gam_vals[j]))
-        f_vals.append(acc)
+    # the Gamma elements are a basis of the symmetric elements
+    f_on_gamma = _linear_form(F, [g.c for g in gam_elems], gam_vals, A.dim)
+    f_vals = [f_on_gamma(row) for row in sym]
+    if None in f_vals:
+        raise CertificationError("Gamma set fails to span the symmetric elements")
     ell = _solve_ell(A, sigma, sym, f_vals)
     pair = QPair(A, sigma, sym, f_vals, ell, label=f"Ad({q.label})")
     pair.verify()

@@ -181,7 +181,10 @@ class RationalField(Field):
         return _integral(Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator)))
 
     def parse(self, s: str):
-        return _integral(Fraction(str(s)))
+        try:
+            return _integral(Fraction(str(s)))
+        except ZeroDivisionError:
+            raise UnsupportedInputError(f"zero denominator in {s!r}") from None
 
     def fmt(self, x) -> str:
         if type(x) is int:

@@ -88,6 +88,18 @@ def test_mcd_excluded_case_exits_3():
         ("mcd", "--field", "GF(9000)", "--object", '{"diag":["1","1"]}',
          "--type", "symplectic"),
         ("invariants", "--object", '{"diag":["1","0","1"]}'),
+        # a zero denominator anywhere in the input
+        ("invariants", "--object", '{"diag":["1/0",1]}'),
+        ("mcd", "--object", '{"diag":["1","1","1"]}', "--type", "symplectic",
+         "--class", '[["1/0","1"]]'),
+        ("mcd", "--object", '{"diag":["1","1","1"]}', "--type", "unitary",
+         "--s", '{"datum":"1/0"}'),
+        ("example1", "--a", "1/0", "--b", "1"),
+        # a truncation cap below the first saturation degree
+        ("invariants", "--object", '{"quaternion_pair":[[1,1],[1,1]]}',
+         "--truncation-cap", "0"),
+        ("invariants", "--object", '{"quaternion_pair":[[1,1],[1,1]]}',
+         "--truncation-cap", "2"),
     ],
 )
 def test_invalid_inputs_exit_2(args):
@@ -293,6 +305,14 @@ def test_example1_generic_parameters():
 
 def test_example1_rejects_zero():
     assert run_cli("example1", "--a", "0", "--b", "1").returncode == 2
+
+
+def test_verify_rejects_a_truncation_cap_below_3():
+    bundle = json.loads((Path(__file__).parent / "data" / "bundle_quaternion_pair.json").read_text())
+    bundle["problem"]["truncation_cap"] = 2
+    p = run_cli("verify", "--object", json.dumps(bundle))
+    assert p.returncode == 2, (p.stdout, p.stderr)
+    assert json.loads(p.stderr)["error"] == "invalid-input"
 
 
 def test_selftest_passes():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffcomp.linalg import SparseEchelon, inverse, kernel, rref, solve
+from cliffcomp.linalg import SparseEchelon, apply_cols, axpy, inverse, kernel, rref, solve
 from cliffcomp.scalars import QQ, ExtField, PrimeField
 
 
@@ -313,3 +313,44 @@ def test_matches_dense_reference(F):
             assert span_contains(F, A, v) == ref_span_contains(F, A, v)
         if len(A) == cols:
             assert dense_inverse(F, A) == ref_inv_matrix(F, A), A
+
+
+# ---------------------------------------------------------------------------
+# sparse coordinates: axpy and apply_cols against dense sums
+
+# word labels, as the pair quotient keys its coordinates
+WORDS = [(), (0,), (1,), (0, 1), (1, 0), (1, 1, 0)]
+
+
+def _no_zero(F, x):
+    return not any(F.is_zero(v) for v in x.values())
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(3), ExtField(3, 2)], ids=repr)
+def test_axpy_and_apply_cols_match_dense(F):
+    rng = random.Random(29)
+    for labels in (range(len(WORDS)), WORDS):
+        def keyed(v):
+            return {labels[i]: x for i, x in enumerate(v) if not F.is_zero(x)}
+
+        for _ in range(30):
+            n = rng.randint(1, len(WORDS))
+            a, x = ([_rand_entry(F, rng) for _ in range(n)] for _ in range(2))
+            c = _rand_entry(F, rng)
+            acc = keyed(a)
+            out = axpy(F, acc, c, keyed(x))
+            assert out is acc
+            assert out == keyed([F.add(ai, F.mul(c, xi)) for ai, xi in zip(a, x)])
+            assert _no_zero(F, out)
+            # full cancellation and a zero multiple
+            assert axpy(F, keyed(x), F.neg(F.one()), keyed(x)) == {}
+            assert axpy(F, keyed(a), F.zero(), keyed(x)) == keyed(a)
+            assert axpy(F, {}, F.zero(), keyed(x)) == {}
+
+            m = rng.randint(0, 5)
+            A = [[_rand_entry(F, rng) for _ in range(m)] for _ in range(n)]
+            v = [_rand_entry(F, rng) for _ in range(m)]
+            cols = [keyed([row[j] for row in A]) for j in range(m)]
+            y = apply_cols(F, cols, sparse(F, v))
+            assert y == keyed(mat_vec(F, A, v))
+            assert _no_zero(F, y)

@@ -1,0 +1,73 @@
+"""Quadratic pairs: f read off one echelon, against one solve per right-hand side."""
+
+import random
+
+import pytest
+
+from cliffcomp.errors import UnsupportedInputError
+from cliffcomp.linalg import solve
+from cliffcomp.qpair import pair_from_form
+from cliffcomp.quadform import QuadraticSpace
+from cliffcomp.scalars import QQ, PrimeField
+
+F2 = PrimeField(2)
+F3 = PrimeField(3)
+
+
+def ref_f(F, rows, values, s):
+    """f(s) for the linear form with rows[t] -> values[t]: one solve of s
+    over the rows, then the values summed with its coefficients."""
+    sol = solve(F, rows, s)
+    assert sol is not None
+    acc = F.zero()
+    for t, c in sol.items():
+        acc = F.add(acc, F.mul(c, values[t]))
+    return acc
+
+
+def gamma_set(q, phi):
+    """The Gamma elements of the adjoint pair and their f-values:
+    phi(e_i (x) e_i) -> q(e_i), phi(e_i (x) e_j) + phi(e_j (x) e_i) -> b_q(e_i, e_j)."""
+    F, n, B = q.F, q.n, q.polar_matrix()
+    rows, values = [], []
+    for i in range(n):
+        rows.append(phi(i, i).c)
+        values.append(q.q([F.one() if t == i else F.zero() for t in range(n)]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows.append((phi(i, j) + phi(j, i)).c)
+            values.append(B[i][j])
+    return rows, values
+
+
+def regular_forms(F, n, rng, count=3):
+    """Seeded regular forms with random upper-triangular coefficients."""
+    out = []
+    while len(out) < count:
+        M = [[F.from_int(rng.randint(-3, 3)) if i <= j else F.zero() for j in range(n)]
+             for i in range(n)]
+        q = QuadraticSpace(F, M)
+        if q.regularity() == "regular":
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize(
+    "F,n",
+    [(QQ, 2), (QQ, 3), (QQ, 4), (F3, 2), (F3, 3), (F3, 4), (F2, 2), (F2, 4)],
+    ids=str,
+)
+def test_f_matches_one_solve_per_row(F, n):
+    rng = random.Random(100 * F.char + n)
+    for q in regular_forms(F, n, rng):
+        pair, aux = pair_from_form(q)
+        rows, values = gamma_set(q, aux["phi"])
+        assert pair.f_on_sym == [ref_f(F, rows, values, row) for row in pair.sym_rows]
+        A, sigma = pair.A, pair.sigma
+        for i in range(A.dim):
+            x = A.basis_el(i)
+            s = x + sigma.apply(x)
+            assert pair.f(s) == ref_f(F, pair.sym_rows, pair.f_on_sym, s.c)
+            if sigma.apply(x) != x:
+                with pytest.raises(UnsupportedInputError):
+                    pair.f(x)
