@@ -3,9 +3,9 @@
 Elements are sparse dicts {basis_index: coefficient} wrapped in El for
 operator syntax.  Structure constants are produced lazily by mul_bb and
 memoized, so large constructor-built algebras (matrix, tensor, opposite,
-product) never materialize a full table.  Verification is explicit and
-separate: constructor-built algebras are associative by construction,
-hand-entered tables get checked.
+product, corner) never materialize a full table.  A hand-entered table
+is checked when it is entered, since every certificate assumes it; a map
+is built without a certificate and certified once, where it is claimed.
 
 Every certificate is exhaustive and checks its identity on generators x
 basis.  Algebra.generators() finds a generating set of basis indices and
@@ -248,30 +248,19 @@ class ExplicitAlgebra(Algebra):
     """Algebra from an explicit structure table.
 
     table[(i, j)] is the sparse product of basis i and j; missing keys mean
-    zero.  The unit must be supplied as sparse coords and is always
-    checked; verify=False skips the associativity certificate for tables
-    that are associative by construction.
+    zero.  The unit must be supplied as sparse coords.  A hand-entered
+    table is a premise of every certificate built on it, so the unit and
+    associativity are always checked.
     """
 
-    def __init__(
-        self,
-        F: Field,
-        dim: int,
-        table: dict,
-        unit: dict,
-        label: str = "A",
-        verify: bool = True,
-    ):
+    def __init__(self, F: Field, dim: int, table: dict, unit: dict, label: str = "A"):
         super().__init__()
         self.F = F
         self.dim = dim
         self._table = table
         self._unit = {k: v for k, v in unit.items() if not F.is_zero(v)}
         self.label = label
-        if verify:
-            self.verify_associative()
-        else:
-            self.verify_unit()
+        self.verify_associative()
 
     def mul_bb(self, i: int, j: int) -> dict:
         return self._table.get((i, j), {})
@@ -546,12 +535,10 @@ class ProductAlgebra(Algebra):
 class Involution:
     """An F-linear anti-automorphism of order <= 2, given on the basis."""
 
-    def __init__(self, A: Algebra, images: list, label: str = "sigma", verify: bool = True):
+    def __init__(self, A: Algebra, images: list, label: str = "sigma"):
         self.A = A
         self.images = [dict(im) for im in images]
         self.label = label
-        if verify:
-            self.verify()
 
     def apply(self, x: El) -> El:
         return El(self.A, apply_cols(self.A.F, self.images, x.c))
@@ -603,13 +590,11 @@ def involution_on_tensor(T: TensorAlgebra, sA: Involution, sB: Involution, label
             for kb, vb in ib.items():
                 out[T.idx(ka, kb)] = T.F.mul(va, vb)
         imgs.append(out)
-    return Involution(T, imgs, label=label or f"{sA.label}(x){sB.label}", verify=False)
+    return Involution(T, imgs, label=label or f"{sA.label}(x){sB.label}")
 
 
 def swap_involution(P: ProductAlgebra) -> Involution:
-    """The factor swap on A x A^op style products where both sides share a basis.
-
-    Not certified here: a witness built on it certifies it once."""
+    """The factor swap on A x A^op style products where both sides share a basis."""
     if P.A.dim != P.B.dim:
         raise UnsupportedInputError("swap needs equal factor dimensions")
     imgs = []
@@ -617,18 +602,21 @@ def swap_involution(P: ProductAlgebra) -> Involution:
         imgs.append({P.A.dim + i: P.F.one()})
     for j in range(P.B.dim):
         imgs.append({j: P.F.one()})
-    return Involution(P, imgs, label="swap", verify=False)
+    return Involution(P, imgs, label="swap")
 
 
-def transpose_involution(M: MatrixAlgebra) -> Involution:
-    """Transpose on M_n(F) (base must be the field)."""
-    if M.base.dim != 1:
+def transpose_involution(M: MatrixAlgebra, theta: Optional[Involution] = None,
+                         label: str = "transpose") -> Involution:
+    """E_rc b -> E_cr theta(b) on M_n(base); with theta None the plain
+    transpose, an anti-automorphism only over a field base."""
+    if theta is None and M.base.dim != 1:
         raise UnsupportedInputError("plain transpose needs a field base")
     imgs = []
     for idx in range(M.dim):
         r, c, t = M._unidx(idx)
-        imgs.append({M._idx(c, r, t): M.F.one()})
-    return Involution(M, imgs, label="transpose", verify=False)
+        tb = {t: M.F.one()} if theta is None else theta.images[t]
+        imgs.append({M._idx(c, r, k): v for k, v in tb.items()})
+    return Involution(M, imgs, label=label)
 
 
 def adjoint_involution(M: MatrixAlgebra, G: list, base_inv: Optional[Involution] = None,
@@ -786,50 +774,51 @@ def center_structure(A: Algebra):
     return et, e
 
 
-def corner_algebra(A: Algebra, e: El, label: str = "corner"):
-    """The unital algebra e A e for a central idempotent e.
+class CornerAlgebra(Algebra):
+    """The unital algebra e A e for a central idempotent e, on the reduced
+    echelon basis of the span of the e b e: an element of the span has its
+    coordinates at the pivot columns.  A product of basis elements is A's
+    product read back in these coordinates when it is first asked for."""
 
-    Returns (B, embed) where embed maps B elements back into A.
-    """
-    F = A.F
-    ech = SparseEchelon(F)
-    for i in range(A.dim):
-        ech.insert(A.mul(e, A.mul(A.basis_el(i), e)).c)
-    # the reduced echelon rows are the basis, so an element of the span has
-    # its coordinates at the pivot columns
-    pivots = sorted(ech.rows)
-    dim = len(pivots)
-    basis = [El(A, ech.rows[p]) for p in pivots]
+    def __init__(self, A: Algebra, e: El, label: str = "corner"):
+        super().__init__()
+        self.A, self.e, self.F, self.label = A, e, A.F, label
+        self._ech = SparseEchelon(A.F)
+        for i in range(A.dim):
+            self._ech.insert(A.mul(e, A.mul(A.basis_el(i), e)).c)
+        self._pivots = sorted(self._ech.rows)
+        self._basis = [El(A, self._ech.rows[p]) for p in self._pivots]
+        self.dim = len(self._pivots)
+        self._unit = self._coords_of(e)
+        self.verify_unit()
 
-    def coords_of(x: El) -> dict:
-        if ech.reduce(x.c):
+    def _coords_of(self, x: El) -> dict:
+        if self._ech.reduce(x.c):
             raise CertificationError("element not in corner span")
-        return {k: x.c[p] for k, p in enumerate(pivots) if p in x.c}
+        return {k: x.c[p] for k, p in enumerate(self._pivots) if p in x.c}
 
-    table = {}
-    for i in range(dim):
-        for j in range(dim):
-            table[(i, j)] = coords_of(A.mul(basis[i], basis[j]))
-    unit = coords_of(e)
-    B = ExplicitAlgebra(F, dim, table, unit, label=label, verify=False)
+    def mul_bb(self, i: int, j: int) -> dict:
+        return self._coords_of(self.A.mul(self._basis[i], self._basis[j]))
 
-    def embed(x: El) -> El:
-        return El(A, apply_cols(F, [b.c for b in basis], x.c))
+    def embed(self, x: El) -> El:
+        return El(self.A, apply_cols(self.F, [b.c for b in self._basis], x.c))
 
-    def project(x: El) -> El:
-        return El(B, coords_of(A.mul(e, A.mul(x, e))))
+    def project(self, x: El) -> El:
+        return El(self, self._coords_of(self.A.mul(self.e, self.A.mul(x, self.e))))
 
-    return B, embed, project
+
+def corner_algebra(A: Algebra, e: El, label: str = "corner"):
+    """The corner e A e as (B, B.embed, B.project), B a CornerAlgebra."""
+    B = CornerAlgebra(A, e, label)
+    return B, B.embed, B.project
 
 
 def restrict_involution(B: Algebra, embed, project, sigma: Involution, label="sigma|") -> Involution:
-    """Restriction of an involution along a corner embedding.
-
-    Not certified here: a witness built on it certifies its involution once."""
+    """Restriction of an involution along a corner embedding."""
     imgs = []
     for i in range(B.dim):
         imgs.append(project(sigma.apply(embed(B.basis_el(i)))).c)
-    return Involution(B, imgs, label=label, verify=False)
+    return Involution(B, imgs, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,16 @@ def _parse_field(spec) -> Field:
     raise UnsupportedInputError(f"unknown field descriptor {spec!r}")
 
 
-def _parse_matrix(F: Field, rows: list) -> list:
-    return [[F.parse(str(v)) for v in row] for row in rows]
+def _shaped(value, kind: type, what: str):
+    """value when it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise UnsupportedInputError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _parse_matrix(F: Field, rows) -> list:
+    return [[F.parse(str(v)) for v in _shaped(row, list, "a matrix row")]
+            for row in _shaped(rows, list, "a matrix")]
 
 
 def _parse_object(F: Field, spec: str, cap: int):
@@ -76,15 +84,17 @@ def _parse_object(F: Field, spec: str, cap: int):
         raise UnsupportedInputError(
             f"truncation cap must be at least {MIN_SATURATION_DEGREE}, "
             f"the first saturation degree; got {cap}")
-    d = json.loads(spec)
+    d = _shaped(json.loads(spec), dict, "--object")
     if "diag" in d:
-        return "form", QuadraticSpace.diagonal(F, [F.parse(str(v)) for v in d["diag"]])
+        diag = _shaped(d["diag"], list, "diag")
+        return "form", QuadraticSpace.diagonal(F, [F.parse(str(v)) for v in diag])
     if "gram" in d:
         # upper-triangular coefficient matrix: entry (i, j) with i <= j is
         # the coefficient of x_i x_j
         return "form", QuadraticSpace(F, _parse_matrix(F, d["gram"]))
     if "quaternion_pair" in d:
-        (a1, b1), (a2, b2) = d["quaternion_pair"]
+        (a1, b1), (a2, b2) = [_shaped(s, list, "a quaternion symbol")
+                              for s in _shaped(d["quaternion_pair"], list, "quaternion_pair")]
         Q1 = QuaternionAlgebra(F, F.parse(str(a1)), F.parse(str(b1)))
         Q2 = QuaternionAlgebra(F, F.parse(str(a2)), F.parse(str(b2)))
         pair = pair_on_quaternion_tensor(Q1, Q2)
@@ -95,7 +105,7 @@ def _parse_object(F: Field, spec: str, cap: int):
 def _parse_class(F: Field, spec) -> BrauerClass:
     if spec is None:
         return trivial_class(F)
-    symbols = json.loads(spec)
+    symbols = [_shaped(s, list, "a symbol") for s in _shaped(json.loads(spec), list, "--class")]
     return BrauerClass(F, [(F.parse(str(a)), F.parse(str(b))) for a, b in symbols])
 
 
@@ -103,7 +113,7 @@ def _parse_s(F: Field, spec: str) -> EtaleQuadratic:
     """S from {"split": true} or from {"datum": d}; a datum that is a
     square (an Artin-Schreier value t^2 + t in characteristic 2) gives the
     split algebra."""
-    d = json.loads(spec)
+    d = _shaped(json.loads(spec), dict, "--s")
     datum = F.parse(str(d.get("datum", "1")))
     if d.get("split", False):
         return EtaleQuadratic(F, datum, True)
@@ -194,11 +204,9 @@ def _cmd_compose(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    if args.object:
-        bundle = json.loads(args.object)
-    else:
-        bundle = json.load(sys.stdin)
-    problem = bundle["problem"]
+    bundle = _shaped(json.loads(args.object) if args.object else json.load(sys.stdin),
+                     dict, "the bundle")
+    problem = _shaped(bundle["problem"], dict, "the bundle's problem")
     rebuilt = _cmd_compose(argparse.Namespace(
         field=problem.get("field"),
         object=json.dumps(problem["object"]),

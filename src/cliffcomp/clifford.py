@@ -120,13 +120,13 @@ class CliffordAlgebra(Algebra):
         F = self.F
         return El(self, {1 << i: c for i, c in enumerate(v) if not F.is_zero(c)})
 
-    def reversal(self, verify: bool = True) -> Involution:
+    def reversal(self) -> Involution:
         """The involution fixing V pointwise: reverses generator words."""
         imgs = []
         for mask in range(self.dim):
             w = self._mask_to_word(mask)
             imgs.append(self.reduce_word(tuple(reversed(w))))
-        return Involution(self, imgs, label="reversal", verify=verify)
+        return Involution(self, imgs, label="reversal")
 
     def even_part(self):
         """The even subalgebra, read on demand from this algebra's products.
@@ -175,12 +175,14 @@ class EvenCliffordAlgebra(Algebra):
 
 
 def even_clifford(q: QuadraticSpace):
-    """C0(V, q) with its reversal involution restricted from C(V, q)."""
+    """C0(V, q) with its reversal involution restricted from C(V, q),
+    certified."""
     C = CliffordAlgebra(q)
     C0, embed, project = C.even_part()
-    rev = C.reversal(verify=False)
+    rev = C.reversal()
     imgs = [project(rev.apply(embed(C0.basis_el(t)))).c for t in range(C0.dim)]
     tau = Involution(C0, imgs, label="reversal")
+    tau.verify()
     return C, C0, embed, project, tau
 
 
@@ -414,6 +416,7 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
             acc = worker._word_product(acc, sig_letter[p])
         imgs.append(reduce_coords(acc))
     sigma_bar = Involution(C, imgs, label="sigma_bar")
+    sigma_bar.verify()
 
     et, e = center_structure(C)
     return PairCliffordData(

@@ -35,11 +35,11 @@ their pairwise sums and differences (sums_and_differences).
 Which certificate runs where: the source involution sigma_bar is
 certified when the source is built (even_clifford, clifford_of_pair).
 CompositionWitness.verify(), which construct_composition calls before
-returning, certifies the homomorphism, the target involution tau, the
-intertwining, the type of tau and the degree.  The steps build the
-involutions that become tau (restrictions to corners, extension
-candidates, tensor products, the swap) without a certificate of their
-own, so tau is certified once, unless it is sigma_bar itself.
+returning, certifies alpha, tau, the intertwining, the type of tau and
+the degree.  The steps build the maps inside tau and alpha (corner
+restrictions, twists, extension candidates, tensor factors, the swap,
+the conjugate transpose, the rescaling) uncertified: each is certified
+once, as part of tau or alpha, unless tau is sigma_bar itself.
 
 The certificates are exhaustive and sample nothing.  The homomorphism
 and the involution are checked on generators x basis: every generator g
@@ -70,7 +70,6 @@ from .algebra import (
     ProductAlgebra,
     QuaternionAlgebra,
     TensorAlgebra,
-    adjoint_involution,
     alg_inverse,
     center_basis,
     center_structure,
@@ -80,6 +79,7 @@ from .algebra import (
     restrict_involution,
     sums_and_differences,
     swap_involution,
+    transpose_involution,
 )
 from .quadform import QuadraticSpace
 from .clifford import CliffordAlgebra, even_clifford, PairCliffordData
@@ -208,7 +208,7 @@ def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
             continue
         imgs = [B.mul(B.mul(u, sigma0.apply(B.basis_el(i))), uinv).c
                 for i in range(B.dim)]
-        tau = Involution(B, imgs, label="tau", verify=False)
+        tau = Involution(B, imgs, label="tau")
         if F.char != 2:
             return tau, want or type0
         ttype = involution_type(B, tau)
@@ -253,14 +253,14 @@ def _constraints_for(src: SourceData, alpha_of) -> list:
 # ---------------------------------------------------------------------------
 # corner data for split centers
 
-def _corner_class(F: Field, corner: Algebra, seeds: Optional[list] = None) -> BrauerClass:
+def _corner_class(F: Field, corner: Algebra) -> BrauerClass:
     if not isinstance(F, RationalField):
         return trivial_class(F)
     if corner.dim == 1:
         return trivial_class(F)
     if corner.dim == 4:
         return BrauerClass(F, [quaternion_symbol_of(corner)])
-    got = _compressed_class(F, corner, seeds or [])
+    got = _compressed_class(F, corner)
     if got is not None:
         return got
     raise UnsupportedInputError(
@@ -268,7 +268,7 @@ def _corner_class(F: Field, corner: Algebra, seeds: Optional[list] = None) -> Br
     )
 
 
-def _compressed_class(F: Field, corner: Algebra, seeds: list) -> Optional[BrauerClass]:
+def _compressed_class(F: Field, corner: Algebra) -> Optional[BrauerClass]:
     """Class via compression by an explicit idempotent.
 
     pAp has the same class as A for any nonzero idempotent p, so a square
@@ -276,6 +276,7 @@ def _compressed_class(F: Field, corner: Algebra, seeds: list) -> Optional[Brauer
     """
     one = corner.one()
     half = F.inv(F.add(F.one(), F.one()))
+    seeds = (corner.project(corner.A.basis_el(i)) for i in range(corner.A.dim))
     basis = [corner.basis_el(i) for i in range(corner.dim)]
     budget = 60
     for w in itertools.chain(seeds, sums_and_differences(basis)):
@@ -322,9 +323,8 @@ def _split_corners(src: SourceData) -> list:
     out = []
     for idem in (e, C0.one() - e):
         corner, embed, project = corner_algebra(C0, idem, label=f"{C0.label}^")
-        seeds = [project(idem * C0.basis_el(i)) for i in range(C0.dim)]
         out.append({"B0": corner, "embed": embed, "project": project,
-                    "cls": _corner_class(F, corner, seeds), "idem": idem})
+                    "cls": _corner_class(F, corner), "idem": idem})
     if prof.n % 4 == 2 and out[0]["cls"] != out[1]["cls"]:
         raise CertificationError("corner classes must agree in degree 2 mod 4")
     a, b = out[0]["cls"], out[1]["cls"]
@@ -369,7 +369,8 @@ def _scaled_even_iso(src: SourceData, lam) -> tuple:
 
     e_S for an even set S is the ordered product of |S|/2 pairs e_i e_j,
     and e_i e_j goes to lam^-1 e_i e_j, so e_S goes to lam^(-|S|/2) e_S.
-    Returns (Cfull, hom C0 -> Cfull, reversal of Cfull).
+    Returns (Cfull, hom C0 -> Cfull, reversal of Cfull); alpha = iota . hom
+    with iota injective, so the certificate of alpha covers the hom.
     """
     q = src.q
     F = q.F
@@ -378,11 +379,7 @@ def _scaled_even_iso(src: SourceData, lam) -> tuple:
     for _ in range(q.n // 2):
         powers.append(F.div(powers[-1], lam))
     images = [{m: powers[bin(m).count("1") // 2]} for m in src.C0.masks]
-    phi = AlgebraHom(src.C0, Cf, images, label="rescale")
-    phi.verify()
-    if not phi.is_injective():
-        raise CertificationError("even Clifford rescaling is not injective")
-    return Cf, phi, Cf.reversal(verify=False)
+    return Cf, AlgebraHom(src.C0, Cf, images, label="rescale"), Cf.reversal()
 
 
 def _best_rescaling(src: SourceData, objective, support: list):
@@ -600,9 +597,7 @@ def _extend(plan: _Plan, B: Algebra, alpha_of, sigma0: Involution, want):
 def _matrix_layer(B0: Algebra, theta: Involution) -> tuple:
     """M_2(B0) with the conjugate transpose over theta."""
     M = MatrixAlgebra(B0, 2, label=f"M2({B0.label})")
-    zero, one = B0.zero(), B0.one()
-    return M, adjoint_involution(M, [[one, zero], [zero, one]], base_inv=theta,
-                                 label="conj-transpose")
+    return M, transpose_involution(M, theta, label="conj-transpose")
 
 
 def _paired_with_opposite(src: SourceData, block: _Block) -> tuple:

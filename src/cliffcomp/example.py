@@ -100,6 +100,7 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
     # tilde fixes i and j and negates k; it agrees with conjugation by k
     tilde = Involution(Q, [{0: one}, {1: one}, {2: one}, {3: F.neg(one)}],
                        label="tilde")
+    tilde.verify()
     kinv = alg_inverse(Q, k_)
     checks["tilde_is_k_twist"] = all(
         tilde.apply(Q.basis_el(t)) == k_ * Q.gamma().apply(Q.basis_el(t)) * kinv
@@ -115,6 +116,7 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
 
     sigma = Involution(M, [sprint(M.basis_el(t)).c for t in range(M.dim)],
                        label="model")
+    sigma.verify()
     if not psi.respects(tau0, sigma):
         raise CertificationError("the model involution does not match the canonical one")
     checks["involution_match"] = True

@@ -177,6 +177,7 @@ def pair_from_form(q: QuadraticSpace):
                     out[A._idx(i, j, 0)] = v
         imgs.append(out)
     sigma = Involution(A, imgs, label=f"ad({q.label})")
+    sigma.verify()
 
     def phi(i: int, j: int) -> El:
         # phi(e_i (x) e_j) = E_ij B as a matrix: row i gets B's row j

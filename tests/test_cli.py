@@ -100,10 +100,28 @@ def test_mcd_excluded_case_exits_3():
          "--truncation-cap", "0"),
         ("invariants", "--object", '{"quaternion_pair":[[1,1],[1,1]]}',
          "--truncation-cap", "2"),
+        # JSON of the wrong shape
+        ("invariants", "--object", "5"),
+        ("invariants", "--object", "null"),
+        ("invariants", "--object", '{"diag":5}'),
+        ("invariants", "--object", '{"gram":5}'),
+        ("invariants", "--object", '{"gram":[1,2]}'),
+        ("invariants", "--object", '{"quaternion_pair":5}'),
+        ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "symplectic", "--class", "5"),
+        ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "symplectic", "--class", "[5]"),
+        ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "[1]"),
+        ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "3"),
+        ("verify", "--object", "[1]"),
     ],
 )
 def test_invalid_inputs_exit_2(args):
     p = run_cli(*args)
+    assert p.returncode == 2, (p.stdout, p.stderr)
+    assert json.loads(p.stderr)["error"] == "invalid-input"
+
+
+def test_verify_refuses_a_bundle_of_the_wrong_shape_on_stdin():
+    p = run_cli("verify", stdin="[1]\n")
     assert p.returncode == 2, (p.stdout, p.stderr)
     assert json.loads(p.stderr)["error"] == "invalid-input"
 
@@ -221,6 +239,33 @@ def test_compose_refuses_a_block_above_the_exact_value():
                                "--type", "orthogonal")
     assert rc == 3, err
     assert json.loads(err)["type"] == "NotCoveredError"
+
+
+@pytest.mark.parametrize("entries,degree,twisted", [
+    ([1, 1, 1, 1, 1, -1], 16, True),
+    ([1, -1, 2, -2, 3, -3], 8, False),
+])
+@pytest.mark.parametrize("kind", ["orthogonal", "symplectic"])
+def test_compose_through_both_corners_of_a_split_center_over_q(entries, degree, twisted, kind):
+    # n = 6: the corners have dimension 16, so their classes come from a
+    # compressing idempotent and its dimension-4 sub-corner
+    rc, out, err = run_inprocess("compose", "--object", json.dumps({"diag": entries}),
+                                 "--type", kind)
+    assert rc == 0, err
+    witness = json.loads(out)["witness"]
+    assert (witness["degree"], witness["involution_type"]) == (degree, kind)
+    assert witness["trace"][-1] == "both corners mapped block-diagonally, the second one twisted"
+    assert any(line.startswith("tensored with") for line in witness["trace"]) == twisted
+    rc, _, err = run_inprocess("verify", "--object", out)
+    assert rc == 0, err
+
+
+def test_compose_refuses_a_corner_class_it_cannot_compress():
+    rc, _, err = run_inprocess("compose", "--object", '{"diag":[1,1,1,3,5,-15]}',
+                               "--type", "orthogonal")
+    assert rc == 2, err
+    assert json.loads(err)["message"] == \
+        "cannot certify the class of a dimension-16 factor at this scale"
 
 
 def test_oversized_clifford_algebra_fails_fast():

@@ -14,6 +14,7 @@ from cliffcomp.algebra import (
     MatrixAlgebra,
     ProductAlgebra,
     QuaternionAlgebra,
+    adjoint_involution,
     alg_inverse,
     hom_on_generators,
     involution_type,
@@ -22,10 +23,15 @@ from cliffcomp.algebra import (
 )
 from cliffcomp.brauer import BrauerClass, clifford_class_of_form, trivial_class
 from cliffcomp.cli import _parse_field, _parse_object, _parse_request
-from cliffcomp.clifford import clifford_of_pair
+from cliffcomp.clifford import PairCliffordData, clifford_of_pair
 from cliffcomp.compose import construct_composition, regular_representation
-from cliffcomp.errors import CertificationError, InputTooLargeError, NotCoveredError
-from cliffcomp.linalg import kernel
+from cliffcomp.errors import (
+    CertificationError,
+    InputTooLargeError,
+    NotCoveredError,
+    UnsupportedInputError,
+)
+from cliffcomp.linalg import SparseEchelon, kernel
 from cliffcomp.mcd import dbound_min_degree
 from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
@@ -433,3 +439,93 @@ def test_scaling_formula_matches_the_rescaled_form(entries):
         assert cls.support == old.support
         checked += 1
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# references for the corner algebra and the doubling layer
+
+def eager_corner(A, e):
+    """The structure table and unit of e A e tabulated up front: the reduced
+    echelon basis of the span of the e b e, and every product of two of its
+    elements read back at the pivot columns."""
+    ech = SparseEchelon(A.F)
+    for i in range(A.dim):
+        ech.insert(A.mul(e, A.mul(A.basis_el(i), e)).c)
+    pivots = sorted(ech.rows)
+    basis = [El(A, ech.rows[p]) for p in pivots]
+
+    def coords_of(x):
+        assert not ech.reduce(x.c)
+        return {k: x.c[p] for k, p in enumerate(pivots) if p in x.c}
+
+    table = {(i, j): coords_of(A.mul(x, y)) for i, x in enumerate(basis) for j, y in enumerate(basis)}
+    return table, coords_of(e)
+
+
+def _split_sources():
+    """Sources whose even Clifford algebra has a split center: those of the
+    committed bundles, <1,1,1,1,1,2> over GF(3), and <1,1,1,1,1,-1> over Q,
+    whose corners of dimension 16 are compressed."""
+    out = []
+    for obj, _ in KERNEL_PROBLEMS[:len(BUNDLE_PATHS)] + [
+            (QuadraticSpace.diagonal(F3, [1, 1, 1, 1, 1, 2]), None), (diag(1, 1, 1, 1, 1, -1), None)]:
+        src = (compose.source_from_pair(obj) if isinstance(obj, PairCliffordData)
+               else compose.source_from_form(obj))
+        if src.profile.n % 2 == 0 and src.profile.z_split:
+            out.append((src.label, src))
+    return out
+
+
+BUNDLE_PATHS = sorted((Path(__file__).parent / "data").glob("bundle_*.json"))
+SPLIT_SOURCES = _split_sources()
+
+
+@pytest.mark.parametrize("label,src", SPLIT_SOURCES, ids=[s[0] for s in SPLIT_SOURCES])
+def test_corner_products_match_the_eager_table(label, src):
+    for side in compose._split_corners(src):
+        B = side["B0"]
+        table, unit = eager_corner(src.C0, side["idem"])
+        assert len(table) == B.dim * B.dim
+        assert B.one().c == unit
+        assert all(B.mul_bb(i, j) == prod for (i, j), prod in table.items())
+        for i in range(B.dim):
+            b = B.basis_el(i)
+            assert side["project"](side["embed"](b)) == b
+
+
+def test_split_sources_cover_the_bundles_and_gf3():
+    assert len(SPLIT_SOURCES) == 4
+    assert any(src.C0.F == F3 for _, src in SPLIT_SOURCES)
+
+
+def _thetas():
+    """Involutions of a quaternion algebra over Q, of a GF(3) corner (the
+    vector twist the two-corner witness doubles) and of a quaternion
+    algebra over GF(2)."""
+    src = compose.source_from_form(QuadraticSpace.diagonal(F3, [1, 1, 1, 1, 1, 2]))
+    corner = compose._corner_first_kind_involution(src, compose._split_corners(src)[0])
+    return [("quaternion-Q", QuaternionAlgebra(QQ, Fraction(-1), Fraction(-1)).gamma()),
+            ("corner-GF3", corner),
+            ("quaternion-GF2", QuaternionAlgebra(F2, 1, 1).gamma())]
+
+
+THETAS = _thetas()
+
+
+@pytest.mark.parametrize("label,theta", THETAS, ids=[t[0] for t in THETAS])
+def test_conjugate_transpose_is_the_adjoint_of_the_identity(label, theta):
+    theta.verify()
+    B0 = theta.A
+    M = MatrixAlgebra(B0, 2)
+    one, zero = B0.one(), B0.zero()
+    reference = adjoint_involution(M, [[one, zero], [zero, one]], base_inv=theta)
+    assert transpose_involution(M, theta).images == reference.images
+
+
+@pytest.mark.parametrize("F", [QQ, F3, F2], ids=str)
+def test_plain_transpose_over_a_field(F):
+    M = MatrixAlgebra(FieldAlgebra(F), 3)
+    old = [{M._idx(c, r, t): F.one()} for r, c, t in map(M._unidx, range(M.dim))]
+    assert transpose_involution(M).images == old
+    with pytest.raises(UnsupportedInputError):
+        transpose_involution(MatrixAlgebra(QuaternionAlgebra(F, 1, 1), 2))

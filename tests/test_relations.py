@@ -1,10 +1,11 @@
 """Metamorphic relations: changes of the input that must not change the answer.
 
-Permuting the coordinates of a form, and scaling one diagonal entry by a
-nonzero square, give an isometric form.  So `invariants` keeps its supports
-and trivial flags (the chosen symbols and datum may move), `mcd` and
-`bound` keep their values, and `compose` keeps the witness's degree and
-type.  The forms are diagonal over Q and GF(3), and Gram forms over GF(2).
+Permuting the coordinates of a form, scaling one diagonal entry by a
+nonzero square, and an integral unimodular change of basis give an
+isometric form.  So `invariants` keeps its supports and trivial flags (the
+chosen symbols and datum may move), `mcd` and `bound` keep their values,
+and `compose` keeps the witness's degree and type.  The forms are
+diagonal over Q and GF(3), and Gram forms over Q, GF(3) and GF(2).
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cliffcomp import cli
 from cliffcomp.quadform import QuadraticSpace
-from cliffcomp.scalars import PrimeField
+from cliffcomp.scalars import QQ, PrimeField
 
 Q_ENTRIES = (1, -1, 2, -2, 3, -3, 5, -5, 7, -7)
 Q_SQUARES = (4, 9, Fraction(1, 4), Fraction(25, 9))
@@ -137,5 +138,59 @@ def test_gf2_gram_forms_keep_their_answers_under_permutation(n):
         assume(QuadraticSpace(PrimeField(2), M).regularity() != "degenerate")
         base = answers("GF(2)", {"gram": M}, n, target)
         assert answers("GF(2)", {"gram": permuted_gram(M, perm)}, n, target) == base
+
+    check()
+
+
+def unimodular_image(M, shears, perm, p=None):
+    """The coefficient matrix of q(Ux), U the product of the shears
+    x_i += c x_j and then the permutation, for q with upper-triangular
+    coefficient matrix M: S = U^t M U, diagonal S_ii, above it S_ij + S_ji.
+    Entries are reduced mod p over GF(p)."""
+    n = len(M)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in shears:
+        # right multiplication by I + c E_ij adds c times column i to column j
+        for r in range(n):
+            U[r][j] += c * U[r][i]
+    U = [[U[r][perm[k]] for k in range(n)] for r in range(n)]
+    S = [[sum(U[a][i] * M[a][b] * U[b][j] for a in range(n) for b in range(n))
+          for j in range(n)] for i in range(n)]
+    out = [[S[i][i] if i == j else S[i][j] + S[j][i] if i < j else 0 for j in range(n)]
+           for i in range(n)]
+    return out if p is None else [[v % p for v in row] for row in out]
+
+
+def gram_cases(field, n, p):
+    diag = Q_ENTRIES if p is None else range(p)
+    upper = (-1, 0, 1) if p is None else diag
+    shear = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from((1, -1, 2, -2)))
+    return st.tuples(
+        st.lists(st.sampled_from(diag), min_size=n, max_size=n),
+        st.lists(st.sampled_from(upper), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.lists(shear.map(lambda s: (s[0], (s[0] + s[1]) % n, s[2])), min_size=1, max_size=3),
+        st.permutations(range(n)),
+        st.sampled_from(TARGETS[field]),
+    )
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(3)", "GF(2)"])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_gram_forms_keep_their_answers_under_unimodular_change_of_basis(field, n):
+    p = None if field == "Q" else int(field[3:-1])
+
+    @settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+    @given(gram_cases(field, n, p))
+    def check(case):
+        diag, upper, shears, perm, target = case
+        slots = iter(upper)
+        M = [[diag[i] if i == j else next(slots) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+        F = QQ if p is None else PrimeField(p)
+        assume(QuadraticSpace(F, [[F.parse(str(v)) for v in row] for row in M]).regularity()
+               != "degenerate")
+        base = answers(field, {"gram": M}, n, target)
+        image = unimodular_image(M, shears, perm, p)
+        assert answers(field, {"gram": image}, n, target) == base
 
     check()
