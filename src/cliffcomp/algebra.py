@@ -775,17 +775,18 @@ def center_structure(A: Algebra):
 
 
 class CornerAlgebra(Algebra):
-    """The unital algebra e A e for a central idempotent e, on the reduced
-    echelon basis of the span of the e b e: an element of the span has its
-    coordinates at the pivot columns.  A product of basis elements is A's
-    product read back in these coordinates when it is first asked for."""
+    """The unital algebra eA for a central idempotent e (eAe = eA, since
+    e b e = e b), on the reduced echelon basis of the span of the e b: an
+    element of the span has its coordinates at the pivot columns.  A
+    product of basis elements is A's product read back in these
+    coordinates when it is first asked for."""
 
     def __init__(self, A: Algebra, e: El, label: str = "corner"):
         super().__init__()
         self.A, self.e, self.F, self.label = A, e, A.F, label
         self._ech = SparseEchelon(A.F)
         for i in range(A.dim):
-            self._ech.insert(A.mul(e, A.mul(A.basis_el(i), e)).c)
+            self._ech.insert(A.mul(e, A.basis_el(i)).c)
         self._pivots = sorted(self._ech.rows)
         self._basis = [El(A, self._ech.rows[p]) for p in self._pivots]
         self.dim = len(self._pivots)
@@ -804,11 +805,12 @@ class CornerAlgebra(Algebra):
         return El(self.A, apply_cols(self.F, [b.c for b in self._basis], x.c))
 
     def project(self, x: El) -> El:
-        return El(self, self._coords_of(self.A.mul(self.e, self.A.mul(x, self.e))))
+        return El(self, self._coords_of(self.A.mul(self.e, x)))
 
 
 def corner_algebra(A: Algebra, e: El, label: str = "corner"):
-    """The corner e A e as (B, B.embed, B.project), B a CornerAlgebra."""
+    """The corner eA of A at a central idempotent e, as (B, B.embed,
+    B.project), B a CornerAlgebra; project is x -> e x."""
     B = CornerAlgebra(A, e, label)
     return B, B.embed, B.project
 

@@ -67,9 +67,11 @@ def _parse_field(spec) -> Field:
 
 
 def _shaped(value, kind: type, what: str):
-    """value when it is a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(value, kind):
-        raise UnsupportedInputError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    """value when it is a JSON object (kind dict), array (list), integer
+    (int; a bool is not one) or string (str)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {dict: "object", list: "array", int: "integer", str: "string"}[kind]
+        raise UnsupportedInputError(f"{what} must be a JSON {name}")
     return value
 
 
@@ -207,14 +209,16 @@ def _cmd_verify(args) -> dict:
     bundle = _shaped(json.loads(args.object) if args.object else json.load(sys.stdin),
                      dict, "the bundle")
     problem = _shaped(bundle["problem"], dict, "the bundle's problem")
+    field = problem.get("field")
     rebuilt = _cmd_compose(argparse.Namespace(
-        field=problem.get("field"),
+        field=None if field is None else _shaped(field, str, "the bundle's field"),
         object=json.dumps(problem["object"]),
         type=problem.get("type"),
         cls=json.dumps(problem["class"]) if problem.get("class") is not None else None,
         s=json.dumps(problem["s"]) if problem.get("s") is not None else None,
-        seed=int(problem.get("seed", 0)),
-        truncation_cap=int(problem.get("truncation_cap", 4)),
+        seed=_shaped(problem.get("seed", 0), int, "the bundle's seed"),
+        truncation_cap=_shaped(problem.get("truncation_cap", 4), int,
+                               "the bundle's truncation_cap"),
     ))
     if rebuilt["witness"] != bundle["witness"]:
         raise CertificationError("replayed witness differs from the bundle")

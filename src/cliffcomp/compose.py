@@ -21,16 +21,19 @@ and y to xy, so one sparse solve over the rows of all of them gives the
 space of u.  The rescaling isomorphism C0(q) -> C(lam q) is written out on
 the basis, e_S -> lam^(-|S|/2) e_S, and the class of C(lam q) comes from
 the scaling formula [C(lam q)] = [C(q)] (lam, d) for even n, so no
-rescaled form is diagonalized.
+rescaled form is diagonalized.  A corner of a split center C0 = C+ x C-
+takes its class from the invariant profile, c_plus at the central
+idempotent e and c_minus at 1 - e; over Q the degree-2 corners of a form
+source still recover their symbol, certified, and must agree with it.
 
 Theorems replace trial searches.  For invertible u with sigma0(u) =
 eps u, Sym(Int(u) . sigma0) = u Sym_eps(sigma0), so outside
 characteristic 2 the sign eps fixes the type of the extension: one
 kernel, of the sign the wanted type needs, is solved, and an empty one
-proves that the type switch needs the 2x2 doubling.  Candidates for u,
-for the compressing idempotents of a corner and for the generators of
-a quaternion symbol come from finite lists: spanning vectors, then
-their pairwise sums and differences (sums_and_differences).
+proves that the type switch needs the 2x2 doubling.  Candidates for u
+and for the generators of a quaternion symbol come from finite lists:
+spanning vectors, then their pairwise sums and differences
+(sums_and_differences).
 
 Which certificate runs where: the source involution sigma_bar is
 certified when the source is built (even_clifford, clifford_of_pair).
@@ -83,14 +86,7 @@ from .algebra import (
 )
 from .quadform import QuadraticSpace
 from .clifford import CliffordAlgebra, even_clifford, PairCliffordData
-from .brauer import (
-    BrauerClass,
-    _as_scalar,
-    trivial_class,
-    clifford_class_of_form,
-    quaternion_model,
-    quaternion_symbol_of,
-)
+from .brauer import BrauerClass, quaternion_model, quaternion_symbol_of
 from .mcd import (
     InvariantProfile,
     McdResult,
@@ -253,86 +249,35 @@ def _constraints_for(src: SourceData, alpha_of) -> list:
 # ---------------------------------------------------------------------------
 # corner data for split centers
 
-def _corner_class(F: Field, corner: Algebra) -> BrauerClass:
-    if not isinstance(F, RationalField):
-        return trivial_class(F)
-    if corner.dim == 1:
-        return trivial_class(F)
-    if corner.dim == 4:
-        return BrauerClass(F, [quaternion_symbol_of(corner)])
-    got = _compressed_class(F, corner)
-    if got is not None:
-        return got
-    raise UnsupportedInputError(
-        f"cannot certify the class of a dimension-{corner.dim} factor at this scale"
-    )
-
-
-def _compressed_class(F: Field, corner: Algebra) -> Optional[BrauerClass]:
-    """Class via compression by an explicit idempotent.
-
-    pAp has the same class as A for any nonzero idempotent p, so a square
-    root of 1 in the corner cuts the problem down to a certifiable size.
-    """
-    one = corner.one()
-    half = F.inv(F.add(F.one(), F.one()))
-    seeds = (corner.project(corner.A.basis_el(i)) for i in range(corner.A.dim))
-    basis = [corner.basis_el(i) for i in range(corner.dim)]
-    budget = 60
-    for w in itertools.chain(seeds, sums_and_differences(basis)):
-        lam = _as_scalar(corner, w * w)
-        if lam is None or F.is_zero(lam):
-            continue
-        s = F.sqrt(lam)
-        if s is None:
-            continue
-        u = El(corner, {k: F.mul(F.inv(s), v) for k, v in w.c.items()})
-        if u == one or u == El(corner, {k: F.neg(v) for k, v in one.c.items()}):
-            continue
-        p = El(corner, {k: F.mul(half, v) for k, v in (one + u).c.items()})
-        for idem in (p, one - p):
-            budget -= 1
-            sub, _, _ = corner_algebra(corner, idem, label=f"{corner.label}c")
-            if sub.dim == 1:
-                return trivial_class(F)
-            if sub.dim == 4:
-                return BrauerClass(F, [quaternion_symbol_of(sub)])
-        if budget <= 0:
-            break
-    return None
-
-
 def _split_corners(src: SourceData) -> list:
-    """Both corner algebras of a split-center source, with certified classes.
+    """Both corner algebras of a split-center source, with the classes of
+    the invariant profile: c_plus for the corner of e, c_minus for that of
+    1 - e.
 
-    For degree 2 mod 4 the two classes must agree (a structure invariant of
-    the even Clifford algebra), and in all cases they must reproduce the
-    classes stored in the invariant profile.
+    A pair profile read both classes off these same corners.  Over Q a
+    degree-2 corner of a form source recovers its symbol, certified, and
+    carries it; the recovered class must be the profile's.
     """
     C0 = src.C0
     F = C0.F
     prof = src.profile
     if not prof.z_split:
         raise UnsupportedInputError("corner data needs a split center")
-    if src.pair_data is not None and src.pair_data.center_idempotent is not None:
+    if src.pair_data is not None:
         e = src.pair_data.center_idempotent
     else:
         et, e = center_structure(C0)
         if e is None:
             raise CertificationError("profile says split center, algebra disagrees")
     out = []
-    for idem in (e, C0.one() - e):
+    for idem, cls in ((e, prof.c_plus), (C0.one() - e, prof.c_minus)):
         corner, embed, project = corner_algebra(C0, idem, label=f"{C0.label}^")
-        out.append({"B0": corner, "embed": embed, "project": project,
-                    "cls": _corner_class(F, corner), "idem": idem})
-    if prof.n % 4 == 2 and out[0]["cls"] != out[1]["cls"]:
-        raise CertificationError("corner classes must agree in degree 2 mod 4")
-    a, b = out[0]["cls"], out[1]["cls"]
-    matches = (a == prof.c_plus and b == prof.c_minus) or (
-        a == prof.c_minus and b == prof.c_plus
-    )
-    if not matches:
-        raise CertificationError("corner classes disagree with the invariant profile")
+        if src.pair_data is None and corner.dim == 4 and isinstance(F, RationalField):
+            got = BrauerClass(F, [quaternion_symbol_of(corner)])
+            if got != cls:
+                raise CertificationError("corner class disagrees with the invariant profile")
+            cls = got
+        out.append({"B0": corner, "embed": embed, "project": project, "cls": cls, "idem": idem})
     return out
 
 
@@ -391,7 +336,7 @@ def _best_rescaling(src: SourceData, objective, support: list):
     """
     q = src.q
     F = q.F
-    c = clifford_class_of_form(q)
+    c = src.profile.c_base
     d = q.center_datum()
     best = None
     for lam in _lambda_pool(F, [c] + support, d):

@@ -112,6 +112,12 @@ def test_mcd_excluded_case_exits_3():
         ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "[1]"),
         ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "3"),
         ("verify", "--object", "[1]"),
+        # bundle problem fields of the wrong JSON type
+        *[("verify", "--object", json.dumps({
+            "problem": {"object": {"diag": [1, 1]}, "type": "orthogonal", **fields},
+            "witness": {}}))
+          for fields in ({"seed": [1]}, {"seed": None}, {"truncation_cap": {}},
+                         {"field": 5}, {"seed": 1.5}, {"seed": True})],
     ],
 )
 def test_invalid_inputs_exit_2(args):
@@ -247,8 +253,8 @@ def test_compose_refuses_a_block_above_the_exact_value():
 ])
 @pytest.mark.parametrize("kind", ["orthogonal", "symplectic"])
 def test_compose_through_both_corners_of_a_split_center_over_q(entries, degree, twisted, kind):
-    # n = 6: the corners have dimension 16, so their classes come from a
-    # compressing idempotent and its dimension-4 sub-corner
+    # n = 6: the corners have dimension 16, and their classes come from
+    # the profile
     rc, out, err = run_inprocess("compose", "--object", json.dumps({"diag": entries}),
                                  "--type", kind)
     assert rc == 0, err
@@ -260,12 +266,29 @@ def test_compose_through_both_corners_of_a_split_center_over_q(entries, degree, 
     assert rc == 0, err
 
 
-def test_compose_refuses_a_corner_class_it_cannot_compress():
-    rc, _, err = run_inprocess("compose", "--object", '{"diag":[1,1,1,3,5,-15]}',
-                               "--type", "orthogonal")
-    assert rc == 2, err
-    assert json.loads(err)["message"] == \
-        "cannot certify the class of a dimension-16 factor at this scale"
+@pytest.mark.parametrize("entries", [
+    [1, 1, 1, 3, 5, -15],
+    [2, 3, 5, 7, 11, -2310],
+    [1, 1, 1, 1, 1, 1, -1, -1],
+    [-1] * 8,
+    [1, -1, 2, -2, 3, -3, 5, -5],
+    [1, 2, 3, 6, 1, 1, 1, 1],
+], ids=str)
+@pytest.mark.parametrize("kind", ["orthogonal", "symplectic"])
+def test_split_corners_over_q_compose_at_the_exact_value(entries, kind):
+    # the corners of dimension 16 and 64 take their classes from the
+    # profile; no compressing idempotent is searched for
+    args = ("--object", json.dumps({"diag": entries}), "--type", kind)
+    rc, out, err = run_inprocess("mcd", *args)
+    assert rc == 0, err
+    expected = json.loads(out)
+    assert expected["status"] == "exact"
+    rc, out, err = run_inprocess("compose", *args)
+    assert rc == 0, err
+    witness = json.loads(out)["witness"]
+    assert (witness["degree"], witness["involution_type"]) == (expected["value"], kind)
+    rc, _, err = run_inprocess("verify", "--object", out)
+    assert rc == 0, err
 
 
 def test_oversized_clifford_algebra_fails_fast():

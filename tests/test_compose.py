@@ -1,6 +1,8 @@
 """Witness construction: certified homomorphisms at the formula degree."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from cliffcomp import compose
 from cliffcomp.algebra import (
     El,
+    ExplicitAlgebra,
     FieldAlgebra,
     Involution,
     MatrixAlgebra,
@@ -21,7 +24,13 @@ from cliffcomp.algebra import (
     sums_and_differences,
     transpose_involution,
 )
-from cliffcomp.brauer import BrauerClass, clifford_class_of_form, trivial_class
+from cliffcomp.brauer import (
+    BrauerClass,
+    _as_scalar,
+    clifford_class_of_form,
+    quaternion_symbol_of,
+    trivial_class,
+)
 from cliffcomp.cli import _parse_field, _parse_object, _parse_request
 from cliffcomp.clifford import PairCliffordData, clifford_of_pair
 from cliffcomp.compose import construct_composition, regular_representation
@@ -465,7 +474,7 @@ def eager_corner(A, e):
 def _split_sources():
     """Sources whose even Clifford algebra has a split center: those of the
     committed bundles, <1,1,1,1,1,2> over GF(3), and <1,1,1,1,1,-1> over Q,
-    whose corners of dimension 16 are compressed."""
+    whose corners have dimension 16."""
     out = []
     for obj, _ in KERNEL_PROBLEMS[:len(BUNDLE_PATHS)] + [
             (QuadraticSpace.diagonal(F3, [1, 1, 1, 1, 1, 2]), None), (diag(1, 1, 1, 1, 1, -1), None)]:
@@ -496,6 +505,68 @@ def test_corner_products_match_the_eager_table(label, src):
 def test_split_sources_cover_the_bundles_and_gf3():
     assert len(SPLIT_SOURCES) == 4
     assert any(src.C0.F == F3 for _, src in SPLIT_SOURCES)
+
+
+def ref_compressed_class(F, corner):
+    """The class of a corner over Q as the search that the profile's classes
+    replaced found it: a square root u of 1 in the corner other than +-1
+    gives an idempotent p = (1 + u)/2, and pAp has the class of the corner.
+    The first pAp (or (1-p)A(1-p)) of dimension 1 or 4 decides; None when
+    60 idempotents give none.  p is not central, so pAp is tabulated by
+    eager_corner."""
+    one = corner.one()
+    half = F.inv(F.add(F.one(), F.one()))
+    seeds = (corner.project(corner.A.basis_el(i)) for i in range(corner.A.dim))
+    basis = [corner.basis_el(i) for i in range(corner.dim)]
+    budget = 60
+    for w in itertools.chain(seeds, sums_and_differences(basis)):
+        lam = _as_scalar(corner, w * w)
+        if lam is None or F.is_zero(lam):
+            continue
+        s = F.sqrt(lam)
+        if s is None:
+            continue
+        u = F.inv(s) * w
+        if u == one or u == -one:
+            continue
+        p = half * (one + u)
+        for idem in (p, one - p):
+            budget -= 1
+            table, unit = eager_corner(corner, idem)
+            dim = math.isqrt(len(table))
+            if dim == 1:
+                return trivial_class(F)
+            if dim == 4:
+                return BrauerClass(F, [quaternion_symbol_of(ExplicitAlgebra(F, 4, table, unit))])
+        if budget <= 0:
+            break
+    return None
+
+
+@pytest.mark.parametrize("entries", [(1, 1, 1, 1, 1, -1), (1, -1, 2, -2, 3, -3),
+                                     (1, -1, 1, -1, 1, -1)], ids=str)
+def test_profile_corner_classes_match_the_compressing_search(entries):
+    src = compose.source_from_form(diag(*entries))
+    sides = compose._split_corners(src)
+    found = ref_compressed_class(QQ, sides[0]["B0"])
+    assert found is not None
+    assert found == sides[0]["cls"] == sides[1]["cls"] == src.profile.c_plus
+
+
+def test_pair_corner_classes_are_their_recovered_symbols():
+    (_, src), = [s for s in SPLIT_SOURCES if s[1].pair_data is not None]
+    for side in compose._split_corners(src):
+        assert side["cls"] == BrauerClass(src.C0.F, [quaternion_symbol_of(side["B0"])])
+
+
+def test_a_degree_2_form_corner_carries_its_symbol_and_checks_the_profile():
+    src = compose.source_from_form(diag(1, 1, 1, 1))
+    for side in compose._split_corners(src):
+        assert side["cls"].symbols == [quaternion_symbol_of(side["B0"])]
+        assert side["cls"] == src.profile.c_plus
+    src.profile.c_plus = src.profile.c_plus * HH
+    with pytest.raises(CertificationError):
+        compose._split_corners(src)
 
 
 def _thetas():

@@ -6,11 +6,17 @@ isometric form.  So `invariants` keeps its supports and trivial flags (the
 chosen symbols and datum may move), `mcd` and `bound` keep their values,
 and `compose` keeps the witness's degree and type.  The forms are
 diagonal over Q and GF(3), and Gram forms over Q, GF(3) and GF(2).
+
+Adding a hyperbolic plane H keeps the classes and the center:
+C(q + H) is M_2(C(q)) and the signed discriminant does not move.  On
+diagonals over Q with n = 6 and a split center, permutations and square
+scalings also keep the witness that `compose` builds through the corners.
 """
 
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -68,18 +74,26 @@ def _classes(inv):
     return out
 
 
+def invariants(field, obj):
+    rc, inv = call("invariants", *args(field, obj))
+    return rc, inv and _classes(inv)
+
+
+def composed(field, obj, target):
+    rc, res = call("compose", *args(field, obj, target))
+    return rc, res and (res["witness"]["degree"], res["witness"]["involution_type"])
+
+
 def answers(field, obj, n, compose_target):
     """The facts the relations keep, read from the CLI's JSON."""
-    rc, inv = call("invariants", *args(field, obj))
-    got = {"invariants": (rc, inv and _classes(inv))}
+    got = {"invariants": invariants(field, obj)}
     for k, target in enumerate(TARGETS[field]):
         rc, res = call("mcd", *args(field, obj, target))
         got[f"mcd{k}"] = (rc, res and (res["status"], res["value"]))
         rc, res = call("bound", *args(field, obj, target))
         got[f"bound{k}"] = (rc, res and (res["lower_bound"]["value"], res["lower_bound"]["equality"]))
     if n <= COMPOSE_MAX_N:
-        rc, res = call("compose", *args(field, obj, compose_target))
-        got["compose"] = (rc, res and (res["witness"]["degree"], res["witness"]["involution_type"]))
+        got["compose"] = composed(field, obj, compose_target)
     return got
 
 
@@ -118,6 +132,34 @@ def test_diagonal_forms_keep_their_answers(field, n):
         scaled = list(diag)
         scaled[at] = str(Fraction(diag[at]) * Fraction(square))
         assert answers(field, {"diag": scaled}, n, target) == base
+
+    check()
+
+
+def split_center_cases():
+    """Diagonals <a1, ..., a5, -a1...a5>, whose signed discriminant is a
+    square, with a permutation, a square scaling and a target."""
+    return st.tuples(
+        st.lists(st.sampled_from(Q_ENTRIES), min_size=5, max_size=5),
+        st.permutations(range(6)),
+        st.integers(0, 5),
+        st.sampled_from(Q_SQUARES),
+        st.sampled_from(TARGETS["Q"]),
+    )
+
+
+def test_split_center_diagonals_keep_their_corner_witness():
+    @settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+    @given(split_center_cases())
+    def check(case):
+        head, perm, at, square, target = case
+        diag = head + [-math.prod(head)]
+        base = composed("Q", {"diag": diag}, target)
+        permuted = [diag[perm[i]] for i in range(6)]
+        assert composed("Q", {"diag": permuted}, target) == base
+        scaled = list(diag)
+        scaled[at] = str(Fraction(diag[at]) * Fraction(square))
+        assert composed("Q", {"diag": scaled}, target) == base
 
     check()
 
@@ -192,5 +234,39 @@ def test_gram_forms_keep_their_answers_under_unimodular_change_of_basis(field, n
         base = answers(field, {"gram": M}, n, target)
         image = unimodular_image(M, shears, perm, p)
         assert answers(field, {"gram": image}, n, target) == base
+
+    check()
+
+
+def hyperbolic_cases(field, n):
+    """An object and the same object with a hyperbolic plane added: <1, -1>
+    after a diagonal, or the block [[0, 1], [0, 0]] after a GF(2) Gram
+    form."""
+    if field != "GF(2)":
+        pool = Q_ENTRIES if field == "Q" else (1, 2)
+        return st.lists(st.sampled_from(pool), min_size=n, max_size=n).map(
+            lambda d: ({"diag": d}, {"diag": d + [1, -1]}))
+
+    def with_plane(entries):
+        slots = iter(entries)
+        M = [[next(slots) if j >= i else 0 for j in range(n)] for i in range(n)]
+        plus = [row + [0, 0] for row in M] + [[0] * n + [0, 1], [0] * (n + 2)]
+        return {"gram": M}, {"gram": plus}
+
+    size = n * (n + 1) // 2
+    return st.lists(st.integers(0, 1), min_size=size, max_size=size).map(with_plane)
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(3)", "GF(2)"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_hyperbolic_plane_keeps_the_classes_and_the_center(field, n):
+    @settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+    @given(hyperbolic_cases(field, n))
+    def check(case):
+        obj, plus = case
+        if "gram" in obj:
+            F = PrimeField(2)
+            assume(QuadraticSpace(F, obj["gram"]).regularity() != "degenerate")
+        assert invariants(field, plus) == invariants(field, obj)
 
     check()
