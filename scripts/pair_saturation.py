@@ -4,7 +4,7 @@ Sweeps regular forms over small finite fields, runs the pair construction
 on each, and records the saturation degree the generator filtration
 needed and whether the result matched the even Clifford algebra of the
 underlying form.  A quick way to spot inputs where the sandwich relations
-fail to certify.
+fail to certify: the exit status is 1 when any form fails.
 
 Usage: python3 scripts/pair_saturation.py [--max-dim 4] [--limit 6] [--json]
 """
@@ -66,10 +66,11 @@ def main():
     rows = []
     for p in (2, 3):
         rows.extend(sweep(p, args.max_dim if p == 2 else 2, args.limit))
+    bad = sum(1 for r in rows if r["outcome"] != "certified")
     if args.json:
         for row in rows:
             print(json.dumps(row))
-        return
+        return 1 if bad else 0
     tallies = Counter()
     for row in rows:
         if row["outcome"] != "certified":
@@ -79,9 +80,9 @@ def main():
         tallies[(row["p"], row["n"], row["saturation_degree"])] += 1
     for (p, n, deg), count in sorted(tallies.items()):
         print(f"p={p}  n={n}  saturation={deg}  forms={count}")
-    bad = sum(1 for r in rows if r["outcome"] != "certified")
     print(f"total forms: {len(rows)}, certified: {len(rows) - bad}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

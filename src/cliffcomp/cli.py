@@ -8,6 +8,7 @@ structured JSON on standard error.  Rationals travel as strings.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import (
@@ -428,7 +429,14 @@ def _emit_error(kind: str, e: Exception) -> None:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,13 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import (
-    Algebra,
-    El,
-    ExplicitAlgebra,
-    Involution,
-    center_structure,
-)
+from .algebra import Algebra, El, ExplicitAlgebra, Involution, center_structure
 from .errors import CertificationError, InputTooLargeError, SaturationError, UnsupportedInputError
 from .linalg import SparseEchelon, apply_cols, axpy, inverse, kernel, rref
 from .quadform import QuadraticSpace
@@ -275,53 +269,66 @@ class _PairQuotient:
         return out
 
     def generator_rows(self, w_basis: list) -> list:
-        """Pushed-down relations u - Sand(u)(l) for u in the sandwich basis."""
+        """Pushed-down relations u - Sand(u)(l) for u in the sandwich basis.
+
+        Each is the sum of u_ij R_ij, where R_ij = phi_i phi_j - phi(e_i l e_j)
+        is pushed down once per pair (i, j), on its first use.
+        """
         F = self.F
         A = self.A
         phi = self.letter_decomp
         left = [A.mul(A.basis_el(i), self.ell) for i in range(A.dim)]
+        pair_rows: dict = {}
         out = []
         for u in w_basis:
             row: dict = {}
-            sand: dict = {}
-            for (i, j), c in u.items():
-                axpy(F, row, c, self._word_product(phi[i], phi[j]))
-                axpy(F, sand, c, A.mul(left[i], A.basis_el(j)).c)
-            axpy(F, row, F.neg(F.one()), apply_cols(F, phi, sand))
+            for ij, c in u.items():
+                if ij not in pair_rows:
+                    i, j = ij
+                    sand = apply_cols(F, phi, A.mul(left[i], A.basis_el(j)).c)
+                    pair_rows[ij] = axpy(F, self._word_product(phi[i], phi[j]), F.neg(F.one()), sand)
+                axpy(F, row, c, pair_rows[ij])
             if row:
                 out.append(row)
         return out
 
     def saturate(self, gens: list, degree: int):
-        """Echelonize x (x) g (x) y paddings up to total degree."""
-        key = lambda w: (-len(w), w)
-        ech = SparseEchelon(self.F, key=key)
-        letters = list(range(self.nu))
-        pads: list = [()]
-        maxpad = max(0, degree - 2)
-        frontier = [()]
-        for _ in range(maxpad):
-            frontier = [w + (a,) for w in frontier for a in letters]
-            pads.extend(frontier)
+        """Echelonize the paddings x g y with len(x) + deg g + len(y) <= degree.
+
+        Padding by fixed words x, y is linear in g, but the allowance
+        depends on deg g, the length of g's longest word.  So the rows are
+        bucketed by degree and only a basis of each bucket (its rref) is
+        padded, with the bucket's allowance: the padded span is that of
+        every row padded.  One basis of all rows would not do, since a
+        combination whose top words cancel has a lower degree and would
+        take longer paddings, enlarging the truncated ideal.  A fully
+        reduced echelon with unit pivots is unique for its span and column
+        order, so the echelon is the one that padding every row gives.
+        """
+        ech = SparseEchelon(self.F, key=lambda w: (-len(w), w))
+        pads = self._words(max(0, degree - 2))
+        buckets: dict = {}
         for g in gens:
-            gdeg = max((len(w) for w in g), default=0)
-            for x in pads:
-                for y in pads:
-                    if len(x) + gdeg + len(y) > degree:
-                        continue
-                    row = {x + w + y: c for w, c in g.items()}
-                    ech.insert(row)
+            buckets.setdefault(max((len(w) for w in g), default=0), []).append(g)
+        for gdeg, rows in buckets.items():
+            for g in rref(self.F, rows).rows.values():
+                for x in pads:
+                    for y in pads:
+                        if len(x) + gdeg + len(y) <= degree:
+                            ech.insert({x + w + y: c for w, c in g.items()})
         return ech
+
+    def _words(self, length: int) -> list:
+        """The words over the complement letters of length <= length, shortest first."""
+        words, frontier = [()], [()]
+        for _ in range(length):
+            frontier = [w + (a,) for w in frontier for a in range(self.nu)]
+            words.extend(frontier)
+        return words
 
     def quotient(self, ech: SparseEchelon, degree: int):
         """Canonical words (non-pivots) of length <= degree."""
-        words = [()]
-        frontier = [()]
-        for _ in range(degree):
-            frontier = [w + (a,) for w in frontier for a in range(self.nu)]
-            words.extend(frontier)
-        canon = [w for w in words if w not in ech.pivots]
-        return canon
+        return [w for w in self._words(degree) if w not in ech.rows]
 
 
 def clifford_of_pair(pair, max_degree: int = 4) -> PairCliffordData:

@@ -6,8 +6,12 @@ random sampling they fell back to above a size limit.  They stay here as
 the reference: on a fixed corpus of the involutions and homomorphisms
 that compose builds, and of corrupted copies of each, the generator
 certificate must reach the same verdict as the all-pairs check.
+
+The tamper tests at the end change one field of a composed witness each
+and check that CompositionWitness.verify names the check that fails.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -25,6 +29,7 @@ from cliffcomp.algebra import (
     ProductAlgebra,
     QuaternionAlgebra,
     TensorAlgebra,
+    alg_inverse,
 )
 from cliffcomp.brauer import trivial_class
 from cliffcomp.cli import _parse_field, _parse_object, _parse_request
@@ -309,3 +314,51 @@ def test_sampled_check_misses_a_defect_the_certificate_finds():
     x, y, z = A.basis_el(g), A.basis_el(j), A.basis_el(k)
     assert (x * y) * z != x * (y * z)
 
+
+
+# ---------------------------------------------------------------------------
+# tampered witnesses: one field changed, and verify() names the failed check.
+# The injectivity check in degree 2 mod 4 is not reached by one changed
+# field: there sigma swaps the two factors of a split center (or the
+# center is a field and C0 is simple), so the kernel of a homomorphism
+# that passes the intertwining check is a sigma-stable ideal, hence 0.
+
+def _non_intertwining(wit):
+    """Int(u) tau for the basis element u = e_1 of the target: a certified
+    involution that the homomorphism does not intertwine with sigma."""
+    B, tau = wit.target, wit.tau
+    u = B.basis_el(1)
+    u_inv = alg_inverse(B, u)
+    out = Involution(B, [(u * tau.apply(B.basis_el(t)) * u_inv).c for t in range(B.dim)])
+    out.verify()
+    return out
+
+
+TAMPERS = {
+    "intertwining": ("bundle_diag", lambda w: {"tau": _non_intertwining(w)},
+                     "homomorphism does not intertwine the involutions"),
+    "stored-type": ("bundle_diag", lambda w: {"tau_type": "orthogonal"},
+                    "involution type changed: symplectic"),
+    "wanted-type": ("bundle_diag", lambda w: {"request": dict(w.request, t="orthogonal")},
+                    "wanted type orthogonal, got symplectic"),
+    "stale-degree": ("bundle_diag", lambda w: {"degree": 4}, "stored degree is stale"),
+    "exact-formula": ("bundle_diag",
+                      lambda w: {"expected": dataclasses.replace(w.expected, log2=2)},
+                      "degree 2 does not match the exact formula value 4"),
+    "multiple-of-formula": ("bundle_unitary",
+                            lambda w: {"expected": dataclasses.replace(w.expected, log2=3)},
+                            "degree 4 is not a multiple of 8"),
+    # degree 2 fits the classes (-1,-1) of the request, not the trivial class
+    "admissibility": ("bundle_diag",
+                      lambda w: {"request": dict(w.request, c=trivial_class(QQ))},
+                      "witness degree fails the admissibility form"),
+}
+
+
+@pytest.mark.parametrize("check", TAMPERS)
+def test_witness_verify_catches_one_tampered_field(check):
+    name, change, message = TAMPERS[check]
+    wit = dict(CORPUS)[name]
+    wit.verify()
+    with pytest.raises(CertificationError, match=message):
+        dataclasses.replace(wit, **change(wit)).verify()

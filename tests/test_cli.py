@@ -403,3 +403,17 @@ def test_selftest_runs_without_numpy():
             "from cliffcomp.cli import run; sys.exit(run(['selftest']))")
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # the output, about 160 kB, outgrows the pipe buffer, so the writer is
+    # still printing when the reader closes its end
+    p = subprocess.Popen(BASE + ["compose", "--field", "GF(3)", "--object",
+                                 '{"diag":[1,1,1,1,1,1,1,1]}', "--type", "orthogonal"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert p.stdout.readline() == "{\n"
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -1,7 +1,12 @@
 """Clifford algebras of forms and of quadratic pairs, with certification."""
 
+import functools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +16,15 @@ from cliffcomp.clifford import (
     CliffordAlgebra,
     EvenCliffordAlgebra,
     PairCliffordData,
+    _PairQuotient,
+    _w_space_paper,
     clifford_of_pair,
     even_clifford,
     split_compare,
 )
 from cliffcomp.compose import construct_composition
 from cliffcomp.errors import SaturationError
+from cliffcomp.linalg import SparseEchelon, apply_cols, axpy, rref
 from cliffcomp.mcd import canonical_involution_type
 from cliffcomp.qpair import pair_from_form, pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
@@ -300,3 +308,122 @@ def test_integral_forms_keep_int_coefficients(q):
     coeffs = [v for prod in C._mul_cache.values() for v in prod.values()]
     coeffs += [v for im in tau.images for v in im.values()]
     assert coeffs and all(type(v) is int for v in coeffs)
+
+
+# ---------------------------------------------------------------------------
+# reference: the pair saturation as first written, one padding loop over
+# every generator row, and generator rows pushed down term by term
+
+def ref_pads(nu, length):
+    pads, frontier = [()], [()]
+    for _ in range(length):
+        frontier = [w + (a,) for w in frontier for a in range(nu)]
+        pads.extend(frontier)
+    return pads
+
+
+def ref_saturate(worker, gens, degree):
+    ech = SparseEchelon(worker.F, key=lambda w: (-len(w), w))
+    pads = ref_pads(worker.nu, max(0, degree - 2))
+    for g in gens:
+        gdeg = max((len(w) for w in g), default=0)
+        for x in pads:
+            for y in pads:
+                if len(x) + gdeg + len(y) <= degree:
+                    ech.insert({x + w + y: c for w, c in g.items()})
+    return ech
+
+
+def ref_generator_rows(worker, w_basis):
+    F, A, phi = worker.F, worker.A, worker.letter_decomp
+    left = [A.mul(A.basis_el(i), worker.ell) for i in range(A.dim)]
+    out = []
+    for u in w_basis:
+        row, sand = {}, {}
+        for (i, j), c in u.items():
+            axpy(F, row, c, worker._word_product(phi[i], phi[j]))
+            axpy(F, sand, c, A.mul(left[i], A.basis_el(j)).c)
+        axpy(F, row, F.neg(F.one()), apply_cols(F, phi, sand))
+        if row:
+            out.append(row)
+    return out
+
+
+def _gram(F, rows):
+    return QuadraticSpace(F, [[F.from_int(v) for v in row] for row in rows])
+
+
+PAIR_CORPUS = {
+    "Q-diag-2": lambda: pair_from_form(QuadraticSpace.diagonal(QQ, [1, -3]))[0],
+    "Q-gram-2": lambda: pair_from_form(_gram(QQ, [[1, 1], [0, 2]]))[0],
+    "Q-diag-4": lambda: pair_from_form(QuadraticSpace.diagonal(QQ, [1, 2, -3, 5]))[0],
+    "Q-gram-4": lambda: pair_from_form(
+        _gram(QQ, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]))[0],
+    "GF3-diag-2": lambda: pair_from_form(QuadraticSpace.diagonal(F3, [1, 1]))[0],
+    "GF3-gram-2": lambda: pair_from_form(_gram(F3, [[1, 1], [0, 2]]))[0],
+    "GF3-diag-4": lambda: pair_from_form(QuadraticSpace.diagonal(F3, [1, 1, 2, 1]))[0],
+    "GF3-gram-4": lambda: pair_from_form(
+        _gram(F3, [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 1, 1], [0, 0, 0, 2]]))[0],
+    "GF2-gram-2": lambda: pair_from_form(_gram(F2, [[1, 1], [0, 1]]))[0],
+    "GF2-gram-4": lambda: pair_from_form(
+        _gram(F2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]]))[0],
+    "Q-tensor": lambda: pair_on_quaternion_tensor(QuaternionAlgebra(QQ, -1, -1),
+                                                  QuaternionAlgebra(QQ, 2, 5)),
+    "GF3-tensor": lambda: pair_on_quaternion_tensor(QuaternionAlgebra(F3, 1, 1),
+                                                    QuaternionAlgebra(F3, 2, 2)),
+    "GF2-tensor": lambda: pair_on_quaternion_tensor(QuaternionAlgebra(F2, 1, 1),
+                                                    QuaternionAlgebra(F2, 1, 1)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pair_worker(name):
+    """The quotient worker of a corpus pair, its sandwich basis and its
+    generator rows."""
+    pair = PAIR_CORPUS[name]()
+    worker = _PairQuotient(pair.A, pair.sigma, pair.sym_rows, pair.f_on_sym, pair.ell)
+    w_basis = _w_space_paper(pair.A, pair.sigma)
+    return worker, w_basis, worker.generator_rows(w_basis)
+
+
+@pytest.mark.parametrize("name", PAIR_CORPUS)
+def test_generator_rows_match_the_per_term_reference(name):
+    worker, w_basis, gens = pair_worker(name)
+    assert gens == ref_generator_rows(worker, w_basis)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("name", PAIR_CORPUS)
+def test_saturation_matches_the_list_padding_reference(name, degree):
+    worker, _, gens = pair_worker(name)
+    assert worker.saturate(gens, degree).rows == ref_saturate(worker, gens, degree).rows
+
+
+def test_saturation_pads_each_degree_bucket_with_its_own_allowance():
+    # two degree-2 rows with equal top words: their difference (0) - (1)
+    # has degree 1, so padding one basis of all rows, each row by its own
+    # degree, would put length-3 words such as (0, 0, 0) - (0, 1, 0) into
+    # the degree-3 ideal, which no padding of the rows themselves reaches
+    worker, _, _ = pair_worker("Q-tensor")
+    gens = [{(0, 0): 1, (0,): 1}, {(0, 0): 1, (1,): 1}]
+    single = SparseEchelon(QQ, key=lambda w: (-len(w), w))
+    pads = ref_pads(worker.nu, 1)
+    for g in rref(QQ, gens).rows.values():
+        gdeg = max(len(w) for w in g)
+        for x in pads:
+            for y in pads:
+                if len(x) + gdeg + len(y) <= 3:
+                    single.insert({x + w + y: c for w, c in g.items()})
+    ref = ref_saturate(worker, gens, 3)
+    assert single.rank > ref.rank
+    assert not ref.contains({(0, 0, 0): 1, (0, 1, 0): -1})
+    assert worker.saturate(gens, 3).rows == ref.rows
+
+
+def test_pair_saturation_script_exits_zero_with_every_form_certified():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "pair_saturation.py"
+    p = subprocess.run([sys.executable, str(script), "--json"], capture_output=True,
+                       text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    rows = [json.loads(line) for line in p.stdout.splitlines()]
+    assert len(rows) == 16 and all(r["outcome"] == "certified" for r in rows)

@@ -11,6 +11,10 @@ Adding a hyperbolic plane H keeps the classes and the center:
 C(q + H) is M_2(C(q)) and the signed discriminant does not move.  On
 diagonals over Q with n = 6 and a split center, permutations and square
 scalings also keep the witness that `compose` builds through the corners.
+
+On a pair source A = Q1 (x) Q2 of degree 4 the center of the Clifford
+algebra splits, and the classes of its two factors multiply to the class
+of A: [C+][C-] = [A] = [Q1][Q2] (Knus-Merkurjev-Rost-Tignol, Thm 9.12).
 """
 
 import contextlib
@@ -23,6 +27,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cliffcomp import cli
+from cliffcomp.algebra import QuaternionAlgebra
+from cliffcomp.brauer import BrauerClass
+from cliffcomp.clifford import clifford_of_pair
+from cliffcomp.mcd import profile_from_pair_clifford
+from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import QQ, PrimeField
 
@@ -38,6 +47,8 @@ TARGETS = {
     "GF(2)": [TRIVIAL, {"type": "unitary", "s": {"datum": 1}},
               {"type": "unitary", "s": {"split": True}}],
 }
+# the quaternion parameters of the benchmark's pair sources
+SYMBOL_POOL = (-1, 2, -2, 3, -3, 5, -5, 7)
 COMPOSE_MAX_N = 4
 EXAMPLES = 4
 
@@ -268,5 +279,18 @@ def test_a_hyperbolic_plane_keeps_the_classes_and_the_center(field, n):
             F = PrimeField(2)
             assume(QuadraticSpace(F, obj["gram"]).regularity() != "degenerate")
         assert invariants(field, plus) == invariants(field, obj)
+
+    check()
+
+
+def test_pair_sources_keep_the_fundamental_relation():
+    symbol = st.tuples(st.sampled_from(SYMBOL_POOL), st.sampled_from(SYMBOL_POOL))
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(symbol, symbol)
+    def check(s1, s2):
+        Q1, Q2 = (QuaternionAlgebra(QQ, a, b) for a, b in (s1, s2))
+        profile = profile_from_pair_clifford(clifford_of_pair(pair_on_quaternion_tensor(Q1, Q2)))
+        assert profile.c_plus * profile.c_minus == BrauerClass(QQ, [s1, s2])
 
     check()
