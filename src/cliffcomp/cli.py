@@ -36,12 +36,8 @@ from .clifford import MIN_SATURATION_DEGREE, clifford_of_pair, even_clifford, sp
 from .brauer import BrauerClass, trivial_class
 from .mcd import (
     NOT_COVERED,
-    admissible_degree,
+    classify,
     dbound_min_degree,
-    lower_bound_first_kind,
-    lower_bound_unitary,
-    mcd_first_kind,
-    mcd_unitary,
     profile_from_form,
     profile_from_pair_clifford,
 )
@@ -160,41 +156,30 @@ def _cmd_invariants(args) -> dict:
     return _profile(kind, obj).to_json()
 
 
-def _mcd_result(args):
+def _case(args):
+    """The profile of the object and the case of the request, classified once."""
     F = _parse_field(args.field)
     kind, obj = _parse_object(F, args.object, args.truncation_cap)
     prof = _profile(kind, obj)
-    request = _parse_request(F, args)
-    if request["kind"] == "first":
-        res = mcd_first_kind(prof, request["c"], request["t"])
-    else:
-        res = mcd_unitary(prof, request["S"], request["c0"])
-    return prof, request, res
+    return prof, classify(prof, _parse_request(F, args))
 
 
 def _cmd_mcd(args) -> dict:
-    prof, _, res = _mcd_result(args)
-    out = res.to_json()
+    prof, case = _case(args)
+    out = case.mcd.to_json()
     out["profile"] = prof.to_json()
-    if res.status == NOT_COVERED:
+    if case.mcd.status == NOT_COVERED:
         print(json.dumps(out, indent=2))
-        raise NotCoveredError(f"not covered: {res.case}")
+        raise NotCoveredError(f"not covered: {case.mcd.case}")
     return out
 
 
 def _cmd_bound(args) -> dict:
-    prof, request, res = _mcd_result(args)
-    if request["kind"] == "first":
-        rep = lower_bound_first_kind(prof, request["c"], request["t"])
-    else:
-        rep = lower_bound_unitary(prof, request["S"], request["c0"])
-    out = {"lower_bound": rep.to_json(), "formula": res.to_json()}
+    _, case = _case(args)
+    out = {"lower_bound": case.bound.to_json(), "formula": case.mcd.to_json()}
     if args.bound is not None:
-        adm = admissible_degree(prof, request, args.bound)
-        if isinstance(adm.get("params"), tuple):
-            adm["params"] = list(adm["params"])
         out["candidate_degree"] = args.bound
-        out["admissible"] = adm
+        out["admissible"] = case.admissible(args.bound)
     return out
 
 

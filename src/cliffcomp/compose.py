@@ -699,8 +699,7 @@ def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
     def dist(cls):
         return distance_over(F, c0, cls, S)
 
-    center_matches = (n % 4 == 2 and not prof.z_split and not S.split
-                      and prof.z_etale.is_isomorphic(S))
+    center_matches = n % 4 == 2 and not prof.z_split and prof.z_etale.is_isomorphic(S)
     two_corners = n % 4 == 2 and prof.z_split
     if center_matches:
         # the source algebra itself, twisted by a quaternion layer at
@@ -709,8 +708,6 @@ def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
     elif two_corners:
         # one corner paired with its opposite: the canonical involution
         # exchanges the corners, so the map stays injective
-        if not S.split:
-            raise NotCoveredError(f"no construction covers this case: {expected.case}")
         side = _split_corners(src)[0]
         block = _Block(side["B0"], side["project"], None, side["cls"])
     else:

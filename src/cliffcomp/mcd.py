@@ -3,11 +3,30 @@
 An invariant profile condenses what the degree formulas need from a
 quadratic pair or form: the degree n, the center Z of the (even) Clifford
 algebra, its Brauer class data, and the type of the canonical involution.
-The mcd functions dispatch on n mod 4 and the (Z, S) configuration and
-return a status alongside the value: some configurations carry an exact
-minimum, some only a value every composition degree must be a multiple
-of, and two center configurations are reported as not covered (with the
-split-field route still giving an exact answer for trivial algebras).
+
+classify_first and classify_unitary read the configuration of a request
+once.  Its Case holds the formula, the lower bound and the form of every
+composition degree; mcd_*, lower_bound_* and admissible_degree read it.
+In log2, with k = n // 4 (n // 2 for odd n), g = deg C, d the distance
+of the target from the class of C (over S, or Z S for another field Z,
+for unitary targets; the min or max of d+ and d- over a split Z), e = 1
+for a first-kind type switch and s = e where d = 0, else s = 0.  The
+first row that matches a request applies:
+
+  request, n, Z         formula                bound       degree form
+  first, odd            exact k + d + s        k + e       g 2^d m, m even if s
+  first, 4k, split      exact 2k - 1 + d + s   2k - 1 + e  g (m+ 2^d+ + m- 2^d-)
+  first, 4k, field      multiple 2k + d + s    2k - 1 + e  g 2^(d+1) m, m even if s
+  first, 4k+2, split    exact 2k + 1 + d       2k + 1      two terms, m+, m- >= 1
+  first, 4k+2, field    exact 2k + 1 + d       2k + 1      g 2^(d+1) m
+  unitary, odd          exact k + d            k           g 2^d m
+  unitary, 4k, split    exact 2k - 1 + d       2k - 1      two terms
+  unitary, 4k, Z = S    exact 2k + d (forms)   2k - 1      two terms at d, m+, m- >= 1
+  unitary, 4k, field    multiple 2k + d        2k - 1      g 2^(d+1) m
+  unitary, 4k+2, Z = S  exact 2k + d           2k          two terms (split S: a corner
+                                                           in each factor)
+  unitary, 4k+2, split  not covered (field S)  2k          two terms, m+, m- >= 1
+  unitary, 4k+2, field  multiple 2k + 1 + d    2k          g 2^(d+1) m
 """
 
 from __future__ import annotations
@@ -18,7 +37,6 @@ from typing import Optional
 from .brauer import (
     BrauerClass,
     clifford_class_of_form,
-    even_clifford_classes,
     quaternion_symbol_of,
     trivial_class,
 )
@@ -65,15 +83,9 @@ class InvariantProfile:
     def z_split(self) -> bool:
         return self.z_etale.split
 
-    @property
-    def char(self) -> int:
-        return self.F.char
-
     def deg_clifford(self) -> int:
         """Degree of C over its center (n even) or over F (n odd)."""
-        if self.n % 2:
-            return 1 << ((self.n - 1) // 2)
-        return 1 << (self.n // 2 - 1)
+        return 1 << ((self.n - 1) // 2)
 
     def to_json(self) -> dict:
         out = {
@@ -113,17 +125,11 @@ def profile_from_form(q) -> InvariantProfile:
             F, n, et, t_C, "form", c_odd=clifford_class_of_form(q), label=q.label
         )
     et = q.discriminant_algebra()
-    if not isinstance(F, RationalField):
-        triv = trivial_class(F)
-        if et.split:
-            return InvariantProfile(F, n, et, t_C, "form", c_plus=triv, c_minus=triv, label=q.label)
-        return InvariantProfile(F, n, et, t_C, "form", c_base=triv, label=q.label)
-    kind = even_clifford_classes(q)
-    if kind[0] == "split":
-        _, cp, cm = kind
-        return InvariantProfile(F, n, et, t_C, "form", c_plus=cp, c_minus=cm, label=q.label)
-    _, _, res = kind
-    return InvariantProfile(F, n, et, t_C, "form", c_base=res.cls, label=q.label)
+    c = clifford_class_of_form(q)
+    if et.split:
+        # the adjoint algebra is split, so both factors have the class of C
+        return InvariantProfile(F, n, et, t_C, "form", c_plus=c, c_minus=c, label=q.label)
+    return InvariantProfile(F, n, et, t_C, "form", c_base=c, label=q.label)
 
 
 def profile_from_pair_clifford(data) -> InvariantProfile:
@@ -165,7 +171,6 @@ def profile_from_pair_clifford(data) -> InvariantProfile:
 
 EXACT = "exact"
 MULTIPLE = "multiple-only"
-BOUND_ONLY = "lower-bound-only"
 NOT_COVERED = "not-covered-by-paper"
 
 
@@ -192,144 +197,6 @@ class McdResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# distance plumbing
-
-def distance_over(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuadratic) -> int:
-    """d(res(c1), res(c2)) over the compositum of the given quadratic
-    fields (over F itself when none is given); 0 off Q, where every class
-    is trivial.
-
-    The restrictions differ exactly when a place where c1 and c2 differ
-    stays degree 1 upstairs, that is, splits completely in the compositum:
-    in each of the fields, so a repeated field changes nothing.  A split
-    field F x F splits every place, so it changes nothing either: the
-    distance over a split S is the one over F, and over Z (x) S with S
-    split it is the one over Z.
-    """
-    if not isinstance(F, RationalField):
-        return 0
-    return int(any(all(et.place_behavior(v) == "split" for et in fields)
-                   for v in c1.support ^ c2.support))
-
-
-def _d_split_pair(c: BrauerClass, cp: BrauerClass, cm: BrauerClass) -> int:
-    """d over F x F between (c, c) and (cp, cm): log2 of an lcm of indices."""
-    return max(c.distance(cp), c.distance(cm))
-
-
-# ---------------------------------------------------------------------------
-# first-kind dispatch
-
-def mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResult:
-    """Minimal composition degree for first-kind targets of type t."""
-    if t not in (ORTH, SYMP):
-        raise ValueError("first-kind type must be orthogonal or symplectic")
-    if c.F != profile.F:
-        raise UnsupportedInputError("target class must live over the base field")
-    F = profile.F
-    n = profile.n
-    # in characteristic 2 the two first-kind types coincide as target types
-    eps = 0 if (profile.t_C == t or F.char == 2) else 1
-
-    if n % 2:
-        k = (n - 1) // 2
-        d = c.distance(profile.c_odd)
-        delta = 1 if (profile.c_odd == c and eps == 1) else 0
-        return McdResult(EXACT, k + d + delta, "first-kind/odd", True)
-
-    if n % 4 == 0:
-        k = n // 4
-        if profile.z_split:
-            dmin = min(c.distance(profile.c_plus), c.distance(profile.c_minus))
-            hit = profile.c_plus == c or profile.c_minus == c
-            delta = 1 if (hit and eps == 1) else 0
-            return McdResult(EXACT, 2 * k - 1 + dmin + delta, "first-kind/4k/split-center", False)
-        d = distance_over(F, c, profile.c_base, profile.z_etale)
-        delta = 1 if (d == 0 and eps == 1) else 0
-        return McdResult(MULTIPLE, 2 * k + d + delta, "first-kind/4k/field-center", True)
-
-    # n = 4k + 2
-    k = (n - 2) // 4
-    if profile.z_split:
-        d = _d_split_pair(c, profile.c_plus, profile.c_minus)
-    else:
-        d = distance_over(F, c, profile.c_base, profile.z_etale)
-    return McdResult(EXACT, 2 * k + 1 + d, "first-kind/4k+2", False)
-
-
-# ---------------------------------------------------------------------------
-# unitary dispatch
-
-def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> McdResult:
-    """Minimal composition degree for unitary targets over S.
-
-    c0 is the class over the base field whose restriction to S is the
-    target class; over split S this means the pair (c0, c0).  Restricted
-    classes are norm-trivial automatically (corestriction of a
-    restriction is the square).
-    """
-    if S.field != profile.F or c0.F != profile.F:
-        raise UnsupportedInputError("S and the class must live over the base field")
-    F = profile.F
-    n = profile.n
-
-    if n % 2:
-        k = (n - 1) // 2
-        return McdResult(EXACT, k + distance_over(F, c0, profile.c_odd, S), "unitary/odd", True)
-
-    if n % 4 == 0:
-        k = n // 4
-        if profile.z_split:
-            dmin = min(distance_over(F, c0, profile.c_plus, S),
-                       distance_over(F, c0, profile.c_minus, S))
-            return McdResult(EXACT, 2 * k - 1 + dmin, "unitary/4k/split-center", False)
-        # Z a field
-        if not S.split and profile.z_etale.is_isomorphic(S):
-            if profile.source == "form":
-                d = distance_over(F, c0, profile.c_base, S)
-                return McdResult(
-                    EXACT,
-                    2 * k + d,
-                    "unitary/4k/center-matches-S/split-field-route",
-                    False,
-                    note="full-Clifford embedding route for trivial algebras",
-                )
-            return McdResult(
-                NOT_COVERED,
-                None,
-                "unitary/4k/center-matches-S",
-                False,
-                note="center of C isomorphic to S as fields; covered only for trivial algebras",
-            )
-        d = distance_over(F, c0, profile.c_base, profile.z_etale, S)
-        return McdResult(MULTIPLE, 2 * k + d, "unitary/4k/field-center", True)
-
-    # n = 4k + 2
-    k = (n - 2) // 4
-    if profile.z_etale.is_isomorphic(S):
-        if profile.z_split:
-            d = _d_split_pair(c0, profile.c_plus, profile.c_minus)
-        else:
-            d = distance_over(F, c0, profile.c_base, S)
-        # the opposite class coincides with the class itself at 2-torsion,
-        # so the min over {C, op C} collapses
-        return McdResult(EXACT, 2 * k + d, "unitary/4k+2/center-matches-S", False)
-    if profile.z_split:
-        return McdResult(
-            NOT_COVERED,
-            None,
-            "unitary/4k+2/split-center-field-S",
-            False,
-            note="split center with a field S is not covered",
-        )
-    d = distance_over(F, c0, profile.c_base, profile.z_etale, S)
-    return McdResult(MULTIPLE, 2 * k + 1 + d, "unitary/4k+2/field-center", True)
-
-
-# ---------------------------------------------------------------------------
-# lower bounds
-
 @dataclass
 class BoundReport:
     log2: int
@@ -351,170 +218,244 @@ class BoundReport:
         }
 
 
-def lower_bound_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> BoundReport:
-    n = profile.n
-    # delta = 1 when the canonical involution is NOT of type t: the bound
-    # must match the degree formulas (type t reachable directly keeps the
-    # base bound; a type switch costs one factor of 2)
-    delta = 0 if (profile.t_C == t or profile.F.char == 2) else 1
-    if n % 2:
-        k = (n - 1) // 2
-        if delta == 0:
-            eq = profile.c_odd == c
-            cond = "class of C equals the target class"
-        else:
-            eq = c.distance(profile.c_odd) <= 1
-            cond = "target class is C twisted by a quaternion class"
-        return BoundReport(k + delta, eq, "bound/first-kind/odd", cond)
-    if n % 4 == 0:
-        k = n // 4
-        if delta == 0:
-            eq = profile.z_split and (profile.c_plus == c or profile.c_minus == c)
-            cond = "center splits and a factor class equals the target"
-        else:
-            eq = profile.z_split and min(
-                c.distance(profile.c_plus), c.distance(profile.c_minus)
-            ) <= 1
-            cond = "center splits and a factor class is a quaternion twist of the target"
-        return BoundReport(2 * k - 1 + delta, eq, "bound/first-kind/4k", cond)
-    k = (n - 2) // 4
-    if profile.z_split:
-        d = _d_split_pair(c, profile.c_plus, profile.c_minus)
-    else:
-        d = distance_over(profile.F, c, profile.c_base, profile.z_etale)
-    return BoundReport(
-        2 * k + 1, d == 0, "bound/first-kind/4k+2", "class of C over Z equals the restricted target"
-    )
+# ---------------------------------------------------------------------------
+# distance plumbing
 
+def distance_over(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuadratic) -> int:
+    """d(res(c1), res(c2)) over the compositum of the given quadratic
+    fields (over F itself when none is given); 0 off Q, where every class
+    is trivial.
 
-def lower_bound_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> BoundReport:
-    F = profile.F
-    n = profile.n
-
-    if n % 2:
-        k = (n - 1) // 2
-        eq = distance_over(F, c0, profile.c_odd, S) == 0
-        return BoundReport(k, eq, "bound/unitary/odd", "restriction of C matches the target")
-    if n % 4 == 0:
-        k = n // 4
-        eq = profile.z_split and (
-            min(distance_over(F, c0, profile.c_plus, S),
-                distance_over(F, c0, profile.c_minus, S)) == 0
-        )
-        return BoundReport(
-            2 * k - 1, eq, "bound/unitary/4k", "center splits and a factor restricts to the target"
-        )
-    k = (n - 2) // 4
-    if profile.z_etale.is_isomorphic(S):
-        if profile.z_split:
-            d = _d_split_pair(c0, profile.c_plus, profile.c_minus)
-        else:
-            d = distance_over(F, c0, profile.c_base, S)
-        eq = d == 0
-    else:
-        eq = False
-    return BoundReport(
-        2 * k, eq, "bound/unitary/4k+2", "Z isomorphic to S and class of C equals the target"
-    )
+    The restrictions differ exactly when a place where c1 and c2 differ
+    stays degree 1 upstairs, that is, splits completely in the compositum:
+    in each of the fields, so a repeated field changes nothing.  A split
+    field F x F splits every place, so it changes nothing either: the
+    distance over a split S is the one over F, and over Z (x) S with S
+    split it is the one over Z.
+    """
+    if not isinstance(F, RationalField):
+        return 0
+    return int(any(all(et.place_behavior(v) == "split" for et in fields)
+                   for v in c1.support ^ c2.support))
 
 
 # ---------------------------------------------------------------------------
-# admissible degrees (necessary arithmetic forms for any composition)
+# admissible forms (necessary arithmetic forms for any composition degree)
 
 def _two_term_form(degree: int, unit: int, d1: int, d2: int, lo1: int, lo2: int) -> Optional[tuple]:
     """Solve degree = unit * (n1 * 2^d1 + n2 * 2^d2), n1 >= lo1, n2 >= lo2,
     n1 + n2 >= 1.  Returns (n1, n2) or None."""
-    if degree % unit:
+    rest, r = divmod(degree, unit)
+    if r:
         return None
-    rest = degree // unit
-    n1 = lo1
-    while n1 * (1 << d1) <= rest:
-        rem = rest - n1 * (1 << d1)
-        if rem % (1 << d2) == 0:
-            n2 = rem >> d2
-            if n2 >= lo2 and n1 + n2 >= 1:
-                return (n1, n2)
-        n1 += 1
+    for n1 in range(lo1, (rest >> d1) + 1):
+        n2, r2 = divmod(rest - (n1 << d1), 1 << d2)
+        if r2 == 0 and n2 >= lo2 and n1 + n2 >= 1:
+            return (n1, n2)
     return None
+
+
+@dataclass
+class UnitForm:
+    """degree = unit * m, with m even when `even` is set; a case without a
+    parity condition has `even` None and reports none."""
+
+    case: str
+    unit: int
+    even: Optional[bool] = None
+
+    def at(self, degree: int) -> tuple:
+        m, r = divmod(degree, self.unit)
+        params = {"unit": self.unit} if self.even is None else {"unit": self.unit, "even": self.even}
+        return r == 0 and not (self.even and m % 2), params
+
+
+@dataclass
+class TwoTermForm:
+    """degree = unit * (n1 * 2^d1 + n2 * 2^d2) with n1, n2 >= lo: one term
+    per corner of a split center (lo = 1 where injectivity needs both)."""
+
+    case: str
+    unit: int
+    d1: int
+    d2: int
+    lo: int = 0
+
+    def at(self, degree: int) -> tuple:
+        sol = _two_term_form(degree, self.unit, self.d1, self.d2, self.lo, self.lo)
+        return sol is not None, sol
+
+
+class SplitPairForm(TwoTermForm):
+    """Split center and split S in degree 2 mod 4: the two product factors
+    can absorb one corner each, so each corner needs a term in some factor
+    rather than both inside one."""
+
+    def at(self, degree: int) -> tuple:
+        ok = all(_two_term_form(degree, self.unit, self.d1, self.d2, lo, 1 - lo) is not None
+                 for lo in (1, 0))
+        return ok, (self.d1, self.d2)
+
+
+# ---------------------------------------------------------------------------
+# the case table
+
+@dataclass
+class Case:
+    """One configuration of a request: its formula, its lower bound and
+    the form every composition degree must have, side by side."""
+
+    mcd: McdResult
+    bound: BoundReport
+    form: TwoTermForm | UnitForm
+
+    def admissible(self, degree: int) -> dict:
+        """Check a candidate target degree against the form."""
+        if degree < 1:
+            return {"ok": False, "case": "degenerate", "params": None}
+        ok, params = self.form.at(degree)
+        return {"ok": ok, "case": self.form.case, "params": params}
+
+
+_ODD_CONDITIONS = ("class of C equals the target class",
+                   "target class is C twisted by a quaternion class")
+_4K_CONDITIONS = ("center splits and a factor class equals the target",
+                  "center splits and a factor class is a quaternion twist of the target")
+
+
+def classify_first(profile: InvariantProfile, c: BrauerClass, t: str) -> Case:
+    """The case of a first-kind target of class c and type t."""
+    if t not in (ORTH, SYMP):
+        raise ValueError("first-kind type must be orthogonal or symplectic")
+    if c.F != profile.F:
+        raise UnsupportedInputError("target class must live over the base field")
+    n, unit = profile.n, profile.deg_clifford()
+    if n % 2:
+        d = c.distance(profile.c_odd)
+    elif profile.z_split:
+        d1, d2 = c.distance(profile.c_plus), c.distance(profile.c_minus)
+        d = min(d1, d2) if n % 4 == 0 else max(d1, d2)
+    else:
+        d = distance_over(profile.F, c, profile.c_base, profile.z_etale)
+    # a type switch costs one factor of 2 where the classes agree; in
+    # characteristic 2 the two first-kind types coincide as target types
+    eps = int(profile.t_C != t and profile.F.char != 2)
+    even = d == 0 and eps == 1
+    k = n // 2 if n % 2 else n // 4
+    if n % 2:
+        return Case(McdResult(EXACT, k + d + even, "first-kind/odd", True),
+                    BoundReport(k + eps, d <= eps, "bound/first-kind/odd", _ODD_CONDITIONS[eps]),
+                    UnitForm("cbound/Z-trivial", unit << d, even))
+    if n % 4 == 2:
+        # injectivity forces a term through each corner of a split center
+        form = (TwoTermForm("cbound/split-center-injective", unit, d1, d2, 1) if profile.z_split
+                else UnitForm("cbound/field-center", unit << (d + 1)))
+        return Case(McdResult(EXACT, 2 * k + 1 + d, "first-kind/4k+2", False),
+                    BoundReport(2 * k + 1, d == 0, "bound/first-kind/4k+2",
+                                "class of C over Z equals the restricted target"), form)
+    bound = BoundReport(2 * k - 1 + eps, profile.z_split and d <= eps, "bound/first-kind/4k",
+                        _4K_CONDITIONS[eps])
+    if profile.z_split:
+        return Case(McdResult(EXACT, 2 * k - 1 + d + even, "first-kind/4k/split-center", False),
+                    bound, TwoTermForm("cbound/split-center", unit, d1, d2))
+    return Case(McdResult(MULTIPLE, 2 * k + d + even, "first-kind/4k/field-center", True),
+                bound, UnitForm("cbound/field-center", unit << (d + 1), even))
+
+
+def classify_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> Case:
+    """The case of a unitary target over S.
+
+    c0 is the class over the base field whose restriction to S is the
+    target class; over split S this means the pair (c0, c0).  Restricted
+    classes are norm-trivial automatically (corestriction of a
+    restriction is the square).
+    """
+    if S.field != profile.F or c0.F != profile.F:
+        raise UnsupportedInputError("S and the class must live over the base field")
+    n, unit, Z = profile.n, profile.deg_clifford(), profile.z_etale
+
+    def dist(cls, *fields):
+        return distance_over(profile.F, c0, cls, *fields, S)
+
+    if n % 2:
+        k, d = n // 2, dist(profile.c_odd)
+        return Case(McdResult(EXACT, k + d, "unitary/odd", True),
+                    BoundReport(k, d == 0, "bound/unitary/odd", "restriction of C matches the target"),
+                    UnitForm("cbound/Z-trivial", unit << d))
+    # a field Z is never isomorphic to a split S, nor a split Z to a field S
+    matches = Z.is_isomorphic(S)
+    if profile.z_split:
+        d1, d2 = dist(profile.c_plus), dist(profile.c_minus)
+        d = min(d1, d2) if n % 4 == 0 else max(d1, d2)
+    else:  # over Z S, which is S when Z matches S
+        d = dist(profile.c_base, Z)
+    k = n // 4
+    if n % 4 == 0:
+        bound = BoundReport(2 * k - 1, profile.z_split and d == 0, "bound/unitary/4k",
+                            "center splits and a factor restricts to the target")
+        if profile.z_split:
+            return Case(McdResult(EXACT, 2 * k - 1 + d, "unitary/4k/split-center", False),
+                        bound, TwoTermForm("cbound/split-center", unit, d1, d2))
+        if not matches:
+            return Case(McdResult(MULTIPLE, 2 * k + d, "unitary/4k/field-center", True),
+                        bound, UnitForm("cbound/compositum", unit << (d + 1)))
+        mcd = (McdResult(EXACT, 2 * k + d, "unitary/4k/center-matches-S/split-field-route", False,
+                         note="full-Clifford embedding route for trivial algebras")
+               if profile.source == "form" else
+               McdResult(NOT_COVERED, None, "unitary/4k/center-matches-S", False,
+                         note="center of C isomorphic to S as fields; covered only for trivial algebras"))
+        # kind mismatch on centers forces both terms
+        return Case(mcd, bound, TwoTermForm("cbound/center-matches-S", unit, d, d, 1))
+    bound = BoundReport(2 * k, matches and d == 0, "bound/unitary/4k+2",
+                        "Z isomorphic to S and class of C equals the target")
+    if matches:
+        # the opposite class coincides with the class itself at 2-torsion,
+        # so the min over {C, op C} collapses
+        form = (SplitPairForm("cbound/split-center-split-S", unit, d1, d2) if profile.z_split
+                else TwoTermForm("cbound/center-matches-S", unit, d, d))
+        return Case(McdResult(EXACT, 2 * k + d, "unitary/4k+2/center-matches-S", False), bound, form)
+    if profile.z_split:
+        return Case(McdResult(NOT_COVERED, None, "unitary/4k+2/split-center-field-S", False,
+                              note="split center with a field S is not covered"),
+                    bound, TwoTermForm("cbound/split-center-injective", unit, d1, d2, 1))
+    return Case(McdResult(MULTIPLE, 2 * k + 1 + d, "unitary/4k+2/field-center", True),
+                bound, UnitForm("cbound/compositum", unit << (d + 1)))
+
+
+def classify(profile: InvariantProfile, request: dict) -> Case:
+    """request: {"kind": "first", "c": BrauerClass, "t": str} or
+    {"kind": "unitary", "S": EtaleQuadratic, "c0": BrauerClass}."""
+    if request["kind"] == "first":
+        return classify_first(profile, request["c"], request["t"])
+    return classify_unitary(profile, request["S"], request["c0"])
+
+
+# ---------------------------------------------------------------------------
+# readers of the case record
+
+def mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResult:
+    """Minimal composition degree for first-kind targets of type t."""
+    return classify_first(profile, c, t).mcd
+
+
+def mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> McdResult:
+    """Minimal composition degree for unitary targets over S."""
+    return classify_unitary(profile, S, c0).mcd
+
+
+def lower_bound_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> BoundReport:
+    return classify_first(profile, c, t).bound
+
+
+def lower_bound_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> BoundReport:
+    return classify_unitary(profile, S, c0).bound
 
 
 def admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> dict:
     """Check a candidate target degree against the arithmetic form every
-    composition degree must have in the matching configuration.
-
-    request: {"kind": "first", "c": BrauerClass, "t": str} or
-             {"kind": "unitary", "S": EtaleQuadratic, "c0": BrauerClass}.
-    Returns {"ok": bool, "case": str, "params": ...}.
-    """
-    if degree < 1:
-        return {"ok": False, "case": "degenerate", "params": None}
-    F = profile.F
-    n = profile.n
-    degC = profile.deg_clifford()
-
-    if request["kind"] == "first":
-        c, t = request["c"], request["t"]
-        eps = 0 if (profile.t_C == t or F.char == 2) else 1
-        if n % 2:
-            d = c.distance(profile.c_odd)
-            need_even = profile.c_odd == c and eps == 1
-            unit = degC << d
-            ok = degree % unit == 0 and (not need_even or (degree // unit) % 2 == 0)
-            return {"ok": ok, "case": "cbound/Z-trivial", "params": {"unit": unit, "even": need_even}}
-        if n % 4 == 0:
-            if profile.z_split:
-                d1 = c.distance(profile.c_plus)
-                d2 = c.distance(profile.c_minus)
-                sol = _two_term_form(degree, degC, d1, d2, 0, 0)
-                return {"ok": sol is not None, "case": "cbound/split-center", "params": sol}
-            d = distance_over(F, c, profile.c_base, profile.z_etale)
-            need_even = d == 0 and eps == 1
-            unit = degC << (d + 1)
-            ok = degree % unit == 0 and (not need_even or (degree // unit) % 2 == 0)
-            return {"ok": ok, "case": "cbound/field-center", "params": {"unit": unit, "even": need_even}}
-        # 4k + 2: injectivity forces both-corner terms when the center splits
-        if profile.z_split:
-            d1 = c.distance(profile.c_plus)
-            d2 = c.distance(profile.c_minus)
-            sol = _two_term_form(degree, degC, d1, d2, 1, 1)
-            return {"ok": sol is not None, "case": "cbound/split-center-injective", "params": sol}
-        d = distance_over(F, c, profile.c_base, profile.z_etale)
-        unit = degC << (d + 1)
-        return {
-            "ok": degree % unit == 0,
-            "case": "cbound/field-center",
-            "params": {"unit": unit},
-        }
-
-    S, c0 = request["S"], request["c0"]
-
-    if n % 2:
-        unit = degC << distance_over(F, c0, profile.c_odd, S)
-        return {"ok": degree % unit == 0, "case": "cbound/Z-trivial", "params": {"unit": unit}}
-    if profile.z_split:
-        d1 = distance_over(F, c0, profile.c_plus, S)
-        d2 = distance_over(F, c0, profile.c_minus, S)
-        lo = 1 if n % 4 == 2 else 0
-        if lo and S.split:
-            # split target center: the two product factors can absorb one
-            # corner each, so each corner needs a term in some factor rather
-            # than both inside one
-            ok = (
-                _two_term_form(degree, degC, d1, d2, 1, 0) is not None
-                and _two_term_form(degree, degC, d1, d2, 0, 1) is not None
-            )
-            return {"ok": ok, "case": "cbound/split-center-split-S", "params": (d1, d2)}
-        sol = _two_term_form(degree, degC, d1, d2, lo, lo)
-        case = "cbound/split-center" + ("-injective" if lo else "")
-        return {"ok": sol is not None, "case": case, "params": sol}
-    if not S.split and profile.z_etale.is_isomorphic(S):
-        d = distance_over(F, c0, profile.c_base, S)
-        lo = 1 if n % 4 == 0 else 0  # kind mismatch on centers forces both terms
-        sol = _two_term_form(degree, degC, d, d, lo, lo)
-        return {"ok": sol is not None, "case": "cbound/center-matches-S", "params": sol}
-    d = distance_over(F, c0, profile.c_base, profile.z_etale, S)
-    unit = degC << (d + 1)
-    return {"ok": degree % unit == 0, "case": "cbound/compositum", "params": {"unit": unit}}
+    composition degree must have in the request's configuration.
+    Returns {"ok": bool, "case": str, "params": ...}."""
+    return classify(profile, request).admissible(degree)
 
 
 def dbound_min_degree(degC: int, cC: BrauerClass, target: BrauerClass) -> int:

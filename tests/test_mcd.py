@@ -1,6 +1,9 @@
 """Degree formulas: profiles, exact values, bounds, admissibility."""
 
+import itertools
+import json
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -12,8 +15,14 @@ from cliffcomp.mcd import (
     EXACT,
     MULTIPLE,
     NOT_COVERED,
+    ORTH,
+    SYMP,
+    BoundReport,
+    InvariantProfile,
+    McdResult,
     admissible_degree,
     canonical_involution_type,
+    classify,
     dbound_min_degree,
     distance_over as _d_res,
     lower_bound_first_kind,
@@ -25,7 +34,7 @@ from cliffcomp.mcd import (
 )
 from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
-from cliffcomp.scalars import QQ, EtaleQuadratic, PrimeField, squarefree_part
+from cliffcomp.scalars import QQ, EtaleQuadratic, PrimeField, quad_ext_info, squarefree_part
 
 F3 = PrimeField(3)
 HH = BrauerClass(QQ, [(Fraction(-1), Fraction(-1))])
@@ -300,3 +309,383 @@ def test_scale_invariance_of_results():
         assert mcd_first_kind(p1, HH, "symplectic").to_json() == base1
         p6 = profile_from_form(q6.scale(lam))
         assert mcd_unitary(p6, S_I, TRIV).to_json() == base6
+
+
+# ---------------------------------------------------------------------------
+# reference: the five dispatch functions that the case table replaced, as
+# they were, each redoing the n mod 4 / center / S branching.  The readers
+# must give the same JSON, and raise the same exception type, on a
+# synthetic grid of profiles and requests.
+
+def ref_d_split_pair(c: BrauerClass, cp: BrauerClass, cm: BrauerClass) -> int:
+    """d over F x F between (c, c) and (cp, cm): log2 of an lcm of indices."""
+    return max(c.distance(cp), c.distance(cm))
+
+
+def ref_mcd_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> McdResult:
+    """Minimal composition degree for first-kind targets of type t."""
+    if t not in (ORTH, SYMP):
+        raise ValueError("first-kind type must be orthogonal or symplectic")
+    if c.F != profile.F:
+        raise UnsupportedInputError("target class must live over the base field")
+    F = profile.F
+    n = profile.n
+    # in characteristic 2 the two first-kind types coincide as target types
+    eps = 0 if (profile.t_C == t or F.char == 2) else 1
+
+    if n % 2:
+        k = (n - 1) // 2
+        d = c.distance(profile.c_odd)
+        delta = 1 if (profile.c_odd == c and eps == 1) else 0
+        return McdResult(EXACT, k + d + delta, "first-kind/odd", True)
+
+    if n % 4 == 0:
+        k = n // 4
+        if profile.z_split:
+            dmin = min(c.distance(profile.c_plus), c.distance(profile.c_minus))
+            hit = profile.c_plus == c or profile.c_minus == c
+            delta = 1 if (hit and eps == 1) else 0
+            return McdResult(EXACT, 2 * k - 1 + dmin + delta, "first-kind/4k/split-center", False)
+        d = _d_res(F, c, profile.c_base, profile.z_etale)
+        delta = 1 if (d == 0 and eps == 1) else 0
+        return McdResult(MULTIPLE, 2 * k + d + delta, "first-kind/4k/field-center", True)
+
+    # n = 4k + 2
+    k = (n - 2) // 4
+    if profile.z_split:
+        d = ref_d_split_pair(c, profile.c_plus, profile.c_minus)
+    else:
+        d = _d_res(F, c, profile.c_base, profile.z_etale)
+    return McdResult(EXACT, 2 * k + 1 + d, "first-kind/4k+2", False)
+
+
+def ref_mcd_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> McdResult:
+    """Minimal composition degree for unitary targets over S.
+
+    c0 is the class over the base field whose restriction to S is the
+    target class; over split S this means the pair (c0, c0).  Restricted
+    classes are norm-trivial automatically (corestriction of a
+    restriction is the square).
+    """
+    if S.field != profile.F or c0.F != profile.F:
+        raise UnsupportedInputError("S and the class must live over the base field")
+    F = profile.F
+    n = profile.n
+
+    if n % 2:
+        k = (n - 1) // 2
+        return McdResult(EXACT, k + _d_res(F, c0, profile.c_odd, S), "unitary/odd", True)
+
+    if n % 4 == 0:
+        k = n // 4
+        if profile.z_split:
+            dmin = min(_d_res(F, c0, profile.c_plus, S),
+                       _d_res(F, c0, profile.c_minus, S))
+            return McdResult(EXACT, 2 * k - 1 + dmin, "unitary/4k/split-center", False)
+        # Z a field
+        if not S.split and profile.z_etale.is_isomorphic(S):
+            if profile.source == "form":
+                d = _d_res(F, c0, profile.c_base, S)
+                return McdResult(
+                    EXACT,
+                    2 * k + d,
+                    "unitary/4k/center-matches-S/split-field-route",
+                    False,
+                    note="full-Clifford embedding route for trivial algebras",
+                )
+            return McdResult(
+                NOT_COVERED,
+                None,
+                "unitary/4k/center-matches-S",
+                False,
+                note="center of C isomorphic to S as fields; covered only for trivial algebras",
+            )
+        d = _d_res(F, c0, profile.c_base, profile.z_etale, S)
+        return McdResult(MULTIPLE, 2 * k + d, "unitary/4k/field-center", True)
+
+    # n = 4k + 2
+    k = (n - 2) // 4
+    if profile.z_etale.is_isomorphic(S):
+        if profile.z_split:
+            d = ref_d_split_pair(c0, profile.c_plus, profile.c_minus)
+        else:
+            d = _d_res(F, c0, profile.c_base, S)
+        # the opposite class coincides with the class itself at 2-torsion,
+        # so the min over {C, op C} collapses
+        return McdResult(EXACT, 2 * k + d, "unitary/4k+2/center-matches-S", False)
+    if profile.z_split:
+        return McdResult(
+            NOT_COVERED,
+            None,
+            "unitary/4k+2/split-center-field-S",
+            False,
+            note="split center with a field S is not covered",
+        )
+    d = _d_res(F, c0, profile.c_base, profile.z_etale, S)
+    return McdResult(MULTIPLE, 2 * k + 1 + d, "unitary/4k+2/field-center", True)
+
+
+def ref_lower_bound_first_kind(profile: InvariantProfile, c: BrauerClass, t: str) -> BoundReport:
+    n = profile.n
+    # delta = 1 when the canonical involution is NOT of type t: the bound
+    # must match the degree formulas (type t reachable directly keeps the
+    # base bound; a type switch costs one factor of 2)
+    delta = 0 if (profile.t_C == t or profile.F.char == 2) else 1
+    if n % 2:
+        k = (n - 1) // 2
+        if delta == 0:
+            eq = profile.c_odd == c
+            cond = "class of C equals the target class"
+        else:
+            eq = c.distance(profile.c_odd) <= 1
+            cond = "target class is C twisted by a quaternion class"
+        return BoundReport(k + delta, eq, "bound/first-kind/odd", cond)
+    if n % 4 == 0:
+        k = n // 4
+        if delta == 0:
+            eq = profile.z_split and (profile.c_plus == c or profile.c_minus == c)
+            cond = "center splits and a factor class equals the target"
+        else:
+            eq = profile.z_split and min(
+                c.distance(profile.c_plus), c.distance(profile.c_minus)
+            ) <= 1
+            cond = "center splits and a factor class is a quaternion twist of the target"
+        return BoundReport(2 * k - 1 + delta, eq, "bound/first-kind/4k", cond)
+    k = (n - 2) // 4
+    if profile.z_split:
+        d = ref_d_split_pair(c, profile.c_plus, profile.c_minus)
+    else:
+        d = _d_res(profile.F, c, profile.c_base, profile.z_etale)
+    return BoundReport(
+        2 * k + 1, d == 0, "bound/first-kind/4k+2", "class of C over Z equals the restricted target"
+    )
+
+
+def ref_lower_bound_unitary(profile: InvariantProfile, S: EtaleQuadratic, c0: BrauerClass) -> BoundReport:
+    F = profile.F
+    n = profile.n
+
+    if n % 2:
+        k = (n - 1) // 2
+        eq = _d_res(F, c0, profile.c_odd, S) == 0
+        return BoundReport(k, eq, "bound/unitary/odd", "restriction of C matches the target")
+    if n % 4 == 0:
+        k = n // 4
+        eq = profile.z_split and (
+            min(_d_res(F, c0, profile.c_plus, S),
+                _d_res(F, c0, profile.c_minus, S)) == 0
+        )
+        return BoundReport(
+            2 * k - 1, eq, "bound/unitary/4k", "center splits and a factor restricts to the target"
+        )
+    k = (n - 2) // 4
+    if profile.z_etale.is_isomorphic(S):
+        if profile.z_split:
+            d = ref_d_split_pair(c0, profile.c_plus, profile.c_minus)
+        else:
+            d = _d_res(F, c0, profile.c_base, S)
+        eq = d == 0
+    else:
+        eq = False
+    return BoundReport(
+        2 * k, eq, "bound/unitary/4k+2", "Z isomorphic to S and class of C equals the target"
+    )
+
+
+def ref_two_term_form(degree: int, unit: int, d1: int, d2: int, lo1: int, lo2: int) -> Optional[tuple]:
+    """Solve degree = unit * (n1 * 2^d1 + n2 * 2^d2), n1 >= lo1, n2 >= lo2,
+    n1 + n2 >= 1.  Returns (n1, n2) or None."""
+    if degree % unit:
+        return None
+    rest = degree // unit
+    n1 = lo1
+    while n1 * (1 << d1) <= rest:
+        rem = rest - n1 * (1 << d1)
+        if rem % (1 << d2) == 0:
+            n2 = rem >> d2
+            if n2 >= lo2 and n1 + n2 >= 1:
+                return (n1, n2)
+        n1 += 1
+    return None
+
+
+def ref_admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> dict:
+    """Check a candidate target degree against the arithmetic form every
+    composition degree must have in the matching configuration.
+
+    request: {"kind": "first", "c": BrauerClass, "t": str} or
+             {"kind": "unitary", "S": EtaleQuadratic, "c0": BrauerClass}.
+    Returns {"ok": bool, "case": str, "params": ...}.
+    """
+    if degree < 1:
+        return {"ok": False, "case": "degenerate", "params": None}
+    F = profile.F
+    n = profile.n
+    degC = profile.deg_clifford()
+
+    if request["kind"] == "first":
+        c, t = request["c"], request["t"]
+        eps = 0 if (profile.t_C == t or F.char == 2) else 1
+        if n % 2:
+            d = c.distance(profile.c_odd)
+            need_even = profile.c_odd == c and eps == 1
+            unit = degC << d
+            ok = degree % unit == 0 and (not need_even or (degree // unit) % 2 == 0)
+            return {"ok": ok, "case": "cbound/Z-trivial", "params": {"unit": unit, "even": need_even}}
+        if n % 4 == 0:
+            if profile.z_split:
+                d1 = c.distance(profile.c_plus)
+                d2 = c.distance(profile.c_minus)
+                sol = ref_two_term_form(degree, degC, d1, d2, 0, 0)
+                return {"ok": sol is not None, "case": "cbound/split-center", "params": sol}
+            d = _d_res(F, c, profile.c_base, profile.z_etale)
+            need_even = d == 0 and eps == 1
+            unit = degC << (d + 1)
+            ok = degree % unit == 0 and (not need_even or (degree // unit) % 2 == 0)
+            return {"ok": ok, "case": "cbound/field-center", "params": {"unit": unit, "even": need_even}}
+        # 4k + 2: injectivity forces both-corner terms when the center splits
+        if profile.z_split:
+            d1 = c.distance(profile.c_plus)
+            d2 = c.distance(profile.c_minus)
+            sol = ref_two_term_form(degree, degC, d1, d2, 1, 1)
+            return {"ok": sol is not None, "case": "cbound/split-center-injective", "params": sol}
+        d = _d_res(F, c, profile.c_base, profile.z_etale)
+        unit = degC << (d + 1)
+        return {
+            "ok": degree % unit == 0,
+            "case": "cbound/field-center",
+            "params": {"unit": unit},
+        }
+
+    S, c0 = request["S"], request["c0"]
+
+    if n % 2:
+        unit = degC << _d_res(F, c0, profile.c_odd, S)
+        return {"ok": degree % unit == 0, "case": "cbound/Z-trivial", "params": {"unit": unit}}
+    if profile.z_split:
+        d1 = _d_res(F, c0, profile.c_plus, S)
+        d2 = _d_res(F, c0, profile.c_minus, S)
+        lo = 1 if n % 4 == 2 else 0
+        if lo and S.split:
+            # split target center: the two product factors can absorb one
+            # corner each, so each corner needs a term in some factor rather
+            # than both inside one
+            ok = (
+                ref_two_term_form(degree, degC, d1, d2, 1, 0) is not None
+                and ref_two_term_form(degree, degC, d1, d2, 0, 1) is not None
+            )
+            return {"ok": ok, "case": "cbound/split-center-split-S", "params": (d1, d2)}
+        sol = ref_two_term_form(degree, degC, d1, d2, lo, lo)
+        case = "cbound/split-center" + ("-injective" if lo else "")
+        return {"ok": sol is not None, "case": case, "params": sol}
+    if not S.split and profile.z_etale.is_isomorphic(S):
+        d = _d_res(F, c0, profile.c_base, S)
+        lo = 1 if n % 4 == 0 else 0  # kind mismatch on centers forces both terms
+        sol = ref_two_term_form(degree, degC, d, d, lo, lo)
+        return {"ok": sol is not None, "case": "cbound/center-matches-S", "params": sol}
+    d = _d_res(F, c0, profile.c_base, profile.z_etale, S)
+    unit = degC << (d + 1)
+    return {"ok": degree % unit == 0, "case": "cbound/compositum", "params": {"unit": unit}}
+
+
+F2 = PrimeField(2)
+GRID_DEGREES = range(1, 33)
+
+
+def _q(v):
+    return Fraction(v)
+
+
+def grid_fields():
+    """(field, classes, centers Z, algebras S): over Q, classes ramified at
+    inf and 2, at 2 and 5, or nowhere; S matching a field Z as (-1) and
+    (-4) do, or giving a compositum with it."""
+    q_split = EtaleQuadratic(QQ, Fraction(1), True)
+    q_fields = [quad_ext_info(QQ, _q(m)) for m in (-1, 2, -4)]
+    classes = [TRIV, HH, BrauerClass(QQ, [(_q(2), _q(5))])]
+    yield QQ, classes, [q_split] + q_fields[:2], [q_split] + q_fields
+    for F, datum in ((F3, 2), (F2, 1)):
+        split, field = EtaleQuadratic(F, F.one(), True), quad_ext_info(F, datum)
+        assert not field.split
+        yield F, [trivial_class(F)], [split, field], [split, field]
+
+
+def grid_profiles(F, classes, centers):
+    for n in range(1, 11):
+        t_C = canonical_involution_type(n, F.char)
+        for source in ("form", "pair"):
+            if n % 2:
+                for c in classes:
+                    yield InvariantProfile(F, n, EtaleQuadratic(F, F.one(), True), t_C, source,
+                                           c_odd=c)
+                continue
+            for Z in centers:
+                if Z.split:
+                    for cp, cm in itertools.product(classes, repeat=2):
+                        yield InvariantProfile(F, n, Z, t_C, source, c_plus=cp, c_minus=cm)
+                else:
+                    for c in classes:
+                        yield InvariantProfile(F, n, Z, t_C, source, c_base=c)
+
+
+def grid_requests(F, classes, algebras):
+    for c in classes:
+        for t in (ORTH, SYMP):
+            yield {"kind": "first", "c": c, "t": t}
+        for S in algebras:
+            yield {"kind": "unitary", "S": S, "c0": c}
+    # malformed: a second-kind type, a class or an S over another field
+    other = F3 if F is QQ else QQ
+    yield {"kind": "first", "c": classes[0], "t": "unitary"}
+    yield {"kind": "first", "c": trivial_class(other), "t": SYMP}
+    yield {"kind": "unitary", "S": EtaleQuadratic(other, other.one(), True), "c0": classes[0]}
+
+
+def _outcome(fn, *args):
+    """The JSON text of a result, or the type of the exception raised."""
+    try:
+        out = fn(*args)
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e)
+    return json.dumps(out.to_json() if hasattr(out, "to_json") else out)
+
+
+def test_readers_match_the_reference_dispatch_on_a_profile_grid():
+    pairs = 0
+    for F, classes, centers, algebras in grid_fields():
+        for prof in grid_profiles(F, classes, centers):
+            for req in grid_requests(F, classes, algebras):
+                if req["kind"] == "first":
+                    args = (prof, req["c"], req["t"])
+                    readers = ((mcd_first_kind, ref_mcd_first_kind),
+                               (lower_bound_first_kind, ref_lower_bound_first_kind))
+                else:
+                    args = (prof, req["S"], req["c0"])
+                    readers = ((mcd_unitary, ref_mcd_unitary),
+                               (lower_bound_unitary, ref_lower_bound_unitary))
+                want = _outcome(readers[0][1], *args)
+                if isinstance(want, type):
+                    # a malformed request: every reader raises the formula's error
+                    for new, _ in readers:
+                        assert _outcome(new, *args) is want, (prof, req)
+                    assert _outcome(admissible_degree, prof, req, 4) is want, (prof, req)
+                    continue
+                for new, ref in readers:
+                    assert _outcome(new, *args) == _outcome(ref, *args), (prof, req)
+                for degree in GRID_DEGREES:
+                    assert (_outcome(admissible_degree, prof, req, degree)
+                            == _outcome(ref_admissible_degree, prof, req, degree)), (prof, req, degree)
+                pairs += 1
+    assert pairs > 3000
+
+
+def test_a_classified_request_answers_like_the_readers():
+    p6 = profile_from_form(diag(1, -1, 1, -1, 1, -1))
+    req = {"kind": "unitary", "S": S_SPLIT, "c0": HH}
+    case = classify(p6, req)
+    assert case.mcd.to_json() == mcd_unitary(p6, S_SPLIT, HH).to_json()
+    assert case.bound.to_json() == lower_bound_unitary(p6, S_SPLIT, HH).to_json()
+    for degree in (0, 1, 2, 3, 4, 6, 8):
+        assert case.admissible(degree) == admissible_degree(p6, req, degree)
+    assert case.admissible(0) == {"ok": False, "case": "degenerate", "params": None}
+

@@ -15,6 +15,15 @@ scalings also keep the witness that `compose` builds through the corners.
 On a pair source A = Q1 (x) Q2 of degree 4 the center of the Clifford
 algebra splits, and the classes of its two factors multiply to the class
 of A: [C+][C-] = [A] = [Q1][Q2] (Knus-Merkurjev-Rost-Tignol, Thm 9.12).
+
+Adding four hyperbolic planes 4H moves n to n + 8 and multiplies the
+degree of C by 16 = 2^4 without changing its classes, its center or the
+type of its canonical involution.  So every case stays, every formula and
+bound gains 4 in log2, and a degree 16 d is admissible exactly when d was.
+
+Scaling an even-dimensional form over Q by lam twists its Clifford class
+by the symbol (lam, d), d the signed discriminant (Lam, ch. V): the
+identity compose reads rescaled classes from instead of diagonalizing.
 """
 
 import contextlib
@@ -30,10 +39,11 @@ from cliffcomp import cli
 from cliffcomp.algebra import QuaternionAlgebra
 from cliffcomp.brauer import BrauerClass
 from cliffcomp.clifford import clifford_of_pair
-from cliffcomp.mcd import profile_from_pair_clifford
+from cliffcomp.brauer import clifford_class_of_form, trivial_class
+from cliffcomp.mcd import classify, profile_from_form, profile_from_pair_clifford
 from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
-from cliffcomp.scalars import QQ, PrimeField
+from cliffcomp.scalars import QQ, EtaleQuadratic, PrimeField, quad_ext_info
 
 Q_ENTRIES = (1, -1, 2, -2, 3, -3, 5, -5, 7, -7)
 Q_SQUARES = (4, 9, Fraction(1, 4), Fraction(25, 9))
@@ -294,3 +304,72 @@ def test_pair_sources_keep_the_fundamental_relation():
         assert profile.c_plus * profile.c_minus == BrauerClass(QQ, [s1, s2])
 
     check()
+
+
+def library_requests(F):
+    """Every first-kind type and unitary S, with the classes of the targets
+    above: trivial, Hamilton's and (2, 5) over Q, trivial off Q."""
+    if F is QQ:
+        classes = [BrauerClass(QQ, s) for s in ([], [(-1, -1)], [(2, 5)])]
+        algebras = [quad_ext_info(QQ, Fraction(m)) for m in (-1, 2)]
+    else:
+        classes = [trivial_class(F)]
+        algebras = [quad_ext_info(F, F.parse("2"))]
+    algebras.append(EtaleQuadratic(F, F.one(), True))
+    return ([{"kind": "first", "c": c, "t": t} for c in classes
+             for t in ("orthogonal", "symplectic")]
+            + [{"kind": "unitary", "S": S, "c0": c} for c in classes for S in algebras])
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(3)"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_four_hyperbolic_planes_add_four_to_every_degree(field, n):
+    F = QQ if field == "Q" else PrimeField(3)
+    planes = QuadraticSpace.diagonal(F, [F.parse(str(v)) for v in (1, -1) * 4])
+    requests = library_requests(F)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(Q_ENTRIES if field == "Q" else (1, 2)), min_size=n, max_size=n))
+    def check(diag):
+        q = QuadraticSpace.diagonal(F, [F.parse(str(v)) for v in diag])
+        prof, prof8 = profile_from_form(q), profile_from_form(q.orthogonal_sum(planes))
+        for request in requests:
+            case, case8 = classify(prof, request), classify(prof8, request)
+            assert (case8.mcd.status, case8.mcd.case) == (case.mcd.status, case.mcd.case)
+            if case.mcd.log2 is not None:
+                assert case8.mcd.log2 == case.mcd.log2 + 4
+            assert case8.bound.log2 == case.bound.log2 + 4
+            assert case8.bound.equality == case.bound.equality
+            for d in range(1, 17):
+                got, want = case8.admissible(16 * d), case.admissible(d)
+                assert (got["ok"], got["case"]) == (want["ok"], want["case"]), (request, d)
+
+    check()
+
+
+def rescaling_cases(n):
+    return st.tuples(
+        st.lists(st.sampled_from(Q_ENTRIES), min_size=n, max_size=n),
+        st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2),
+        st.booleans(),
+        st.sampled_from([s * v for v in (1, 2, 3, 5, 6, 7, 10) for s in (1, -1)]),
+    )
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+def test_rescaling_twists_the_clifford_class_by_the_discriminant_symbol(n):
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(rescaling_cases(n))
+    def check(case):
+        diag, upper, gram, lam = case
+        slots = iter(upper)
+        M = [[Fraction(diag[i]) if i == j else Fraction(next(slots)) if j > i and gram
+              else Fraction(0) for j in range(n)] for i in range(n)]
+        q = QuadraticSpace(QQ, M)
+        assume(q.regularity() != "degenerate")
+        twist = BrauerClass(QQ, [(Fraction(lam), q.center_datum())])
+        assert clifford_class_of_form(q.scale(Fraction(lam))) == clifford_class_of_form(q) * twist
+
+    check()
+
