@@ -4,8 +4,12 @@ Elements are sparse dicts {basis_index: coefficient} wrapped in El for
 operator syntax.  Structure constants are produced lazily by mul_bb and
 memoized, so large constructor-built algebras (matrix, tensor, opposite,
 product, corner) never materialize a full table.  A hand-entered table
-is checked when it is entered, since every certificate assumes it; a map
-is built without a certificate and certified once, where it is claimed.
+is checked when it is entered, since every certificate assumes it.  Every
+involution is a canonical one (the reversal, gamma, the transpose, the
+swap, the conjugation of S, or the pair quotient's reversed words) moved
+by restrict_involution, twist_involution or involution_on_tensor; like
+every map it is built without a certificate and certified once, where it
+is claimed.
 
 Every certificate is exhaustive and checks its identity on generators x
 basis.  Algebra.generators() finds a generating set of basis indices and
@@ -283,6 +287,12 @@ class FieldAlgebra(Algebra):
         return [self.F.one()]
 
 
+def check_quaternion_parameters(F: Field, a, b) -> None:
+    """Raise unless b != 0 and, outside characteristic 2, a != 0."""
+    if F.is_zero(b) or (F.char != 2 and F.is_zero(a)):
+        raise UnsupportedInputError("quaternion parameters must be invertible")
+
+
 class QuaternionAlgebra(Algebra):
     """Quaternion algebra with its canonical symplectic involution.
 
@@ -293,8 +303,7 @@ class QuaternionAlgebra(Algebra):
 
     def __init__(self, F: Field, a, b, label: Optional[str] = None):
         super().__init__()
-        if F.is_zero(b) or (F.char != 2 and F.is_zero(a)):
-            raise UnsupportedInputError("quaternion parameters must be invertible")
+        check_quaternion_parameters(F, a, b)
         self.F = F
         self.a = a
         self.b = b
@@ -581,15 +590,8 @@ class Involution:
 
 def involution_on_tensor(T: TensorAlgebra, sA: Involution, sB: Involution, label=None) -> Involution:
     """sA (x) sB on a tensor product."""
-    imgs = []
-    for idx in range(T.dim):
-        a, b = T._unidx(idx)
-        ia, ib = sA.images[a], sB.images[b]
-        out = {}
-        for ka, va in ia.items():
-            for kb, vb in ib.items():
-                out[T.idx(ka, kb)] = T.F.mul(va, vb)
-        imgs.append(out)
+    imgs = [{T.idx(ka, kb): T.F.mul(va, vb) for ka, va in sA.images[a].items()
+             for kb, vb in sB.images[b].items()} for a, b in map(T._unidx, range(T.dim))]
     return Involution(T, imgs, label=label or f"{sA.label}(x){sB.label}")
 
 
@@ -597,11 +599,8 @@ def swap_involution(P: ProductAlgebra) -> Involution:
     """The factor swap on A x A^op style products where both sides share a basis."""
     if P.A.dim != P.B.dim:
         raise UnsupportedInputError("swap needs equal factor dimensions")
-    imgs = []
-    for i in range(P.A.dim):
-        imgs.append({P.A.dim + i: P.F.one()})
-    for j in range(P.B.dim):
-        imgs.append({j: P.F.one()})
+    one = P.F.one()
+    imgs = [{P.A.dim + i: one} for i in range(P.A.dim)] + [{j: one} for j in range(P.B.dim)]
     return Involution(P, imgs, label="swap")
 
 
@@ -619,41 +618,26 @@ def transpose_involution(M: MatrixAlgebra, theta: Optional[Involution] = None,
     return Involution(M, imgs, label=label)
 
 
+def twist_involution(sigma: Involution, u: El, uinv: El, label: str = "twist") -> Involution:
+    """Int(u) . sigma, x -> u sigma(x) u^-1, for u with inverse uinv.  An
+    involution when sigma(u) = +-u (Knus-Merkurjev-Rost-Tignol, Prop. 2.7)."""
+    A = sigma.A
+    return Involution(A, [A.mul(A.mul(u, El(A, im)), uinv).c for im in sigma.images], label=label)
+
+
 def adjoint_involution(M: MatrixAlgebra, G: list, base_inv: Optional[Involution] = None,
                        label: str = "adj") -> Involution:
-    """Involution X -> G^-1 theta(X)^t G on M_n(base).
+    """Involution X -> G^-1 theta(X)^t G on M_n(base): the theta-transpose
+    twisted by G^-1 (theta = base_inv, the plain transpose if None).
 
     G is an n x n array of base-algebra elements (El), invertible, with
-    theta(G)^t = G or -G (theta = base_inv, identity if None).  Entries of
-    G^-1 are computed by solving over the matrix algebra itself.
+    theta(G)^t = G or -G; G^-1 is solved for in the matrix algebra itself.
     """
-    base = M.base
-    F = M.F
-    n = M.n
-
-    def theta(x: El) -> El:
-        return base_inv.apply(x) if base_inv else x
-
-    # invert G as a matrix over the (possibly noncommutative) base by
-    # Gaussian elimination in the big algebra: solve G * Y = I column-wise
-    big = M.from_matrix(G)
-    Ginv = alg_inverse(M, big)
+    Gm = M.from_matrix(G)
+    Ginv = alg_inverse(M, Gm)
     if Ginv is None:
         raise UnsupportedInputError("adjoint form is singular")
-    Gm = G
-    Ginv_m = M.to_matrix(Ginv)
-    imgs = []
-    for idx in range(M.dim):
-        r, c, t = M._unidx(idx)
-        # image of E_rc * b_t: G^-1 (theta-transpose of E_rc b_t) G
-        # theta-transpose has theta(b_t) at position (c, r)
-        tb = theta(base.basis_el(t))
-        rowmat = [[base.zero() for _ in range(n)] for _ in range(n)]
-        rowmat[c][r] = tb
-        X = M.from_matrix(rowmat)
-        img = M.mul(M.mul(Ginv, X), big)
-        imgs.append(img.c)
-    return Involution(M, imgs, label=label)
+    return twist_involution(transpose_involution(M, base_inv), Ginv, Gm, label=label)
 
 
 def alg_inverse(A: Algebra, x: El) -> Optional[El]:
@@ -817,9 +801,7 @@ def corner_algebra(A: Algebra, e: El, label: str = "corner"):
 
 def restrict_involution(B: Algebra, embed, project, sigma: Involution, label="sigma|") -> Involution:
     """Restriction of an involution along a corner embedding."""
-    imgs = []
-    for i in range(B.dim):
-        imgs.append(project(sigma.apply(embed(B.basis_el(i)))).c)
+    imgs = [project(sigma.apply(embed(B.basis_el(i)))).c for i in range(B.dim)]
     return Involution(B, imgs, label=label)
 
 

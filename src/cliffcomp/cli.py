@@ -30,7 +30,7 @@ from .scalars import (
     quad_ext_info,
 )
 from .quadform import QuadraticSpace
-from .algebra import QuaternionAlgebra
+from .algebra import QuaternionAlgebra, check_quaternion_parameters
 from .qpair import pair_from_form, pair_on_quaternion_tensor
 from .clifford import MIN_SATURATION_DEGREE, clifford_of_pair, even_clifford, split_compare
 from .brauer import BrauerClass, trivial_class
@@ -55,7 +55,14 @@ def _parse_field(spec) -> Field:
         return QQ
     s = spec.strip()
     if s.startswith("{"):
-        return field_from_json(json.loads(s))
+        d = json.loads(s)
+        if d.get("kind") == "GF":
+            _shaped(d.get("p"), int, "the field's p")
+            if _shaped(d.get("k", 1), int, "the field's k") < 1:
+                raise UnsupportedInputError("the field's k must be at least 1")
+            for c in _shaped(d.get("modulus", []), list, "the field's modulus"):
+                _shaped(c, int, "a modulus coefficient")
+        return field_from_json(d)
     if s in ("Q", "QQ"):
         return QQ
     if s.startswith("GF(") and s.endswith(")"):
@@ -104,8 +111,12 @@ def _parse_object(F: Field, spec: str, cap: int):
 def _parse_class(F: Field, spec) -> BrauerClass:
     if spec is None:
         return trivial_class(F)
-    symbols = [_shaped(s, list, "a symbol") for s in _shaped(json.loads(spec), list, "--class")]
-    return BrauerClass(F, [(F.parse(str(a)), F.parse(str(b))) for a, b in symbols])
+    symbols = []
+    for s in _shaped(json.loads(spec), list, "--class"):
+        a, b = (F.parse(str(x)) for x in _shaped(s, list, "a symbol"))
+        check_quaternion_parameters(F, a, b)
+        symbols.append((a, b))
+    return BrauerClass(F, symbols)
 
 
 def _parse_s(F: Field, spec: str) -> EtaleQuadratic:

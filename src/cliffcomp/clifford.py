@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Algebra, El, ExplicitAlgebra, Involution, center_structure
+from .algebra import Algebra, El, ExplicitAlgebra, Involution, center_structure, restrict_involution
 from .errors import CertificationError, InputTooLargeError, SaturationError, UnsupportedInputError
 from .linalg import SparseEchelon, apply_cols, axpy, inverse, kernel, rref
 from .quadform import QuadraticSpace
@@ -116,34 +116,14 @@ class CliffordAlgebra(Algebra):
 
     def reversal(self) -> Involution:
         """The involution fixing V pointwise: reverses generator words."""
-        imgs = []
-        for mask in range(self.dim):
-            w = self._mask_to_word(mask)
-            imgs.append(self.reduce_word(tuple(reversed(w))))
+        imgs = [self.reduce_word(self._mask_to_word(m)[::-1]) for m in range(self.dim)]
         return Involution(self, imgs, label="reversal")
 
     def even_part(self):
-        """The even subalgebra, read on demand from this algebra's products.
-
-        Returns (C0, embed, project) with embed: C0 -> C on basis masks of
-        even popcount (in increasing mask order) and project the coordinate
-        restriction.
-        """
+        """The even subalgebra, read on demand from this algebra's products,
+        as (C0, C0.embed, C0.project)."""
         C0 = EvenCliffordAlgebra(self)
-        masks, pos = C0.masks, C0.pos
-
-        def embed(x: El) -> El:
-            return El(self, {masks[t]: v for t, v in x.c.items()})
-
-        def project(x: El) -> El:
-            out = {}
-            for m, v in x.c.items():
-                if m not in pos:
-                    raise UnsupportedInputError("element has odd components")
-                out[pos[m]] = v
-            return El(C0, out)
-
-        return C0, embed, project
+        return C0, C0.embed, C0.project
 
 
 class EvenCliffordAlgebra(Algebra):
@@ -167,15 +147,23 @@ class EvenCliffordAlgebra(Algebra):
         pos = self.pos
         return {pos[m]: v for m, v in self.C._mul_bb_cached(self.masks[i], self.masks[j]).items()}
 
+    def embed(self, x: El) -> El:
+        """x in C, on the even basis masks."""
+        return El(self.C, {self.masks[t]: v for t, v in x.c.items()})
+
+    def project(self, x: El) -> El:
+        """The coordinates of an even element of C on the basis of C0."""
+        if any(m not in self.pos for m in x.c):
+            raise UnsupportedInputError("element has odd components")
+        return El(self, {self.pos[m]: v for m, v in x.c.items()})
+
 
 def even_clifford(q: QuadraticSpace):
     """C0(V, q) with its reversal involution restricted from C(V, q),
     certified."""
     C = CliffordAlgebra(q)
     C0, embed, project = C.even_part()
-    rev = C.reversal()
-    imgs = [project(rev.apply(embed(C0.basis_el(t)))).c for t in range(C0.dim)]
-    tau = Involution(C0, imgs, label="reversal")
+    tau = restrict_involution(C0, embed, project, C.reversal(), label="reversal")
     tau.verify()
     return C, C0, embed, project, tau
 

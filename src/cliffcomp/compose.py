@@ -83,6 +83,7 @@ from .algebra import (
     sums_and_differences,
     swap_involution,
     transpose_involution,
+    twist_involution,
 )
 from .quadform import QuadraticSpace
 from .clifford import CliffordAlgebra, even_clifford, PairCliffordData
@@ -202,9 +203,7 @@ def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
         uinv = None if u.is_zero() else alg_inverse(B, u)
         if uinv is None:
             continue
-        imgs = [B.mul(B.mul(u, sigma0.apply(B.basis_el(i))), uinv).c
-                for i in range(B.dim)]
-        tau = Involution(B, imgs, label="tau")
+        tau = twist_involution(sigma0, u, uinv, label="tau")
         if F.char != 2:
             return tau, want or type0
         ttype = involution_type(B, tau)
@@ -641,26 +640,20 @@ def _two_corners_first_kind(plan: _Plan, c: BrauerClass, want) -> CompositionWit
 
 def _corner_first_kind_involution(src: SourceData, side) -> Involution:
     """A first-kind involution on a corner when the canonical one swaps the
-    corners (n = 2 mod 4): twist the reversal by an anisotropic vector.
-    The twist fixes the center pointwise, so it restricts to the corner."""
+    corners (n = 2 mod 4): the reversal of C twisted by an anisotropic
+    vector v, with v^-1 = v / q(v), restricted to C0 and then to the
+    corner.  The twist fixes the center pointwise, so it restricts."""
     if src.q is None:
         raise UnsupportedInputError(
             "pair sources in degree 2 mod 4 have no corner involution at this scale"
         )
     q = src.q
-    F = q.F
     C0 = src.C0
     C = C0.C
     vec = _anisotropic_vector(q)
     v = C.embed_vector(vec)
-    ivq = F.inv(q.q(vec))
-    imgs = []
-    for t in range(C0.dim):
-        # the reversal of C restricts to sigma on C0
-        r = src.sigma.apply(C0.basis_el(t))
-        y = ivq * (v * El(C, {C0.masks[k]: cc for k, cc in r.c.items()}) * v)
-        imgs.append({C0.pos[m]: cc for m, cc in y.c.items()})
-    theta_c0 = Involution(src.C0, imgs, label="vector-twist")
+    twist = twist_involution(C.reversal(), v, q.F.inv(q.q(vec)) * v, label="vector-twist")
+    theta_c0 = restrict_involution(C0, C0.embed, C0.project, twist, label="vector-twist")
     return restrict_involution(side["B0"], side["embed"], side["project"], theta_c0,
                                label="theta")
 

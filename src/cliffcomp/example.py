@@ -24,6 +24,7 @@ from .algebra import (
     alg_inverse,
     hom_on_generators,
     involution_type,
+    twist_involution,
 )
 from .clifford import even_clifford
 from .brauer import BrauerClass
@@ -102,10 +103,7 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
                        label="tilde")
     tilde.verify()
     kinv = alg_inverse(Q, k_)
-    checks["tilde_is_k_twist"] = all(
-        tilde.apply(Q.basis_el(t)) == k_ * Q.gamma().apply(Q.basis_el(t)) * kinv
-        for t in range(4)
-    )
+    checks["tilde_is_k_twist"] = tilde.images == twist_involution(Q.gamma(), k_, kinv).images
 
     def sprint(x: El) -> El:
         m = M.to_matrix(x)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .algebra import (
     Algebra,
@@ -22,6 +21,8 @@ from .algebra import (
     QuaternionAlgebra,
     TensorAlgebra,
     involution_on_tensor,
+    transpose_involution,
+    twist_involution,
 )
 from .errors import CertificationError, UnsupportedInputError
 from .linalg import axpy, inverse, rref, solve
@@ -164,19 +165,10 @@ def pair_from_form(q: QuadraticSpace):
     if Binv is None:
         raise UnsupportedInputError("polar form is singular")
 
-    # sigma(X) = B^-1 X^t B
-    imgs = []
-    for idx in range(A.dim):
-        r, c, _ = A._unidx(idx)
-        # X = E_rc; X^t = E_cr; B^-1 E_cr B has entries (B^-1)_ic B[r][j]
-        out = {}
-        for i, bic in Binv[c].items():
-            for j in range(n):
-                v = F.mul(bic, B[r][j])
-                if not F.is_zero(v):
-                    out[A._idx(i, j, 0)] = v
-        imgs.append(out)
-    sigma = Involution(A, imgs, label=f"ad({q.label})")
+    # sigma(X) = B^-1 X^t B: the transpose twisted by B^-1
+    Binv_el = El(A, {A._idx(i, c, 0): v for c, col in enumerate(Binv) for i, v in col.items()})
+    B_el = A.from_matrix([[{0: v} for v in row] for row in B])
+    sigma = twist_involution(transpose_involution(A), Binv_el, B_el, label=f"ad({q.label})")
     sigma.verify()
 
     def phi(i: int, j: int) -> El:
@@ -212,12 +204,11 @@ def pair_from_form(q: QuadraticSpace):
     return pair, aux
 
 
-def pair_on_quaternion_tensor(Q1: QuaternionAlgebra, Q2: QuaternionAlgebra,
-                              ell_choice: Optional[El] = None):
+def pair_on_quaternion_tensor(Q1: QuaternionAlgebra, Q2: QuaternionAlgebra):
     """The canonical quadratic pair on Q1 (x) Q2 with sigma = gamma (x) gamma.
 
-    In characteristic 2 the pair is induced by a splitting element; the
-    default is i1 (x) 1, whose trace condition holds because Trd(i1) = 1.
+    In characteristic 2 the pair is induced by the splitting element
+    i1 (x) 1, whose trace condition holds because Trd(i1) = 1.
     """
     A = TensorAlgebra(Q1, Q2)
     sigma = involution_on_tensor(A, Q1.gamma(), Q2.gamma(), label="gamma(x)gamma")
@@ -225,6 +216,4 @@ def pair_on_quaternion_tensor(Q1: QuaternionAlgebra, Q2: QuaternionAlgebra,
     F = A.F
     if F.char != 2:
         return _half_trd_pair(A, sigma, label=f"({A.label},can)")
-    if ell_choice is None:
-        ell_choice = A.pure(Q1.basis_el(1), Q2.one())
-    return pair_from_ell(A, sigma, ell_choice, label=f"({A.label},l)")
+    return pair_from_ell(A, sigma, A.pure(Q1.basis_el(1), Q2.one()), label=f"({A.label},l)")

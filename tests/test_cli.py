@@ -112,6 +112,19 @@ def test_mcd_excluded_case_exits_3():
         ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "[1]"),
         ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "3"),
         ("verify", "--object", "[1]"),
+        # a field descriptor of the wrong shape
+        *[("invariants", "--field", field, "--object", '{"diag":[1,1]}')
+          for field in ('{"kind":"GF","p":3,"k":2,"modulus":5}',
+                        '{"kind":"GF","p":3,"k":2,"modulus":[1,"a",1]}',
+                        '{"kind":"GF","p":[3]}', '{"kind":"GF","p":3,"k":0}',
+                        '{"kind":"GF","k":2}')],
+        # a symbol that is no quaternion algebra, on every field
+        *[(command, "--field", field, "--object", '{"diag":[1,1,1]}', "--type", "orthogonal",
+           "--class", cls)
+          for command in ("mcd", "compose") for field in ("Q", "GF(3)")
+          for cls in ("[[0,1]]", "[[1,0]]")],
+        ("mcd", "--field", "GF(2)", "--object", '{"gram":[[1,1],[0,1]]}', "--type", "orthogonal",
+         "--class", "[[1,0]]"),
         # bundle problem fields of the wrong JSON type
         *[("verify", "--object", json.dumps({
             "problem": {"object": {"diag": [1, 1]}, "type": "orthogonal", **fields},

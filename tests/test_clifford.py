@@ -275,6 +275,25 @@ def test_even_part_embed_is_multiplicative(F, n):
             assert embed(x * y) == embed(x) * embed(y)
 
 
+def ref_even_reversal_images(q):
+    """The reversal of C(V, q) on the even basis masks, written out: each
+    even basis element goes into C, is reversed there, and its coordinates
+    are renumbered back onto the even masks."""
+    C = CliffordAlgebra(q)
+    masks = [m for m in range(C.dim) if bin(m).count("1") % 2 == 0]
+    pos = {m: t for t, m in enumerate(masks)}
+    rev = C.reversal()
+    return [{pos[m]: v for m, v in rev.images[m].items()} for m in masks]
+
+
+@pytest.mark.parametrize("F", [QQ, F3, F2], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("gram", [False, True], ids=["diag", "gram"])
+def test_the_restricted_reversal_matches_the_written_out_one(F, n, gram):
+    q = seeded_form(random.Random(n), F, n, gram)
+    assert even_clifford(q)[4].images == ref_even_reversal_images(q)
+
+
 def test_compose_reads_even_products_on_demand():
     # the eager table of C0 alone held 64 * 64 products of C
     q7 = QuadraticSpace.diagonal(F3, [1, 2, 1, 1, 2, 1, 1])

@@ -21,6 +21,7 @@ from cliffcomp.algebra import (
     alg_inverse,
     hom_on_generators,
     involution_type,
+    restrict_involution,
     sums_and_differences,
     transpose_involution,
 )
@@ -583,13 +584,114 @@ def _thetas():
 THETAS = _thetas()
 
 
+# ---------------------------------------------------------------------------
+# references: involutions written out image by image, as they were before
+# each became a twist (Int(u) . sigma) or a restriction of a canonical one
+
+def ref_adjoint_involution(M, G, base_inv=None, label="adj"):
+    """X -> G^-1 theta(X)^t G on M_n(base), one matrix unit at a time."""
+    base, n = M.base, M.n
+    big = M.from_matrix(G)
+    Ginv = alg_inverse(M, big)
+    assert Ginv is not None
+    imgs = []
+    for idx in range(M.dim):
+        r, c, t = M._unidx(idx)
+        tb = base_inv.apply(base.basis_el(t)) if base_inv else base.basis_el(t)
+        rowmat = [[base.zero() for _ in range(n)] for _ in range(n)]
+        rowmat[c][r] = tb
+        imgs.append(M.mul(M.mul(Ginv, M.from_matrix(rowmat)), big).c)
+    return Involution(M, imgs, label=label)
+
+
+def ref_twisted_images(B, sigma0, u, uinv):
+    """The candidate tau of an involution extension, x -> u sigma0(x) u^-1."""
+    return [B.mul(B.mul(u, sigma0.apply(B.basis_el(i))), uinv).c for i in range(B.dim)]
+
+
+def ref_vector_twist(src, side):
+    """The corner involution of degree 2 mod 4: the source involution on
+    C0 conjugated by an anisotropic vector v inside C, then restricted."""
+    q, C0 = src.q, src.C0
+    C = C0.C
+    vec = compose._anisotropic_vector(q)
+    v = C.embed_vector(vec)
+    ivq = q.F.inv(q.q(vec))
+    imgs = []
+    for t in range(C0.dim):
+        r = src.sigma.apply(C0.basis_el(t))
+        y = ivq * (v * El(C, {C0.masks[k]: cc for k, cc in r.c.items()}) * v)
+        imgs.append({C0.pos[m]: cc for m, cc in y.c.items()})
+    theta_c0 = Involution(C0, imgs, label="vector-twist")
+    return restrict_involution(side["B0"], side["embed"], side["project"], theta_c0)
+
+
+def _adjoint_corpus():
+    """(M, G, theta): the identity and the skew unit on M_2 over each THETAS
+    algebra, and the two forms of the worked example at (-1, -1) and (2, 5)."""
+    out = []
+    for label, theta in THETAS:
+        B0 = theta.A
+        M = MatrixAlgebra(B0, 2)
+        one, zero = B0.one(), B0.zero()
+        out.append(pytest.param(M, [[one, zero], [zero, one]], theta, id=f"{label}-identity"))
+        out.append(pytest.param(M, [[zero, one], [-one, zero]], theta, id=f"{label}-skew"))
+    for a, b in ((-1, -1), (2, 5)):
+        Q = QuaternionAlgebra(QQ, Fraction(a), Fraction(b))
+        M = MatrixAlgebra(Q, 2)
+        u, z, k = Q.one(), Q.zero(), Q.basis_el(3)
+        tilde = Involution(Q, [{0: QQ.one()}, {1: QQ.one()}, {2: QQ.one()}, {3: -QQ.one()}])
+        out.append(pytest.param(M, [[z, u], [-u, z]], tilde, id=f"example-G1-({a},{b})"))
+        out.append(pytest.param(M, [[z, k], [-k, z]], Q.gamma(), id=f"example-G2-({a},{b})"))
+    return out
+
+
+@pytest.mark.parametrize("M,G,theta", _adjoint_corpus())
+def test_the_adjoint_is_the_twisted_transpose(M, G, theta):
+    assert adjoint_involution(M, G, base_inv=theta).images == \
+        ref_adjoint_involution(M, G, base_inv=theta).images
+
+
+VECTOR_TWIST_FORMS = [(QQ, (1, -1, 2, -2, 3, -3)), (QQ, (1, 1, 1, 1, 1, -1)),
+                      (F3, (1, 1, 1, 1, 1, 2))]
+
+
+@pytest.mark.parametrize("F,entries", VECTOR_TWIST_FORMS, ids=[str(e) for _, e in VECTOR_TWIST_FORMS])
+def test_the_vector_twist_is_the_restricted_twisted_reversal(F, entries):
+    src = compose.source_from_form(QuadraticSpace.diagonal(F, [F.from_int(e) for e in entries]))
+    for side in compose._split_corners(src):
+        assert compose._corner_first_kind_involution(src, side).images == \
+            ref_vector_twist(src, side).images
+
+
+def test_extension_candidates_are_the_written_out_twists(monkeypatch):
+    calls = []
+    twist = compose.twist_involution
+
+    def recording(sigma0, u, uinv, label="twist"):
+        tau = twist(sigma0, u, uinv, label)
+        calls.append((sigma0, u, uinv, tau))
+        return tau
+
+    monkeypatch.setattr(compose, "twist_involution", recording)
+    for q, req in [(diag(1, 1, 1), {"kind": "first", "c": HH, "t": "orthogonal"}),
+                   (diag(1, 1, 1), {"kind": "first", "c": TRIV, "t": "symplectic"}),
+                   (diag(1, -1, 1, -1, 1, -1), {"kind": "first", "c": TRIV, "t": "orthogonal"}),
+                   (QuadraticSpace.diagonal(F3, [1, 1, 1]),
+                    {"kind": "first", "c": trivial_class(F3), "t": "orthogonal"})]:
+        construct_composition(q, req)
+    assert any(tau.label == "tau" for *_, tau in calls)
+    for sigma0, u, uinv, tau in calls:
+        assert tau.images == ref_twisted_images(sigma0.A, sigma0, u, uinv)
+
+
 @pytest.mark.parametrize("label,theta", THETAS, ids=[t[0] for t in THETAS])
 def test_conjugate_transpose_is_the_adjoint_of_the_identity(label, theta):
     theta.verify()
     B0 = theta.A
     M = MatrixAlgebra(B0, 2)
     one, zero = B0.one(), B0.zero()
-    reference = adjoint_involution(M, [[one, zero], [zero, one]], base_inv=theta)
+    reference = ref_adjoint_involution(M, [[one, zero], [zero, one]], base_inv=theta)
     assert transpose_involution(M, theta).images == reference.images
 
 

@@ -1,11 +1,12 @@
-"""Quadratic pairs: f read off one echelon, against one solve per right-hand side."""
+"""Quadratic pairs: f read off one echelon, against one solve per right-hand side;
+the adjoint involution, against its written-out matrix units."""
 
 import random
 
 import pytest
 
 from cliffcomp.errors import UnsupportedInputError
-from cliffcomp.linalg import solve
+from cliffcomp.linalg import inverse, solve
 from cliffcomp.qpair import pair_from_form
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import QQ, PrimeField
@@ -71,3 +72,40 @@ def test_f_matches_one_solve_per_row(F, n):
             if sigma.apply(x) != x:
                 with pytest.raises(UnsupportedInputError):
                     pair.f(x)
+
+
+def ref_adjoint_sigma_images(q):
+    """The adjoint involution X -> B^-1 X^t B on End(V), written out on
+    the matrix units: B^-1 E_cr B has the entries (B^-1)_ic B[r][j]."""
+    F, n, B = q.F, q.n, q.polar_matrix()
+    Binv = inverse(F, q.polar_columns())
+    imgs = []
+    for r in range(n):
+        for c in range(n):
+            out = {}
+            for i, bic in Binv[c].items():
+                for j in range(n):
+                    v = F.mul(bic, B[r][j])
+                    if not F.is_zero(v):
+                        out[i * n + j] = v
+            imgs.append(out)
+    return imgs
+
+
+def _pair_forms():
+    """Diagonal and Gram forms over Q and GF(3), n = 2..5, and regular Gram
+    forms over GF(2), n = 2 and 4."""
+    forms = []
+    for F in (QQ, F3):
+        for n in range(2, 6):
+            forms.append(QuadraticSpace.diagonal(F, [F.from_int(e) for e in (1, 2, -1, 1, 2)[:n]]))
+            forms.extend(regular_forms(F, n, random.Random(10 * F.char + n), count=2))
+    for n in (2, 4):
+        forms.extend(regular_forms(F2, n, random.Random(n), count=2))
+    return forms
+
+
+@pytest.mark.parametrize("q", _pair_forms(), ids=str)
+def test_the_adjoint_involution_matches_the_written_out_one(q):
+    pair, _ = pair_from_form(q)
+    assert pair.sigma.images == ref_adjoint_sigma_images(q)

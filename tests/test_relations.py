@@ -24,6 +24,10 @@ bound gains 4 in log2, and a degree 16 d is admissible exactly when d was.
 Scaling an even-dimensional form over Q by lam twists its Clifford class
 by the symbol (lam, d), d the signed discriminant (Lam, ch. V): the
 identity compose reads rescaled classes from instead of diagonalizing.
+
+An inner twist Int(u) . sigma is unchanged when u is a nonzero scalar,
+and twisting by u and then by w is twisting by wu.  Rescaling a form
+keeps its adjoint involution: B^-1 X^t B does not see the scalar.
 """
 
 import contextlib
@@ -36,12 +40,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cliffcomp import cli
-from cliffcomp.algebra import QuaternionAlgebra
+from cliffcomp.algebra import (
+    El,
+    FieldAlgebra,
+    MatrixAlgebra,
+    QuaternionAlgebra,
+    alg_inverse,
+    transpose_involution,
+    twist_involution,
+)
 from cliffcomp.brauer import BrauerClass
 from cliffcomp.clifford import clifford_of_pair
 from cliffcomp.brauer import clifford_class_of_form, trivial_class
 from cliffcomp.mcd import classify, profile_from_form, profile_from_pair_clifford
-from cliffcomp.qpair import pair_on_quaternion_tensor
+from cliffcomp.qpair import pair_from_form, pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import QQ, EtaleQuadratic, PrimeField, quad_ext_info
 
@@ -373,3 +385,67 @@ def test_rescaling_twists_the_clifford_class_by_the_discriminant_symbol(n):
 
     check()
 
+
+
+def _involutions():
+    """(label, sigma): gamma on quaternion algebras and the transpose on
+    M_2, over Q and GF(3)."""
+    F3 = PrimeField(3)
+    return [("gamma-Q", QuaternionAlgebra(QQ, Fraction(-1), Fraction(3)).gamma()),
+            ("gamma-GF3", QuaternionAlgebra(F3, 1, 2).gamma()),
+            ("transpose-Q", transpose_involution(MatrixAlgebra(FieldAlgebra(QQ), 2))),
+            ("transpose-GF3", transpose_involution(MatrixAlgebra(FieldAlgebra(F3), 2)))]
+
+
+INVOLUTIONS = _involutions()
+SCALARS = {0: [s * v for v in (1, 2, 3) for s in (1, -1)], 3: [1, 2]}
+
+
+@pytest.mark.parametrize("label,sigma", INVOLUTIONS, ids=[i[0] for i in INVOLUTIONS])
+def test_twisting_by_a_nonzero_scalar_gives_sigma_back(label, sigma):
+    A, F = sigma.A, sigma.A.F
+    for lam in SCALARS[F.char]:
+        c = F.from_int(lam)
+        assert twist_involution(sigma, c * A.one(), F.inv(c) * A.one()).images == sigma.images
+
+
+@pytest.mark.parametrize("label,sigma", INVOLUTIONS, ids=[i[0] for i in INVOLUTIONS])
+def test_twisting_by_u_then_by_w_is_twisting_by_wu(label, sigma):
+    A, F = sigma.A, sigma.A.F
+    coords = st.lists(st.integers(-2, 2), min_size=A.dim, max_size=A.dim)
+
+    def invertible(c):
+        x = El(A, {i: F.from_int(v) for i, v in enumerate(c) if not F.is_zero(F.from_int(v))})
+        return x, alg_inverse(A, x)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(coords, coords)
+    def check(cu, cw):
+        (u, uinv), (w, winv) = invertible(cu), invertible(cw)
+        assume(uinv is not None and winv is not None)
+        twice = twist_involution(twist_involution(sigma, u, uinv), w, winv)
+        assert twice.images == twist_involution(sigma, w * u, uinv * winv).images
+
+    check()
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(3)"])
+@pytest.mark.parametrize("n", range(2, 5))
+def test_rescaling_a_form_keeps_its_adjoint_involution(field, n):
+    F = QQ if field == "Q" else PrimeField(3)
+    entry = st.integers(-3, 3) if field == "Q" else st.integers(0, 2)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2), st.booleans())
+    def check(upper, gram):
+        slots = iter(upper)
+        M = [[F.from_int(next(slots)) if j >= i else F.zero() for j in range(n)] for i in range(n)]
+        if not gram:
+            M = [[v if i == j else F.zero() for j, v in enumerate(row)] for i, row in enumerate(M)]
+        q = QuadraticSpace(F, M)
+        assume(q.regularity() == "regular")
+        sigma = pair_from_form(q)[0].sigma
+        for lam in SCALARS[F.char]:
+            assert pair_from_form(q.scale(F.from_int(lam)))[0].sigma.images == sigma.images
+
+    check()
