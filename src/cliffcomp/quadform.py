@@ -11,6 +11,13 @@ b_q is one-dimensional and q does not vanish on it.
 Outside characteristic 2 the diagonalization is a congruence elimination
 on the Gram matrix B/2, and the discriminant is the signed product of
 its entries, so no second elimination computes a determinant.
+
+Each space computes each invariant once: the polar matrix, the
+diagonalization and the regularity are kept on the object at their first
+request, and the getters hand out copies.  Outside characteristic 2 the
+regularity is read from the diagonalization (a congruence keeps the rank,
+so the form is regular exactly when no diagonal entry is zero); in
+characteristic 2 it is the radical of the polar form.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ class QuadraticSpace:
         self.n = n
         self.M = [list(row) for row in coeffs]
         self.label = label or "q"
+        self._B = None           # polar matrix, never handed out
+        self._diag = None        # diagonalization, a tuple
+        self._regularity = None
 
     @classmethod
     def diagonal(cls, F: Field, entries: list, label: Optional[str] = None):
@@ -65,19 +75,25 @@ class QuadraticSpace:
                     acc = F.add(acc, F.mul(self.M[i][j], F.mul(x[i], x[j])))
         return acc
 
+    def _polar(self) -> list:
+        """The polar matrix M + M^t, computed once; callers only read it."""
+        if self._B is None:
+            F, M, n = self.F, self.M, self.n
+            self._B = [[F.add(M[i][j], M[j][i]) for j in range(n)] for i in range(n)]
+        return self._B
+
     def polar_matrix(self) -> list:
-        F, M = self.F, self.M
-        return [[F.add(M[i][j], M[j][i]) for j in range(self.n)] for i in range(self.n)]
+        return [list(row) for row in self._polar()]
 
     def polar_columns(self) -> list:
         """The columns of the polar matrix as sparse dicts, as linalg takes a map."""
         F = self.F
-        B = self.polar_matrix()
+        B = self._polar()
         return [{i: B[i][j] for i in range(self.n) if not F.is_zero(B[i][j])} for j in range(self.n)]
 
     def bq(self, x: list, y: list):
         F = self.F
-        B = self.polar_matrix()
+        B = self._polar()
         acc = F.zero()
         for i in range(self.n):
             if F.is_zero(x[i]):
@@ -92,12 +108,19 @@ class QuadraticSpace:
         return kernel(self.F, self.polar_columns(), self.n)
 
     def regularity(self) -> str:
-        """'regular', 'semi-regular', or 'degenerate'."""
+        """'regular', 'semi-regular', or 'degenerate', computed once."""
+        if self._regularity is None:
+            self._regularity = self._classify()
+        return self._regularity
+
+    def _classify(self) -> str:
         F = self.F
+        if F.char != 2:
+            return "degenerate" if any(F.is_zero(a) for a in self.diagonalization()) else "regular"
         rad = self.radical()
         if not rad:
             return "regular"
-        if F.char == 2 and self.n % 2 == 1 and len(rad) == 1:
+        if self.n % 2 == 1 and len(rad) == 1:
             if not F.is_zero(self.q([rad[0].get(i, F.zero()) for i in range(self.n)])):
                 return "semi-regular"
         return "degenerate"
@@ -144,12 +167,19 @@ class QuadraticSpace:
         (add row and column b to row and column a) and pivot at a.  Record
         the pivot and go on with its Schur complement.  Every step is a
         congruence of determinant +-1, so the entries multiply to det(G).
+        The entries are computed once; each call returns a fresh list.
         """
         F = self.F
         if F.char == 2:
             raise UnsupportedInputError("no diagonal form in characteristic 2")
+        if self._diag is None:
+            self._diag = tuple(self._eliminate())
+        return list(self._diag)
+
+    def _eliminate(self) -> list:
+        F = self.F
         half = F.inv(F.from_int(2))
-        G = [[F.mul(half, v) for v in row] for row in self.polar_matrix()]
+        G = [[F.mul(half, v) for v in row] for row in self._polar()]
         out = []
         while G:
             k = len(G)

@@ -181,8 +181,12 @@ class RationalField(Field):
         return _integral(Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator)))
 
     def parse(self, s: str):
+        s = str(s)
+        # the common integer literal: int() reads it as Fraction would, faster
+        if s.isascii() and s.removeprefix("-").isdigit():
+            return int(s)
         try:
-            return _integral(Fraction(str(s)))
+            return _integral(Fraction(s))
         except ZeroDivisionError:
             raise UnsupportedInputError(f"zero denominator in {s!r}") from None
 
@@ -296,6 +300,12 @@ class PrimeField(Field):
         return hash(("GF", self.p))
 
 
+# Largest order of an extension field, as a power of 2: finding and
+# certifying a modulus costs k powerings to the p-th power modulo it.  k is
+# compared first, so a huge k is refused without computing p**k.
+EXT_ORDER_BITS = 64
+
+
 class ExtField(Field):
     """GF(p^k), k > 1; elements are k-tuples of ints (coefficients of 1, t, ..., t^(k-1))."""
 
@@ -304,6 +314,8 @@ class ExtField(Field):
             raise UnsupportedInputError(f"{p} is not prime")
         if k < 2:
             raise UnsupportedInputError("use PrimeField for k = 1")
+        if k > EXT_ORDER_BITS or p**k > 2**EXT_ORDER_BITS:
+            raise InputTooLargeError(f"GF({p}^{k}) exceeds the field order bound 2^{EXT_ORDER_BITS}")
         self.p = p
         self.k = k
         self.char = p
@@ -673,10 +685,33 @@ def _poly_is_irreducible(m, p) -> bool:
     return True
 
 
+def _binomial_exponents(p: int, k: int):
+    """The exponents (p - 1) / r, one per prime r | k, that decide which
+    binomials x^k - a are irreducible over GF(p), or None when none is.
+
+    Lidl-Niederreiter, Finite Fields, Thm 3.75: for a != 0, x^k - a is
+    irreducible exactly when every prime r | k divides p - 1 with
+    a^((p-1)/r) != 1, and p = 1 mod 4 if 4 | k.
+    """
+    primes = [r for r in range(2, k + 1) if k % r == 0 and _is_prime(r)]
+    if any((p - 1) % r for r in primes) or (k % 4 == 0 and p % 4 != 1):
+        return None
+    return [(p - 1) // r for r in primes]
+
+
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    for tail in _coeff_tuples(p, k):
-        if _poly_is_irreducible(tail + (1,), p):
-            return tail + (1,)
+    """The monic irreducible of degree k whose tail (c0, ..., c_{k-1}) comes
+    first in _coeff_tuples order.  The first p tails are the binomials
+    x^k + c0, decided by their exponents; Rabin's test takes the rest."""
+    exponents = _binomial_exponents(p, k)
+    if exponents is not None:
+        for c in range(1, p):
+            if all(pow(p - c, e, p) != 1 for e in exponents):
+                return (c,) + (0,) * (k - 1) + (1,)
+    for rest in itertools.islice(_coeff_tuples(p, k - 1), 1, None):
+        for c in range(p):
+            if _poly_is_irreducible((c,) + rest + (1,), p):
+                return (c,) + rest + (1,)
     raise UnsupportedInputError(f"no irreducible polynomial found for GF({p}^{k})")
 
 

@@ -202,6 +202,25 @@ def test_invariants_over_gf_2_20_returns():
     assert json.loads(p.stdout)["center"]["split"] is True
 
 
+def test_invariants_over_a_field_above_the_order_bound_exits_2():
+    # refused before any modulus search or Rabin test, which on a
+    # degree-5000 modulus would run for minutes
+    p = subprocess.run(BASE + ["invariants", "--field", '{"kind":"GF","p":2,"k":5000}',
+                               "--object", '{"diag":[1,1]}'],
+                       capture_output=True, text=True, timeout=10)
+    assert p.returncode == 2, p.stderr
+    assert json.loads(p.stderr)["type"] == "InputTooLargeError"
+
+
+def test_invariants_over_gf_65519_4_returns():
+    # no binomial x^4 + c is irreducible for p = 3 mod 4; the criterion
+    # says so without one Rabin test per c
+    p = subprocess.run(BASE + ["invariants", "--field", '{"kind":"GF","p":65519,"k":4}',
+                               "--object", '{"diag":[1,1]}'],
+                       capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+
+
 def test_compose_over_gf_1009_2_square_root_of_a_prime_nonsquare():
     # 17 is a nonsquare mod 1009, so its root lies off GF(1009): Tonelli-Shanks
     # finds the same root as the walk over the field did, and the output is

@@ -1,5 +1,6 @@
 """Quadratic spaces: evaluation, regularity, diagonalization, char-2 invariants."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliffcomp
+from cliffcomp import linalg, mcd
 from cliffcomp.errors import UnsupportedInputError
+from cliffcomp.linalg import kernel
 from cliffcomp.quadform import QuadraticSpace, all_small_forms, random_form
 from cliffcomp.scalars import QQ, PrimeField
 
@@ -252,6 +256,108 @@ def test_diagonalization_matches_the_vector_reference():
         sheared += q.n > 1 and all(F.is_zero(G[i][i]) for i in range(q.n)) and any(
             not F.is_zero(v) for row in G for v in row)
     assert sheared > 20 and degenerate > 20
+
+
+# ---------------------------------------------------------------------------
+# regularity: outside characteristic 2 it is read from the diagonalization;
+# the reference is the radical of the polar form, as it was computed before
+
+def ref_regularity(q):
+    F = q.F
+    rad = kernel(F, q.polar_columns(), q.n)
+    if not rad:
+        return "regular"
+    if F.char == 2 and q.n % 2 == 1 and len(rad) == 1:
+        if not F.is_zero(q.q([rad[0].get(i, F.zero()) for i in range(q.n)])):
+            return "semi-regular"
+    return "degenerate"
+
+
+def _every_upper_triangular(F, n):
+    slots = [(i, j) for i in range(n) for j in range(i, n)]
+    for combo in itertools.product(list(F.elements()), repeat=len(slots)):
+        yield QuadraticSpace.from_upper_entries(F, n, dict(zip(slots, combo)))
+
+
+def _seeded_gram_forms(rng):
+    """Dense, zero-diagonal and zero-row forms over Q with n = 2..8."""
+    out = []
+    for n in range(2, 9):
+        for _ in range(6):
+            M = [[frac(rng.randint(-3, 3)) if j >= i else frac(0) for j in range(n)]
+                 for i in range(n)]
+            out.append(QuadraticSpace(QQ, M))
+            out.append(QuadraticSpace(QQ, [[frac(0) if i == j else v for j, v in enumerate(row)]
+                                           for i, row in enumerate(M)]))
+            z = rng.randrange(n)
+            out.append(QuadraticSpace(QQ, [[frac(0) if z in (i, j) else v
+                                            for j, v in enumerate(row)]
+                                           for i, row in enumerate(M)]))
+    return out
+
+
+def test_regularity_matches_the_radical_reference():
+    corpus = [q for n in (1, 2, 3) for q in _every_upper_triangular(F3, n)]
+    corpus += list(_every_upper_triangular(PrimeField(5), 2))
+    corpus += _seeded_gram_forms(random.Random(13))
+    verdicts = {"regular": 0, "degenerate": 0}
+    for q in corpus:
+        got = q.regularity()
+        assert got == ref_regularity(q), (q.F, q.M)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 100
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Wrap owner.name on each owner; the returned list gets one entry per call."""
+    calls = []
+    for owner in owners:
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_profile_eliminates_a_rational_form_once(monkeypatch):
+    rng = random.Random(3)
+    M = [[frac(rng.randint(-3, 3)) if j > i else frac(0) for j in range(8)] for i in range(8)]
+    for i in range(8):
+        M[i][i] = frac(rng.choice([-3, -2, -1, 1, 2, 3]))
+    q = QuadraticSpace(QQ, M)
+    eliminations = _count_calls(monkeypatch, [QuadraticSpace], "_eliminate")
+    holders = [m for m in (linalg, *(getattr(cliffcomp, n) for n in dir(cliffcomp)))
+               if getattr(m, "kernel", None) is linalg.kernel]
+    kernels = _count_calls(monkeypatch, holders, "kernel")
+    mcd.profile_from_form(q)
+    assert len(eliminations) == 1
+    assert not kernels and len(holders) > 2
+
+
+def test_profile_takes_one_radical_in_characteristic_2(monkeypatch):
+    q = random_form(F2, 8, random.Random(4))
+    assert q.regularity() == "regular"
+    q = QuadraticSpace(F2, q.M)  # a fresh space, nothing cached yet
+    radicals = _count_calls(monkeypatch, [QuadraticSpace], "radical")
+    mcd.profile_from_form(q)
+    assert len(radicals) == 1
+
+
+def test_cached_invariants_are_copies():
+    q = QuadraticSpace(QQ, [fracs(1, 2, 0), fracs(0, 0, 1), fracs(0, 0, -3)])
+    d, B = q.diagonalization(), q.polar_matrix()
+    d0, B0 = list(d), [list(row) for row in B]
+    d[0] = frac(0)
+    d.append(frac(5))
+    B[0][0] = frac(7)
+    B[1] = []
+    assert q.diagonalization() == d0
+    assert q.polar_matrix() == B0
+    assert q.bq(fracs(1, 0, 0), fracs(1, 0, 0)) == 2
+    assert q.regularity() == "regular"
 
 
 def test_symplectic_basis_properties():

@@ -16,7 +16,10 @@ from cliffcomp.scalars import (
     PrimeField,
     PLACE_REAL,
     _artin_schreier_solvable,
+    _binomial_exponents,
     _coeff_tuples,
+    _find_irreducible,
+    _integral,
     _poly_divmod,
     _poly_is_irreducible,
     _poly_trim,
@@ -104,6 +107,68 @@ def test_coeff_tuples_order():
     # the first coefficient varies fastest, which fixes the default moduli
     for p, k in ((2, 3), (3, 2), (5, 3)):
         assert list(_coeff_tuples(p, k)) == [t[::-1] for t in itertools.product(range(p), repeat=k)]
+
+
+def test_binomial_criterion_matches_rabin():
+    # x^k - a for every a over GF(p), p <= 31, k = 2..8: 1,120 binomials
+    primes = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+    seen = irreducible = 0
+    for p in primes:
+        for k in range(2, 9):
+            exponents = _binomial_exponents(p, k)
+            for a in range(p):
+                verdict = exponents is not None and a != 0 and all(
+                    pow(a, e, p) != 1 for e in exponents)
+                m = ((-a) % p,) + (0,) * (k - 1) + (1,)
+                assert verdict == _poly_is_irreducible(m, p), (p, k, a)
+                seen += 1
+                irreducible += verdict
+    assert seen == 1120 and irreducible
+
+
+# the moduli the element-order search found when every binomial went
+# through Rabin's test; deciding the binomials first must keep them
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1), (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1), (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1), (13, 12): (2,) + (0,) * 11 + (1,),
+    (17, 8): (3, 0, 0, 0, 0, 0, 0, 0, 1), (31, 6): (5, 0, 0, 0, 0, 0, 1),
+    (1009, 2): (11, 0, 1), (10007, 4): (6, 1, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED_MODULI), ids=lambda v: str(v))
+def test_default_modulus_is_pinned(p, k):
+    assert _find_irreducible(p, k) == PINNED_MODULI[(p, k)]
+
+
+def test_modulus_search_skips_a_block_of_reducible_binomials():
+    # 4 | k and p = 3 mod 4: no binomial is irreducible, and none is tested
+    t0 = time.perf_counter()
+    F = ExtField(65519, 4)
+    assert time.perf_counter() - t0 < 1
+    assert F.modulus == (13, 1, 0, 0, 1)
+
+
+def test_ext_field_order_bound():
+    # p^k above 2^64 is refused before any search or Rabin test, also with
+    # a modulus given
+    for args in ((2, 65), (2, 5000), (2, 10**18), (4294967311, 2), (2, 100, (1,) * 101)):
+        with pytest.raises(InputTooLargeError):
+            ExtField(*args)
+    assert ExtField(1000000007, 2).order < 2**64
 
 
 def test_large_prime_extension_builds_fast():
@@ -268,6 +333,13 @@ def test_rational_constructors_are_ints():
                     (QQ.parse("6/3"), 2), (QQ.sqrt(Fraction(16, 4)), 2)):
         assert type(x) is int and x == want
     assert QQ.fmt(QQ.parse("-12")) == "-12"
+
+
+@pytest.mark.parametrize("s", ["0", "-0", "+3", "007", "-12", "1/2", "3.0", "1e3", " 4", "1_000"])
+def test_rational_parse_matches_the_fraction_path(s):
+    # an ASCII integer literal is read by int(); the value is the same
+    got, want = QQ.parse(s), _integral(Fraction(s))
+    assert got == want and type(got) is type(want)
     assert QQ.fmt(QQ.parse("4/6")) == "2/3"
 
 
