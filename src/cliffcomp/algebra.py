@@ -7,9 +7,11 @@ product, corner) never materialize a full table.  A hand-entered table
 is checked when it is entered, since every certificate assumes it.  Every
 involution is a canonical one (the reversal, gamma, the transpose, the
 swap, the conjugation of S, or the pair quotient's reversed words) moved
-by restrict_involution, twist_involution or involution_on_tensor; like
+by restrict_involution (to C0 or a corner, along the subalgebra's own
+embed and project), twist_involution or involution_on_tensor; like
 every map it is built without a certificate and certified once, where it
-is claimed.
+is claimed.  A map given by generator images (hom_on_generators) is
+extended along the words that generators() proved.
 
 Every certificate is exhaustive and checks its identity on generators x
 basis.  Algebra.generators() finds a generating set of basis indices and
@@ -108,6 +110,30 @@ def sums_and_differences(vectors: list):
             yield vectors[i] - vectors[j]
 
 
+def as_scalar(A: Algebra, x: El):
+    """The scalar c with x = c * 1, or None.  Works whatever the basis."""
+    F = A.F
+    one = A.one()
+    if x.is_zero():
+        return F.zero()
+    i, ui = next(iter(one.c.items()))
+    if i not in x.c:
+        return None
+    lam = F.div(x.c[i], ui)
+    return lam if x == lam * one else None
+
+
+def square_unit(A: Algebra, vectors: list, what: str) -> tuple:
+    """(w, w^2) for the first w in sums_and_differences(vectors) whose
+    square is a nonzero scalar: an anisotropic vector of the squaring form
+    where it is quadratic (pure quaternions, vectors of a Clifford algebra)."""
+    for w in sums_and_differences(vectors):
+        sq = as_scalar(A, A.mul(w, w))
+        if sq is not None and not A.F.is_zero(sq):
+            return w, sq
+    raise CertificationError(f"no {what} found")
+
+
 class Algebra:
     """Base class.  Subclasses set F, dim, _unit and implement mul_bb."""
 
@@ -190,37 +216,42 @@ class Algebra:
         element already lies in the span of the words found so far; that
         span starts at 1 and is closed under right multiplication by the
         chosen generators in one echelon.  The words are left-normed
-        products, so the proof does not assume associativity.  Computed
-        once per algebra; raises CertificationError if the words fall
-        short of the dimension.
+        products, so the proof does not assume associativity.  Each word
+        after 1 is kept as its (parent word, generator) pair, word k + 1 =
+        word[parent] e_g, for hom_on_generators.  Computed once per
+        algebra; raises CertificationError if the words fall short of the
+        dimension.
         """
         if self._generators is not None:
             return self._generators
         F = self.F
         ech = SparseEchelon(F)
-        words: list = []
+        words: list = [dict(self._unit)]
+        steps: list = []
         gens: list = []
-        pending: deque = deque()  # (word, generator) products not yet formed
+        pending: deque = deque()  # (word index, generator) products not yet formed
 
-        def add_word(w: dict) -> None:
+        def add_word(w: dict, step: tuple) -> None:
             if ech.insert(w) is not None:
+                pending.extend((len(words), g) for g in gens)
                 words.append(w)
-                pending.extend((w, g) for g in gens)
+                steps.append(step)
 
-        add_word(dict(self._unit))
+        ech.insert(words[0])
         for i in range(self.dim):
             if ech.rank == self.dim:
                 break
             if ech.contains({i: F.one()}):
                 continue
             gens.append(i)
-            pending.extend((w, i) for w in words)
+            pending.extend((k, i) for k in range(len(words)))
             while pending and ech.rank < self.dim:
-                w, g = pending.popleft()
-                add_word(self.mul(El(self, w), self.basis_el(g)).c)
+                k, g = pending.popleft()
+                add_word(self.mul(El(self, words[k]), self.basis_el(g)).c, (k, g))
         if ech.rank != self.dim:
             raise CertificationError(f"{self.label}: generator words span only {ech.rank} of {self.dim}")
         self._generators = gens
+        self._word_steps = steps
         return gens
 
     def verify_associative(self) -> dict:
@@ -792,16 +823,15 @@ class CornerAlgebra(Algebra):
         return El(self, self._coords_of(self.A.mul(self.e, x)))
 
 
-def corner_algebra(A: Algebra, e: El, label: str = "corner"):
-    """The corner eA of A at a central idempotent e, as (B, B.embed,
-    B.project), B a CornerAlgebra; project is x -> e x."""
-    B = CornerAlgebra(A, e, label)
-    return B, B.embed, B.project
+def corner_algebra(A: Algebra, e: El, label: str = "corner") -> CornerAlgebra:
+    """The corner eA of A at a central idempotent e; its project is x -> e x."""
+    return CornerAlgebra(A, e, label)
 
 
-def restrict_involution(B: Algebra, embed, project, sigma: Involution, label="sigma|") -> Involution:
-    """Restriction of an involution along a corner embedding."""
-    imgs = [project(sigma.apply(embed(B.basis_el(i)))).c for i in range(B.dim)]
+def restrict_involution(B: Algebra, sigma: Involution, label="sigma|") -> Involution:
+    """Restriction of an involution to a subalgebra B along B.embed and
+    B.project (a corner, or the even part of a Clifford algebra)."""
+    imgs = [B.project(sigma.apply(B.embed(B.basis_el(i)))).c for i in range(B.dim)]
     return Involution(B, imgs, label=label)
 
 
@@ -855,41 +885,15 @@ class AlgebraHom:
         return True
 
 
-def hom_on_generators(A: Algebra, B: Algebra, gen_indices: list, gen_images: list,
-                      label: str = "phi") -> AlgebraHom:
-    """Extend a map on generating basis elements to all of A.
-
-    Products of the generators must span A; images are found by expressing
-    each basis element as a linear combination of generator monomials.
-    """
+def hom_on_generators(A: Algebra, B: Algebra, gen_images: list, label: str = "phi") -> AlgebraHom:
+    """The map with the given images of A.generators(), extended along the
+    words that generators() proved: word[parent] e_g goes to the image of
+    word[parent] times that of e_g, and e_i, written in the words, to the
+    same combination of their images.  Uncertified, like every map."""
     F = A.F
-    ech = SparseEchelon(F)
-    span_A: list = []
-    span_elems_B: list = []
-    one_A, one_B = A.one(), B.one()
-    frontier = [(one_A, one_B)]
-    ech.insert(one_A.c)
-    span_A.append(one_A.c)
-    span_elems_B.append(one_B)
-    gen_images = [gim if isinstance(gim, El) else El(B, gim) for gim in gen_images]
-    while frontier and len(span_A) < A.dim:
-        new_frontier = []
-        for xa, xb in frontier:
-            for gi, gim in zip(gen_indices, gen_images):
-                ya = A.mul(xa, A.basis_el(gi))
-                if ech.insert(ya.c) is None:
-                    continue
-                yb = B.mul(xb, gim)
-                span_A.append(ya.c)
-                span_elems_B.append(yb)
-                new_frontier.append((ya, yb))
-        frontier = new_frontier
-    if len(span_A) != A.dim:
-        raise UnsupportedInputError(f"{label}: generators span only {len(span_A)} of {A.dim}")
-    Sinv = inverse(F, span_A)
-    if Sinv is None:
-        raise CertificationError("span solve failed")
-    span_B = [y.c for y in span_elems_B]
-    # e_i written in the span elements, mapped to their images
-    images = [apply_cols(F, span_B, coeffs) for coeffs in Sinv]
-    return AlgebraHom(A, B, images, label=label)
+    image_of = dict(zip(A.generators(), gen_images))
+    words, images = [A._unit], [B._unit]
+    for parent, g in A._word_steps:
+        words.append(A.mul(El(A, words[parent]), A.basis_el(g)).c)
+        images.append(B.mul(El(B, images[parent]), image_of[g]).c)
+    return AlgebraHom(A, B, [apply_cols(F, images, coeffs) for coeffs in inverse(F, words)], label=label)

@@ -23,7 +23,9 @@ from .algebra import (
     Algebra,
     El,
     QuaternionAlgebra,
+    as_scalar,
     hom_on_generators,
+    square_unit,
     sums_and_differences,
 )
 from .errors import CertificationError, UnsupportedInputError
@@ -167,26 +169,14 @@ class RestrictedClass:
 # ---------------------------------------------------------------------------
 # symbol recovery from degree-2 algebras
 
-def _as_scalar(A: Algebra, x: El):
-    """The scalar c with x = c * 1, or None.  Works whatever the basis."""
-    F = A.F
-    one = A.one()
-    if x.is_zero():
-        return F.zero()
-    i, ui = next(iter(one.c.items()))
-    if i not in x.c:
-        return None
-    lam = F.div(x.c[i], ui)
-    return lam if x == lam * one else None
-
-
 def quaternion_symbol_of(A: Algebra) -> tuple:
     """Recover a symbol (a, b) with A isomorphic to the quaternion algebra
-    (a, b) (char != 2) or [a, b) (char 2).  Certified by building the
-    isomorphism on generators.
+    (a, b) (char != 2) or [a, b) (char 2).  Certified by the isomorphism
+    that sends the proved generators i, j of the quaternion algebra to the
+    two generators found (hom_on_generators).
 
     Every generator is the first fit in a finite list: spanning vectors,
-    then their pairwise sums and differences (sums_and_differences).  The
+    then their pairwise sums and differences (square_unit).  The
     norm form is nondegenerate on the pure quaternions, where x is sought,
     and on the complement of x (or u), where y (or v) is sought, so the
     list holds an anisotropic vector.  In char 2, u is c / alpha for the
@@ -198,14 +188,6 @@ def quaternion_symbol_of(A: Algebra) -> tuple:
         raise UnsupportedInputError("symbol recovery needs a 4-dimensional algebra")
     one = A.one()
     basis = [A.basis_el(i) for i in range(4)]
-
-    def square_unit(vectors: list, what: str) -> tuple:
-        """(w, w^2) for the first candidate w whose square is a nonzero scalar."""
-        for w in sums_and_differences(vectors):
-            sq = _as_scalar(A, A.mul(w, w))
-            if sq is not None and not F.is_zero(sq):
-                return w, sq
-        raise CertificationError(f"no {what} found")
 
     def kernel_elements(images: list) -> list:
         """The kernel of the linear map sending basis[c] to images[c]."""
@@ -221,15 +203,15 @@ def quaternion_symbol_of(A: Algebra) -> tuple:
             for i in range(4):
                 t = F.add(t, A.mul(c, basis[i]).c.get(i, F.zero()))
             pure.append(c - F.mul(t, quarter) * one)
-        x, a = square_unit(pure, "invertible trace-zero element")
+        x, a = square_unit(A, pure, "invertible trace-zero element")
         # y anticommuting with x: kernel of L_x + R_x
-        y, b = square_unit(kernel_elements([A.mul(x, e) + A.mul(e, x) for e in basis]),
+        y, b = square_unit(A, kernel_elements([A.mul(x, e) + A.mul(e, x) for e in basis]),
                            "anticommuting unit")
         gens = [x, y]
     else:
         # u with u^2 = u + a, then v with vu = (u+1)v and v^2 = b
         for c in sums_and_differences(basis):
-            if _as_scalar(A, c) is not None:
+            if as_scalar(A, c) is not None:
                 continue
             ab = solve(F, [c.c, one.c], A.mul(c, c).c)
             if ab is not None and 0 in ab:
@@ -239,10 +221,10 @@ def quaternion_symbol_of(A: Algebra) -> tuple:
         else:
             raise CertificationError("no separable generator found")
         # v u + u v = v: kernel of L_u + R_u - 1
-        v, b = square_unit(kernel_elements([A.mul(u, e) + A.mul(e, u) - e for e in basis]),
+        v, b = square_unit(A, kernel_elements([A.mul(u, e) + A.mul(e, u) - e for e in basis]),
                            "twisted-commuting unit")
         gens = [u, v]
-    phi = hom_on_generators(QuaternionAlgebra(F, a, b), A, [1, 2], gens, label="symbol")
+    phi = hom_on_generators(QuaternionAlgebra(F, a, b), A, gens, label="symbol")
     phi.verify()
     if not phi.is_bijective():
         raise CertificationError("symbol witness is not an isomorphism")

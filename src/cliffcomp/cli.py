@@ -72,9 +72,9 @@ def _parse_field(spec) -> Field:
 
 def _shaped(value, kind: type, what: str):
     """value when it is a JSON object (kind dict), array (list), integer
-    (int; a bool is not one) or string (str)."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        name = {dict: "object", list: "array", int: "integer", str: "string"}[kind]
+    (int; a bool is not one), string (str) or boolean (bool)."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        name = {dict: "object", list: "array", int: "integer", str: "string", bool: "boolean"}[kind]
         raise UnsupportedInputError(f"{what} must be a JSON {name}")
     return value
 
@@ -125,7 +125,7 @@ def _parse_s(F: Field, spec: str) -> EtaleQuadratic:
     split algebra."""
     d = _shaped(json.loads(spec), dict, "--s")
     datum = F.parse(str(d.get("datum", "1")))
-    if d.get("split", False):
+    if _shaped(d.get("split", False), bool, "split"):
         return EtaleQuadratic(F, datum, True)
     return quad_ext_info(F, datum)
 

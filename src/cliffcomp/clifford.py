@@ -6,14 +6,16 @@ recursion: e_i e_T, for t the lowest index of T, is e_{T+i} when i < t,
 q(e_i) e_{T-t} when i = t, and b_q(e_t, e_i) e_{T-t} - e_t (e_i e_{T-t})
 when i > t, which is valid in characteristic 2 as well.  Each such
 product is memoized on the algebra, and e_S e_T applies the generators of
-S to e_T one at a time.  The even part C0 reads these products on demand.
+S to e_T one at a time.  The even part C0 reads these products on demand
+and carries its own embed and project.
 
 The pair construction quotients the tensor algebra of the underlying
 space of A by two families of relations: symmetric elements s are
 identified with the scalar f(s), and sandwich elements u of a designated
 subspace W of A (x) A are identified with Sand(u)(l), where l is a
-splitting element of the pair.  Rather than saturating inside the huge
-tensor algebra of A, every relation is first pushed down to the tensor
+splitting element of the pair; one pass forms the e_i y e_j of the
+sandwich condition and the e_i l e_j.  Rather than saturating inside the
+huge tensor algebra of A, every relation is first pushed down to the tensor
 algebra of a complement N of the symmetric subspace (each symmetric
 letter collapses to a scalar), where the ideal is saturated by sparse
 echelon over word columns.  The construction is certified: the quotient
@@ -119,12 +121,6 @@ class CliffordAlgebra(Algebra):
         imgs = [self.reduce_word(self._mask_to_word(m)[::-1]) for m in range(self.dim)]
         return Involution(self, imgs, label="reversal")
 
-    def even_part(self):
-        """The even subalgebra, read on demand from this algebra's products,
-        as (C0, C0.embed, C0.project)."""
-        C0 = EvenCliffordAlgebra(self)
-        return C0, C0.embed, C0.project
-
 
 class EvenCliffordAlgebra(Algebra):
     """C0(V, q) on the even basis masks of C(V, q), in increasing order.
@@ -162,10 +158,10 @@ def even_clifford(q: QuadraticSpace):
     """C0(V, q) with its reversal involution restricted from C(V, q),
     certified."""
     C = CliffordAlgebra(q)
-    C0, embed, project = C.even_part()
-    tau = restrict_involution(C0, embed, project, C.reversal(), label="reversal")
+    C0 = EvenCliffordAlgebra(C)
+    tau = restrict_involution(C0, C.reversal(), label="reversal")
     tau.verify()
-    return C, C0, embed, project, tau
+    return C, C0, C0.embed, C0.project, tau
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +187,10 @@ class PairCliffordData:
         return El(self.C, apply_cols(self.C.F, self.a_images, x.c))
 
 
-def _w_space_paper(A: Algebra, sigma: Involution) -> list:
-    """Basis of {u in A(x)A : Sand(u)(y) = 0 for all y in im(1 - sigma)}.
-
-    Sandwich condition of the pair construction.  Returns sparse dicts
-    keyed by (i, j) basis pairs.
-    """
+def _w_space_paper(A: Algebra, sigma: Involution, ell: El) -> tuple:
+    """Basis of {u in A(x)A : Sand(u)(y) = 0 for all y in im(1 - sigma)},
+    the sandwich condition, as sparse dicts keyed by (i, j) basis pairs;
+    and the e_i l e_j, at i * dim + j, formed in the same pass."""
     F = A.F
     d = A.dim
     ys = []
@@ -207,26 +201,28 @@ def _w_space_paper(A: Algebra, sigma: Involution) -> list:
         if seen.insert(y.c) is not None:
             ys.append(y)
     # column i * d + j holds e_i y e_j for every y, under labels (y index, r)
-    cols = []
+    cols, ell_sandwiches = [], []
     for i in range(d):
         lefts = [A.mul(A.basis_el(i), y) for y in ys]
+        left_ell = A.mul(A.basis_el(i), ell)
         for j in range(d):
             ej = A.basis_el(j)
             cols.append({(k, r): v for k, left in enumerate(lefts)
                          for r, v in A.mul(left, ej).c.items()})
-    return [{(t // d, t % d): c for t, c in v.items()} for v in kernel(F, cols, d * d)]
+            ell_sandwiches.append(A.mul(left_ell, ej).c)
+    w_basis = [{(t // d, t % d): c for t, c in v.items()} for v in kernel(F, cols, d * d)]
+    return w_basis, ell_sandwiches
 
 
 class _PairQuotient:
     """Workhorse: saturate the pushed-down ideal and build the quotient."""
 
-    def __init__(self, A: Algebra, sigma: Involution, sym_rows: list, f_on_sym: list, ell: El):
+    def __init__(self, A: Algebra, sigma: Involution, sym_rows: list, f_on_sym: list):
         self.A = A
         self.F = A.F
         self.sigma = sigma
         self.sym_rows = sym_rows
         self.f_on_sym = f_on_sym
-        self.ell = ell
         self._setup_letters()
 
     def _setup_letters(self):
@@ -256,16 +252,16 @@ class _PairQuotient:
             axpy(F, out, c1, {w1 + w2: c2 for w2, c2 in wb.items()})
         return out
 
-    def generator_rows(self, w_basis: list) -> list:
+    def generator_rows(self, w_basis: list, ell_sandwiches: list) -> list:
         """Pushed-down relations u - Sand(u)(l) for u in the sandwich basis.
 
         Each is the sum of u_ij R_ij, where R_ij = phi_i phi_j - phi(e_i l e_j)
-        is pushed down once per pair (i, j), on its first use.
+        is pushed down once per pair (i, j), on its first use; e_i l e_j is
+        read from ell_sandwiches, as _w_space_paper formed it.
         """
         F = self.F
-        A = self.A
+        d = self.A.dim
         phi = self.letter_decomp
-        left = [A.mul(A.basis_el(i), self.ell) for i in range(A.dim)]
         pair_rows: dict = {}
         out = []
         for u in w_basis:
@@ -273,7 +269,7 @@ class _PairQuotient:
             for ij, c in u.items():
                 if ij not in pair_rows:
                     i, j = ij
-                    sand = apply_cols(F, phi, A.mul(left[i], A.basis_el(j)).c)
+                    sand = apply_cols(F, phi, ell_sandwiches[i * d + j])
                     pair_rows[ij] = axpy(F, self._word_product(phi[i], phi[j]), F.neg(F.one()), sand)
                 axpy(F, row, c, pair_rows[ij])
             if row:
@@ -331,9 +327,9 @@ def clifford_of_pair(pair, max_degree: int = 4) -> PairCliffordData:
     if deg is None or deg % 2:
         raise UnsupportedInputError("pair construction needs even degree")
     expected = 1 << (deg - 1)
-    worker = _PairQuotient(A, pair.sigma, pair.sym_rows, pair.f_on_sym, pair.ell)
-    w_basis = _w_space_paper(A, pair.sigma)
-    gens = worker.generator_rows(w_basis)
+    worker = _PairQuotient(A, pair.sigma, pair.sym_rows, pair.f_on_sym)
+    w_basis, ell_sandwiches = _w_space_paper(A, pair.sigma, pair.ell)
+    gens = worker.generator_rows(w_basis, ell_sandwiches)
     data = _try_build(pair, worker, gens, len(w_basis), expected, max_degree)
     if data is None:
         raise SaturationError(

@@ -22,18 +22,18 @@ space of u.  The rescaling isomorphism C0(q) -> C(lam q) is written out on
 the basis, e_S -> lam^(-|S|/2) e_S, and the class of C(lam q) comes from
 the scaling formula [C(lam q)] = [C(q)] (lam, d) for even n, so no
 rescaled form is diagonalized.  A corner of a split center C0 = C+ x C-
-takes its class from the invariant profile, c_plus at the central
-idempotent e and c_minus at 1 - e; over Q the degree-2 corners of a form
-source still recover their symbol, certified, and must agree with it.
+carries its own embed and project and takes its class from the invariant
+profile, c_plus at the central idempotent e and c_minus at 1 - e; over Q
+a degree-2 corner of a form recovers its symbol, certified, to agree.
 
 Theorems replace trial searches.  For invertible u with sigma0(u) =
 eps u, Sym(Int(u) . sigma0) = u Sym_eps(sigma0), so outside
 characteristic 2 the sign eps fixes the type of the extension: one
 kernel, of the sign the wanted type needs, is solved, and an empty one
-proves that the type switch needs the 2x2 doubling.  Candidates for u
-and for the generators of a quaternion symbol come from finite lists:
-spanning vectors, then their pairwise sums and differences
-(sums_and_differences).
+proves that the type switch needs the 2x2 doubling.  Candidates for u,
+and for the one anisotropic-vector search (square_unit: the generators
+of a quaternion symbol, the vector v of the vector twist), come from
+finite lists: spanning vectors, then their pairwise sums and differences.
 
 Which certificate runs where: the source involution sigma_bar is
 certified when the source is built (even_clifford, clifford_of_pair).
@@ -80,6 +80,7 @@ from .algebra import (
     involution_on_tensor,
     involution_type,
     restrict_involution,
+    square_unit,
     sums_and_differences,
     swap_involution,
     transpose_involution,
@@ -270,13 +271,13 @@ def _split_corners(src: SourceData) -> list:
             raise CertificationError("profile says split center, algebra disagrees")
     out = []
     for idem, cls in ((e, prof.c_plus), (C0.one() - e, prof.c_minus)):
-        corner, embed, project = corner_algebra(C0, idem, label=f"{C0.label}^")
+        corner = corner_algebra(C0, idem, label=f"{C0.label}^")
         if src.pair_data is None and corner.dim == 4 and isinstance(F, RationalField):
             got = BrauerClass(F, [quaternion_symbol_of(corner)])
             if got != cls:
                 raise CertificationError("corner class disagrees with the invariant profile")
             cls = got
-        out.append({"B0": corner, "embed": embed, "project": project, "cls": cls, "idem": idem})
+        out.append({"B0": corner, "cls": cls})
     return out
 
 
@@ -504,9 +505,8 @@ def _pick_block(plan: _Plan, dist, support: list) -> _Block:
     if prof.z_split:
         side = min(_split_corners(src), key=lambda s: dist(s["cls"]))
         plan.trace.append(f"projected to the factor of class {side['cls']}")
-        sigma0 = restrict_involution(side["B0"], side["embed"], side["project"], src.sigma,
-                                     label="sigma^")
-        return _Block(side["B0"], side["project"], sigma0, side["cls"])
+        sigma0 = restrict_involution(side["B0"], src.sigma, label="sigma^")
+        return _Block(side["B0"], side["B0"].project, sigma0, side["cls"])
     if src.q is None:
         raise UnsupportedInputError(
             "field-center pair sources have no full-Clifford model at this scale"
@@ -622,7 +622,7 @@ def _two_corners_first_kind(plan: _Plan, c: BrauerClass, want) -> CompositionWit
     src = plan.src
     side = _split_corners(src)[0]
     theta0 = _corner_first_kind_involution(src, side)
-    block = _twist(plan, _Block(side["B0"], side["project"], theta0, side["cls"]), c, c.distance)
+    block = _twist(plan, _Block(side["B0"], side["B0"].project, theta0, side["cls"]), c, c.distance)
     a, theta = block.alpha0, block.sigma0
     M, sigma0 = _matrix_layer(block.B0, theta)
     zero = block.B0.zero()
@@ -642,37 +642,20 @@ def _corner_first_kind_involution(src: SourceData, side) -> Involution:
     """A first-kind involution on a corner when the canonical one swaps the
     corners (n = 2 mod 4): the reversal of C twisted by an anisotropic
     vector v, with v^-1 = v / q(v), restricted to C0 and then to the
-    corner.  The twist fixes the center pointwise, so it restricts."""
+    corner.  v is the first generator e_i of C, or sum or difference of
+    two, whose square q(v) is nonzero (square_unit): were all of them
+    isotropic, the polar form would vanish and q be degenerate.  The twist
+    fixes the center pointwise, so it restricts."""
     if src.q is None:
         raise UnsupportedInputError(
             "pair sources in degree 2 mod 4 have no corner involution at this scale"
         )
-    q = src.q
     C0 = src.C0
     C = C0.C
-    vec = _anisotropic_vector(q)
-    v = C.embed_vector(vec)
-    twist = twist_involution(C.reversal(), v, q.F.inv(q.q(vec)) * v, label="vector-twist")
-    theta_c0 = restrict_involution(C0, C0.embed, C0.project, twist, label="vector-twist")
-    return restrict_involution(side["B0"], side["embed"], side["project"], theta_c0,
-                               label="theta")
-
-
-def _anisotropic_vector(q: QuadraticSpace) -> list:
-    """Some e_i or e_i + e_j: were all of them isotropic, b(e_i, e_j) =
-    q(e_i + e_j) - q(e_i) - q(e_j) would vanish and q be degenerate."""
-    F = q.F
-    zero, one = F.zero(), F.one()
-    cands = []
-    for i in range(q.n):
-        cands.append([one if j == i else zero for j in range(q.n)])
-    for i in range(q.n):
-        for j in range(i + 1, q.n):
-            cands.append([one if k in (i, j) else zero for k in range(q.n)])
-    for x in cands:
-        if not F.is_zero(q.q(x)):
-            return x
-    raise UnsupportedInputError("no anisotropic vector found for the corner twist")
+    v, qv = square_unit(C, [C.basis_el(1 << i) for i in range(C.n)], "anisotropic vector")
+    twist = twist_involution(C.reversal(), v, C.F.inv(qv) * v, label="vector-twist")
+    theta_c0 = restrict_involution(C0, twist, label="vector-twist")
+    return restrict_involution(side["B0"], theta_c0, label="theta")
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +685,7 @@ def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
         # one corner paired with its opposite: the canonical involution
         # exchanges the corners, so the map stays injective
         side = _split_corners(src)[0]
-        block = _Block(side["B0"], side["project"], None, side["cls"])
+        block = _Block(side["B0"], side["B0"].project, None, side["cls"])
     else:
         block = _pick_block(plan, dist, [c0])
     block = _twist(plan, block, c0, dist)

@@ -84,15 +84,15 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
     i_, j_, k_ = Q.basis_el(1), Q.basis_el(2), Q.basis_el(3)
     u, z = Q.one(), Q.zero()
 
-    # images of the generators z e_t of C0, z the unit vector of the form
+    # images of z e_t, t = 1..4, z the unit vector e_0 of the form: the
+    # generators C0.generators() proves, in this order
     E = [
         _mat(M, [[i_, z], [z, -i_]]),
         _mat(M, [[j_, z], [z, -j_]]),
         _mat(M, [[z, u], [u, z]]),
         _mat(M, [[z, u], [-u, z]]),
     ]
-    gen_pos = [C0.pos[1 | (1 << t)] for t in range(1, 5)]
-    psi = hom_on_generators(C0, M, gen_pos, E, label="psi")
+    psi = hom_on_generators(C0, M, E, label="psi")
     psi.verify()
     checks = {"iso": psi.is_bijective()}
     if not checks["iso"]:

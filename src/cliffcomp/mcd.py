@@ -153,8 +153,8 @@ def profile_from_pair_clifford(data) -> InvariantProfile:
     if not et.split:
         raise UnsupportedInputError("pair profiles expect a split Clifford center")
     e = data.center_idempotent
-    Cp, _, _ = corner_algebra(C, e)
-    Cm, _, _ = corner_algebra(C, C.one() - e)
+    Cp = corner_algebra(C, e)
+    Cm = corner_algebra(C, C.one() - e)
     if Cp.dim == 1:
         cp = trivial_class(F)
         cm = trivial_class(F)
@@ -244,11 +244,13 @@ def distance_over(F: Field, c1: BrauerClass, c2: BrauerClass, *fields: EtaleQuad
 
 def _two_term_form(degree: int, unit: int, d1: int, d2: int, lo1: int, lo2: int) -> Optional[tuple]:
     """Solve degree = unit * (n1 * 2^d1 + n2 * 2^d2), n1 >= lo1, n2 >= lo2,
-    n1 + n2 >= 1.  Returns (n1, n2) or None."""
+    n1 + n2 >= 1.  Returns (n1, n2) with n1 least, or None.  Only n1 <
+    lo1 + 2^d2 is tried: divisibility by 2^d2 repeats with that period in
+    n1, and n2 grows as n1 falls, so a solution at n1 gives one at n1 - 2^d2."""
     rest, r = divmod(degree, unit)
     if r:
         return None
-    for n1 in range(lo1, (rest >> d1) + 1):
+    for n1 in range(lo1, min(rest >> d1, lo1 + (1 << d2) - 1) + 1):
         n2, r2 = divmod(rest - (n1 << d1), 1 << d2)
         if r2 == 0 and n2 >= lo2 and n1 + n2 >= 1:
             return (n1, n2)

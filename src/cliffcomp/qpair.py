@@ -117,20 +117,6 @@ def _solve_ell(A: Algebra, sigma: Involution, sym_rows: list, f_on_sym: list) ->
     return El(A, sol)
 
 
-def _half_trd_pair(A: Algebra, sigma: Involution, label: str) -> QPair:
-    """The canonical pair in characteristic not 2: f = Trd/2, l = 1/2."""
-    F = A.F
-    if F.char == 2:
-        raise UnsupportedInputError("canonical half-trace pair needs char != 2")
-    half = F.inv(F.from_int(2))
-    sym = sigma.sym_basis()
-    f_vals = [F.mul(half, A.trd(El(A, row))) for row in sym]
-    ell = El(A, {k: F.mul(half, v) for k, v in A.one().c.items()})
-    pair = QPair(A, sigma, sym, f_vals, ell, label=label)
-    pair.verify()
-    return pair
-
-
 def pair_from_ell(A: Algebra, sigma: Involution, ell: El, label: str) -> QPair:
     """The pair with f(s) = Trd(l s) for a chosen l with l + sigma(l) = 1."""
     if ell + sigma.apply(ell) != A.one():
@@ -207,13 +193,14 @@ def pair_from_form(q: QuadraticSpace):
 def pair_on_quaternion_tensor(Q1: QuaternionAlgebra, Q2: QuaternionAlgebra):
     """The canonical quadratic pair on Q1 (x) Q2 with sigma = gamma (x) gamma.
 
-    In characteristic 2 the pair is induced by the splitting element
-    i1 (x) 1, whose trace condition holds because Trd(i1) = 1.
+    Outside characteristic 2 it is induced by l = 1/2, so f = Trd/2; in
+    characteristic 2 by the splitting element i1 (x) 1, whose trace
+    condition holds because Trd(i1) = 1.
     """
     A = TensorAlgebra(Q1, Q2)
     sigma = involution_on_tensor(A, Q1.gamma(), Q2.gamma(), label="gamma(x)gamma")
     sigma.verify()
     F = A.F
     if F.char != 2:
-        return _half_trd_pair(A, sigma, label=f"({A.label},can)")
+        return pair_from_ell(A, sigma, F.inv(F.from_int(2)) * A.one(), label=f"({A.label},can)")
     return pair_from_ell(A, sigma, A.pure(Q1.basis_el(1), Q2.one()), label=f"({A.label},l)")

@@ -92,6 +92,26 @@ class Field:
         """A square root of x, or None."""
         raise NotImplementedError
 
+    def _tonelli_shanks(self, x, z):
+        """A square root of a nonzero square x in a finite field of odd
+        order, given a non-square z: Tonelli-Shanks in the cyclic group of
+        order - 1 = q 2^s elements, q odd."""
+        q, s = self.order - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        one = self.one()
+        c, t, r = self.pow(z, q), self.pow(x, q), self.pow(x, (q + 1) // 2)
+        while t != one:
+            i, t2 = 0, t
+            while t2 != one:
+                t2 = self.mul(t2, t2)
+                i += 1
+            b = self.pow(c, 1 << (s - i - 1))
+            bb = self.mul(b, b)
+            s, c, t, r = i, bb, self.mul(t, bb), self.mul(r, b)
+        return r
+
     def elements(self) -> Iterator:
         raise UnsupportedInputError("field is not finite")
 
@@ -255,27 +275,16 @@ class PrimeField(Field):
         return pow(x, (self.p - 1) // 2, self.p) == 1
 
     def sqrt(self, x):
-        """The least square root of x in [0, p), or None (Tonelli-Shanks)."""
+        """The least square root of x in [0, p), or None (Tonelli-Shanks
+        with z the least non-residue)."""
         p = self.p
         x %= p
         if not self.is_square(x):
             return None
         if p == 2 or x == 0:
             return x
-        # p - 1 = q 2^s with q odd; z is any non-residue
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
         z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-        c, t, r = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (s - i - 1), p)
-            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        r = self._tonelli_shanks(x, z)
         return min(r, p - r)
 
     def elements(self) -> Iterator[int]:
@@ -384,26 +393,12 @@ class ExtField(Field):
             return None
         if self.is_zero(x):
             return self.zero()
-        # order - 1 = q 2^s with q odd
-        q, s = self.order - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        one = self.one()
         # past GF(p) the elements run through the nonzero tails in order,
         # the constant coefficient varying fastest
         tails = itertools.islice(_coeff_tuples(self.p, self.k - 1), 1, None)
         z = next(z for tail in tails for z in ((c,) + tail for c in range(self.p))
                  if not self.is_square(z))
-        c, t, r = self.pow(z, q), self.pow(x, q), self.pow(x, (q + 1) // 2)
-        while t != one:
-            i, t2 = 0, t
-            while t2 != one:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(c, 1 << (s - i - 1))
-            bb = self.mul(b, b)
-            s, c, t, r = i, bb, self.mul(t, bb), self.mul(r, b)
+        r = self._tonelli_shanks(x, z)
         # element order varies the first coefficient fastest
         return min(r, self.neg(r), key=lambda e: e[::-1])
 

@@ -81,8 +81,8 @@ def test_ac2_tensor_pair_clifford_and_corner_classes():
     assert data.C.dim == 8
     assert data.center_etale.split and data.center_idempotent is not None
     e = data.center_idempotent
-    Cp, _, _ = corner_algebra(data.C, e)
-    Cm, _, _ = corner_algebra(data.C, data.C.one() - e)
+    Cp = corner_algebra(data.C, e)
+    Cm = corner_algebra(data.C, data.C.one() - e)
     got = [BrauerClass(QQ, [quaternion_symbol_of(Cp)]),
            BrauerClass(QQ, [quaternion_symbol_of(Cm)])]
     want = [BrauerClass(QQ, [(Fraction(-1), Fraction(-1))]),
@@ -93,7 +93,7 @@ def test_ac2_tensor_pair_clifford_and_corner_classes():
     dg = clifford_of_pair(pair_on_quaternion_tensor(
         QuaternionAlgebra(F2, 1, 1), QuaternionAlgebra(F2, 1, 1)))
     assert dg.C.dim == 8 and dg.center_etale.split
-    Cgp, _, _ = corner_algebra(dg.C, dg.center_idempotent)
+    Cgp = corner_algebra(dg.C, dg.center_idempotent)
     assert Cgp.dim == 4  # both corners carry the trivial GF(2) class
     assert time.monotonic() - t0 < 30.0
 

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recording_homs, ref_hom_on_generators
+
+from cliffcomp import brauer
 from cliffcomp.algebra import ExplicitAlgebra, FieldAlgebra, ProductAlgebra, QuaternionAlgebra
 from cliffcomp.brauer import (
     BrauerClass,
@@ -225,20 +228,20 @@ def in_t_basis(A):
     return rebased(A, [A.basis_el(0)] + [t * A.basis_el(s) for s in (1, 2, 3)])
 
 
-@pytest.mark.parametrize(
-    "F,a,b,basis,trivial",
-    [
-        (QQ, Fraction(-1), Fraction(-1), None, False),
-        (QQ, Fraction(1), Fraction(-3), None, True),
-        (F3, 1, 1, None, True),
-        (F3, 2, 2, None, True),
-        (QQ, Fraction(-1), Fraction(-1), scrambled, False),
-        (QQ, Fraction(1), Fraction(-3), scrambled, True),
-        (F3, 1, 1, scrambled, True),
-        (F2, 1, 1, scrambled, True),
-        (F4, F4.one(), F4.gen(), in_t_basis, True),
-    ],
-)
+SYMBOL_CORPUS = [
+    (QQ, Fraction(-1), Fraction(-1), None, False),
+    (QQ, Fraction(1), Fraction(-3), None, True),
+    (F3, 1, 1, None, True),
+    (F3, 2, 2, None, True),
+    (QQ, Fraction(-1), Fraction(-1), scrambled, False),
+    (QQ, Fraction(1), Fraction(-3), scrambled, True),
+    (F3, 1, 1, scrambled, True),
+    (F2, 1, 1, scrambled, True),
+    (F4, F4.one(), F4.gen(), in_t_basis, True),
+]
+
+
+@pytest.mark.parametrize("F,a,b,basis,trivial", SYMBOL_CORPUS)
 def test_quaternion_symbol_recovery(F, a, b, basis, trivial):
     Q = QuaternionAlgebra(F, a, b)
     sym = quaternion_symbol_of(Q if basis is None else basis(Q))
@@ -257,6 +260,18 @@ def test_quaternion_symbol_of_a_commutative_algebra_is_refused():
 def test_quaternion_symbol_recovery_char2():
     sym = quaternion_symbol_of(QuaternionAlgebra(F2, 1, 1))
     assert BrauerClass(F2, [sym]).is_trivial()
+
+
+@pytest.mark.parametrize("F,a,b,basis,trivial", SYMBOL_CORPUS + [(F2, 1, 1, None, True)])
+def test_symbol_isomorphism_matches_the_closure_reference(monkeypatch, F, a, b, basis, trivial):
+    # the images of i and j extended along the proved words, against the
+    # breadth-first closure over i and j
+    calls = recording_homs(monkeypatch, brauer)
+    Q = QuaternionAlgebra(F, a, b)
+    quaternion_symbol_of(Q if basis is None else basis(Q))
+    (Qs, A, gen_images, hom), = calls
+    assert Qs.generators() == [1, 2]
+    assert hom.images == ref_hom_on_generators(Qs, A, [1, 2], gen_images).images
 
 
 def test_restriction_to_quadratic_fields():

@@ -111,6 +111,9 @@ def test_mcd_excluded_case_exits_3():
         ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "symplectic", "--class", "[5]"),
         ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "[1]"),
         ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "unitary", "--s", "3"),
+        # a split flag that is no JSON boolean
+        *[("mcd", "--object", '{"diag":[1,1,1,1]}', "--type", "unitary", "--s", s)
+          for s in ('{"split": "false"}', '{"split": "no"}', '{"split": 1}')],
         ("verify", "--object", "[1]"),
         # a field descriptor of the wrong shape
         *[("invariants", "--field", field, "--object", '{"diag":[1,1]}')
@@ -344,6 +347,16 @@ def test_back_to_back_runs_share_no_state():
     assert run("compose", "--object", '{"diag":[1,1,1]}', "--type", "hermitian")[0] == 2
     rc, out = run(*compose)
     assert rc == 0 and json.loads(out)["problem"]["seed"] == 0
+
+
+def test_bound_with_a_huge_degree_and_no_two_term_solution_returns():
+    # both factor classes are at distance 1, so the two-term form has
+    # no solution; the scan stops after one period of n1
+    p = subprocess.run(BASE + ["bound", "--object", '{"diag":[1,1,1,1]}', "--type", "orthogonal",
+                               "--bound", "2000000000002"],
+                       capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["admissible"]["ok"] is False
 
 
 def test_bound_with_candidate_degree():

@@ -232,8 +232,8 @@ def test_quaternion_tensor_pair_corners():
     assert data.C.dim == 8
     assert data.center_etale.split and data.center_idempotent is not None
     e = data.center_idempotent
-    Cp, _, _ = corner_algebra(data.C, e)
-    Cm, _, _ = corner_algebra(data.C, data.C.one() - e)
+    Cp = corner_algebra(data.C, e)
+    Cm = corner_algebra(data.C, data.C.one() - e)
     got = [BrauerClass(QQ, [quaternion_symbol_of(Cp)]),
            BrauerClass(QQ, [quaternion_symbol_of(Cm)])]
     want = [BrauerClass(QQ, [(Fraction(-1), Fraction(-1))]),
@@ -249,7 +249,7 @@ def test_quaternion_tensor_pair_gf2():
     assert data.C.dim == 8
     assert data.center_etale.split
     e = data.center_idempotent
-    Cp, _, _ = corner_algebra(data.C, e)
+    Cp = corner_algebra(data.C, e)
     assert Cp.dim == 4  # split quaternion over GF(2)
 
 
@@ -353,9 +353,11 @@ def ref_saturate(worker, gens, degree):
     return ech
 
 
-def ref_generator_rows(worker, w_basis):
+def ref_generator_rows(worker, w_basis, ell):
+    """The rows with each sandwich e_i l e_j formed per term, as
+    generator_rows formed them before _w_space_paper took them over."""
     F, A, phi = worker.F, worker.A, worker.letter_decomp
-    left = [A.mul(A.basis_el(i), worker.ell) for i in range(A.dim)]
+    left = [A.mul(A.basis_el(i), ell) for i in range(A.dim)]
     out = []
     for u in w_basis:
         row, sand = {}, {}
@@ -396,19 +398,24 @@ PAIR_CORPUS = {
 
 
 @functools.lru_cache(maxsize=None)
+def corpus_pair(name):
+    return PAIR_CORPUS[name]()
+
+
+@functools.lru_cache(maxsize=None)
 def pair_worker(name):
     """The quotient worker of a corpus pair, its sandwich basis and its
     generator rows."""
-    pair = PAIR_CORPUS[name]()
-    worker = _PairQuotient(pair.A, pair.sigma, pair.sym_rows, pair.f_on_sym, pair.ell)
-    w_basis = _w_space_paper(pair.A, pair.sigma)
-    return worker, w_basis, worker.generator_rows(w_basis)
+    pair = corpus_pair(name)
+    worker = _PairQuotient(pair.A, pair.sigma, pair.sym_rows, pair.f_on_sym)
+    w_basis, ell_sandwiches = _w_space_paper(pair.A, pair.sigma, pair.ell)
+    return worker, w_basis, worker.generator_rows(w_basis, ell_sandwiches)
 
 
 @pytest.mark.parametrize("name", PAIR_CORPUS)
 def test_generator_rows_match_the_per_term_reference(name):
     worker, w_basis, gens = pair_worker(name)
-    assert gens == ref_generator_rows(worker, w_basis)
+    assert gens == ref_generator_rows(worker, w_basis, corpus_pair(name).ell)
 
 
 @pytest.mark.parametrize("degree", [3, 4])

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import ref_hom_on_generators
 
 from cliffcomp import compose
 from cliffcomp.algebra import (
@@ -19,6 +20,7 @@ from cliffcomp.algebra import (
     QuaternionAlgebra,
     adjoint_involution,
     alg_inverse,
+    as_scalar,
     hom_on_generators,
     involution_type,
     restrict_involution,
@@ -27,7 +29,6 @@ from cliffcomp.algebra import (
 )
 from cliffcomp.brauer import (
     BrauerClass,
-    _as_scalar,
     clifford_class_of_form,
     quaternion_symbol_of,
     trivial_class,
@@ -425,7 +426,9 @@ def test_rescaling_images_match_the_span_solve(F, M, lam):
             m = (1 << i) | (1 << j)
             gens.append(src.C0.pos[m])
             imgs.append(El(Cf, {m: F.inv(lam)}))
-    assert phi.images == hom_on_generators(src.C0, Cf, gens, imgs).images
+    assert phi.images == ref_hom_on_generators(src.C0, Cf, gens, imgs).images
+    proved = [El(Cf, phi.images[g]) for g in src.C0.generators()]
+    assert phi.images == hom_on_generators(src.C0, Cf, proved).images
 
 
 SCALING_FORMS = [(1, 3), (-1, -3, 2, 7), (1, 1, 1, 1, 1, 1), (1, -1, 2, 3, 5, 7)]
@@ -494,13 +497,13 @@ SPLIT_SOURCES = _split_sources()
 def test_corner_products_match_the_eager_table(label, src):
     for side in compose._split_corners(src):
         B = side["B0"]
-        table, unit = eager_corner(src.C0, side["idem"])
+        table, unit = eager_corner(src.C0, B.e)
         assert len(table) == B.dim * B.dim
         assert B.one().c == unit
         assert all(B.mul_bb(i, j) == prod for (i, j), prod in table.items())
         for i in range(B.dim):
             b = B.basis_el(i)
-            assert side["project"](side["embed"](b)) == b
+            assert B.project(B.embed(b)) == b
 
 
 def test_split_sources_cover_the_bundles_and_gf3():
@@ -521,7 +524,7 @@ def ref_compressed_class(F, corner):
     basis = [corner.basis_el(i) for i in range(corner.dim)]
     budget = 60
     for w in itertools.chain(seeds, sums_and_differences(basis)):
-        lam = _as_scalar(corner, w * w)
+        lam = as_scalar(corner, w * w)
         if lam is None or F.is_zero(lam):
             continue
         s = F.sqrt(lam)
@@ -609,12 +612,29 @@ def ref_twisted_images(B, sigma0, u, uinv):
     return [B.mul(B.mul(u, sigma0.apply(B.basis_el(i))), uinv).c for i in range(B.dim)]
 
 
+def ref_anisotropic_vector(q):
+    """Some e_i or e_i + e_j: were all of them isotropic, b(e_i, e_j) =
+    q(e_i + e_j) - q(e_i) - q(e_j) would vanish and q be degenerate."""
+    F = q.F
+    zero, one = F.zero(), F.one()
+    cands = []
+    for i in range(q.n):
+        cands.append([one if j == i else zero for j in range(q.n)])
+    for i in range(q.n):
+        for j in range(i + 1, q.n):
+            cands.append([one if k in (i, j) else zero for k in range(q.n)])
+    for x in cands:
+        if not F.is_zero(q.q(x)):
+            return x
+    raise UnsupportedInputError("no anisotropic vector found for the corner twist")
+
+
 def ref_vector_twist(src, side):
     """The corner involution of degree 2 mod 4: the source involution on
     C0 conjugated by an anisotropic vector v inside C, then restricted."""
     q, C0 = src.q, src.C0
     C = C0.C
-    vec = compose._anisotropic_vector(q)
+    vec = ref_anisotropic_vector(q)
     v = C.embed_vector(vec)
     ivq = q.F.inv(q.q(vec))
     imgs = []
@@ -623,7 +643,7 @@ def ref_vector_twist(src, side):
         y = ivq * (v * El(C, {C0.masks[k]: cc for k, cc in r.c.items()}) * v)
         imgs.append({C0.pos[m]: cc for m, cc in y.c.items()})
     theta_c0 = Involution(C0, imgs, label="vector-twist")
-    return restrict_involution(side["B0"], side["embed"], side["project"], theta_c0)
+    return restrict_involution(side["B0"], theta_c0)
 
 
 def _adjoint_corpus():
@@ -652,16 +672,50 @@ def test_the_adjoint_is_the_twisted_transpose(M, G, theta):
         ref_adjoint_involution(M, G, base_inv=theta).images
 
 
+# three hyperbolic planes: every basis vector is isotropic, so the
+# twist takes v = e0 + e1
+HYPERBOLIC_6 = [[1 if j == i + 1 and i % 2 == 0 else 0 for j in range(6)] for i in range(6)]
 VECTOR_TWIST_FORMS = [(QQ, (1, -1, 2, -2, 3, -3)), (QQ, (1, 1, 1, 1, 1, -1)),
-                      (F3, (1, 1, 1, 1, 1, 2))]
+                      (F3, (1, 1, 1, 1, 1, 2)), (QQ, HYPERBOLIC_6), (F3, HYPERBOLIC_6)]
 
 
-@pytest.mark.parametrize("F,entries", VECTOR_TWIST_FORMS, ids=[str(e) for _, e in VECTOR_TWIST_FORMS])
+def _vector_twist_form(F, entries):
+    if isinstance(entries[0], list):
+        return QuadraticSpace(F, [[F.from_int(v) for v in row] for row in entries])
+    return QuadraticSpace.diagonal(F, [F.from_int(e) for e in entries])
+
+
+def _twist_ids(forms):
+    return [str(e) if isinstance(e, tuple) else f"hyperbolic-{F}" for F, e in forms]
+
+
+@pytest.mark.parametrize("F,entries", VECTOR_TWIST_FORMS, ids=_twist_ids(VECTOR_TWIST_FORMS))
 def test_the_vector_twist_is_the_restricted_twisted_reversal(F, entries):
-    src = compose.source_from_form(QuadraticSpace.diagonal(F, [F.from_int(e) for e in entries]))
+    src = compose.source_from_form(_vector_twist_form(F, entries))
     for side in compose._split_corners(src):
         assert compose._corner_first_kind_involution(src, side).images == \
             ref_vector_twist(src, side).images
+
+
+@pytest.mark.parametrize("F", [QQ, F3], ids=str)
+def test_hyperbolic_planes_twist_by_the_first_anisotropic_sum(F):
+    q = _vector_twist_form(F, HYPERBOLIC_6)
+    assert ref_anisotropic_vector(q) == [1, 1, 0, 0, 0, 0]
+    for t in ("orthogonal", "symplectic"):
+        wit = construct_composition(q, {"kind": "first", "c": trivial_class(F), "t": t})
+        assert wit.tau_type == t and wit.degree == 8
+
+
+SQUARE_SEARCH_FORMS = VECTOR_TWIST_FORMS + [(F3, (1, 2)), (QQ, (0, 1, 1, 0))]
+
+
+@pytest.mark.parametrize("F,entries", SQUARE_SEARCH_FORMS, ids=_twist_ids(SQUARE_SEARCH_FORMS))
+def test_the_square_search_picks_the_reference_anisotropic_vector(F, entries):
+    q = _vector_twist_form(F, entries)
+    C = compose.CliffordAlgebra(q)
+    v, qv = compose.square_unit(C, [C.basis_el(1 << i) for i in range(q.n)], "anisotropic vector")
+    vec = ref_anisotropic_vector(q)
+    assert v == C.embed_vector(vec) and qv == q.q(vec)
 
 
 def test_extension_candidates_are_the_written_out_twists(monkeypatch):

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import recording_homs, ref_hom_on_generators
+
+from cliffcomp import example
 from cliffcomp.errors import UnsupportedInputError
 from cliffcomp.example import quaternionic_even_model
 from cliffcomp.scalars import QQ, PrimeField
@@ -53,3 +56,17 @@ def test_model_rejects_char_2():
     F2 = PrimeField(2)
     with pytest.raises(UnsupportedInputError):
         quaternionic_even_model(F2, F2.one(), F2.one())
+
+
+@pytest.mark.parametrize("F,a,b", [(QQ, Fraction(-1), Fraction(-1)), (QQ, Fraction(2), Fraction(5)),
+                                   (PrimeField(3), 2, 2)], ids=str)
+def test_model_map_matches_the_closure_reference(monkeypatch, F, a, b):
+    # C0 proves the generators z e_t, z = e_0, t = 1..4, in the order of
+    # the model's images; extending along its words and by a closure of
+    # their own gives the same map
+    calls = recording_homs(monkeypatch, example)
+    quaternionic_even_model(F, a, b)
+    (C0, M, gen_images, psi), = calls
+    gen_pos = [C0.pos[1 | (1 << t)] for t in range(1, 5)]
+    assert C0.generators() == gen_pos
+    assert psi.images == ref_hom_on_generators(C0, M, gen_pos, gen_images).images

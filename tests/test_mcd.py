@@ -31,6 +31,7 @@ from cliffcomp.mcd import (
     mcd_unitary,
     profile_from_form,
     profile_from_pair_clifford,
+    _two_term_form,
 )
 from cliffcomp.qpair import pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
@@ -507,6 +508,14 @@ def ref_two_term_form(degree: int, unit: int, d1: int, d2: int, lo1: int, lo2: i
                 return (n1, n2)
         n1 += 1
     return None
+
+
+def test_two_term_form_scans_one_period_and_matches_the_full_loop():
+    # the first solution, if any, has n1 < lo1 + 2^d2
+    for unit, d1, d2, lo1, lo2 in itertools.product((1, 2, 4, 8), range(4), range(4), (0, 1), (0, 1)):
+        for degree in range(1, 130):
+            assert _two_term_form(degree, unit, d1, d2, lo1, lo2) == \
+                ref_two_term_form(degree, unit, d1, d2, lo1, lo2), (degree, unit, d1, d2, lo1, lo2)
 
 
 def ref_admissible_degree(profile: InvariantProfile, request: dict, degree: int) -> dict:

@@ -1,13 +1,15 @@
 """Quadratic pairs: f read off one echelon, against one solve per right-hand side;
-the adjoint involution, against its written-out matrix units."""
+the adjoint involution, against its written-out matrix units; the pair at
+l = 1/2, against f = Trd/2 written out."""
 
 import random
 
 import pytest
 
+from cliffcomp.algebra import El, QuaternionAlgebra
 from cliffcomp.errors import UnsupportedInputError
 from cliffcomp.linalg import inverse, solve
-from cliffcomp.qpair import pair_from_form
+from cliffcomp.qpair import QPair, pair_from_ell, pair_from_form, pair_on_quaternion_tensor
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import QQ, PrimeField
 
@@ -109,3 +111,41 @@ def _pair_forms():
 def test_the_adjoint_involution_matches_the_written_out_one(q):
     pair, _ = pair_from_form(q)
     assert pair.sigma.images == ref_adjoint_sigma_images(q)
+
+
+def ref_half_trd_pair(A, sigma, label):
+    """The canonical pair in characteristic not 2, f = Trd/2 and l = 1/2,
+    written out."""
+    F = A.F
+    half = F.inv(F.from_int(2))
+    sym = sigma.sym_basis()
+    f_vals = [F.mul(half, A.trd(El(A, row))) for row in sym]
+    ell = El(A, {k: F.mul(half, v) for k, v in A.one().c.items()})
+    pair = QPair(A, sigma, sym, f_vals, ell, label=label)
+    pair.verify()
+    return pair
+
+
+def _half_pairs():
+    """Quaternion tensor pairs over Q and GF(3), and adjoint involutions of
+    forms over Q and GF(3)."""
+    out = []
+    for F, symbols in ((QQ, [(-1, -1), (2, 5)]), (QQ, [(1, 1), (-1, 3)]), (F3, [(1, 1), (2, 2)]),
+                       (F3, [(1, 2), (2, 1)])):
+        (a1, b1), (a2, b2) = [(F.from_int(a), F.from_int(b)) for a, b in symbols]
+        pair = pair_on_quaternion_tensor(QuaternionAlgebra(F, a1, b1), QuaternionAlgebra(F, a2, b2))
+        out.append(pytest.param(pair, id=f"tensor-{F}-{symbols}"))
+    for q in _pair_forms():
+        if q.F.char != 2:
+            out.append(pytest.param(pair_from_form(q)[0], id=f"adjoint-{q}"))
+    return out
+
+
+@pytest.mark.parametrize("pair", _half_pairs())
+def test_the_pair_at_one_half_is_half_the_trace(pair):
+    F, A = pair.A.F, pair.A
+    ref = ref_half_trd_pair(A, pair.sigma, pair.label)
+    got = pair_from_ell(A, pair.sigma, F.inv(F.from_int(2)) * A.one(), pair.label)
+    assert (got.sym_rows, got.f_on_sym, got.ell.c) == (ref.sym_rows, ref.f_on_sym, ref.ell.c)
+    if pair.label.endswith(",can)"):
+        assert (pair.sym_rows, pair.f_on_sym, pair.ell.c) == (ref.sym_rows, ref.f_on_sym, ref.ell.c)

@@ -535,3 +535,69 @@ def test_ext_field_sqrt_is_the_first_root(p, k):
         first.setdefault(F.mul(t, t), t)
     for x in F.elements():
         assert F.sqrt(x) == first.get(x), x
+
+
+def ref_prime_sqrt(F, x):
+    """PrimeField.sqrt with its own Tonelli-Shanks loop on machine ints."""
+    p = F.p
+    x %= p
+    if not F.is_square(x):
+        return None
+    if p == 2 or x == 0:
+        return x
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
+def ref_ext_sqrt(F, x):
+    """ExtField.sqrt with its own Tonelli-Shanks loop."""
+    if F.p == 2:
+        return F.pow(x, F.order // 2)
+    if not F.is_square(x):
+        return None
+    if F.is_zero(x):
+        return F.zero()
+    q, s = F.order - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    one = F.one()
+    tails = itertools.islice(_coeff_tuples(F.p, F.k - 1), 1, None)
+    z = next(z for tail in tails for z in ((c,) + tail for c in range(F.p))
+             if not F.is_square(z))
+    c, t, r = F.pow(z, q), F.pow(x, q), F.pow(x, (q + 1) // 2)
+    while t != one:
+        i, t2 = 0, t
+        while t2 != one:
+            t2 = F.mul(t2, t2)
+            i += 1
+        b = F.pow(c, 1 << (s - i - 1))
+        bb = F.mul(b, b)
+        s, c, t, r = i, bb, F.mul(t, bb), F.mul(r, b)
+    return min(r, F.neg(r), key=lambda e: e[::-1])
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 102) if all(p % d for d in range(2, p))])
+def test_prime_field_sqrt_matches_its_own_loop(p):
+    F = PrimeField(p)
+    for x in F.elements():
+        assert F.sqrt(x) == ref_prime_sqrt(F, x), x
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 3), (2, 4)], ids=["GF(9)", "GF(25)", "GF(343)", "GF(16)"])
+def test_ext_field_sqrt_matches_its_own_loop(p, k):
+    F = ExtField(p, k)
+    for x in F.elements():
+        assert F.sqrt(x) == ref_ext_sqrt(F, x), x
