@@ -13,12 +13,15 @@ every map it is built without a certificate and certified once, where it
 is claimed.  A map given by generator images (hom_on_generators) is
 extended along the words that generators() proved.
 
-Every certificate is exhaustive and checks its identity on generators x
-basis.  Algebra.generators() finds a generating set of basis indices and
-proves that its words span the algebra; for each identity the elements
-that satisfy it against every basis element form a subspace that contains
-1 and is closed under products, so holding on the generators it holds on
-all of the algebra.  Nothing is sampled.
+Every certificate is exhaustive and checks its identity on the
+generators that Algebra.generators() proves to span by their words: the
+elements satisfying it form a subalgebra.  Nothing is sampled.  One
+routine checks f(g e_j) = f(g) f(e_j) for every generator g and basis
+element e_j, for AlgebraHom.verify and for Involution.verify (sigma: A ->
+A^op).  Then sigma^2 is an endomorphism, so sigma^2 = id need hold on the
+generators only; alpha . sigma = tau . alpha holds on a subalgebra once
+alpha, sigma and tau are certified (respects); and an idempotent that
+commutes with the generators is central, hence the unit of its corner.
 
 A subclass supplies products (mul_bb), its unit and, where the reduced
 trace is needed in characteristic 2, trd_vec.  Every other fact has one
@@ -202,13 +205,6 @@ class Algebra:
             acc = F.add(acc, F.mul(xi, v[i]))
         return acc
 
-    def verify_unit(self) -> None:
-        one = self.one()
-        for i in range(self.dim):
-            b = self.basis_el(i)
-            if self.mul(one, b) != b or self.mul(b, one) != b:
-                raise CertificationError(f"{self.label}: unit fails on basis {i}")
-
     def generators(self) -> list:
         """Basis indices that generate the algebra, proved to do so.
 
@@ -262,9 +258,13 @@ class Algebra:
         products; it holds the generators, hence their words, hence all of
         the algebra.  Returns the generator and check counts.
         """
-        self.verify_unit()
-        gens = self.generators()
         n = self.dim
+        one = self.one()
+        for i in range(n):
+            b = self.basis_el(i)
+            if self.mul(one, b) != b or self.mul(b, one) != b:
+                raise CertificationError(f"{self.label}: unit fails on basis {i}")
+        gens = self.generators()
         for g in gens:
             ge = self.basis_el(g)
             for j in range(n):
@@ -569,6 +569,23 @@ class ProductAlgebra(Algebra):
         return El(self, {k + self.A.dim: v for k, v in y.c.items()})
 
 
+def _verify_on_generators(A: Algebra, B: Algebra, images: list, label: str, what: str) -> dict:
+    """Check f(1) = 1 and f(g e_j) = f(g) f(e_j) in B for the linear map f
+    with these basis images, every generator g of A and basis element e_j;
+    with A and B associative, the elements a with f(a x) = f(a) f(x) for
+    all x form a subalgebra.  Returns the generator and check counts."""
+    F = B.F
+    if El(B, apply_cols(F, images, A._unit)) != B.one():
+        raise CertificationError(f"{label}: unit not preserved")
+    gens = A.generators()
+    imgs = [El(B, im) for im in images]
+    for g in gens:
+        for j in range(A.dim):
+            if El(B, apply_cols(F, images, A._mul_bb_cached(g, j))) != B.mul(imgs[g], imgs[j]):
+                raise CertificationError(f"{label}: {what} fails at ({g},{j})")
+    return {"generators": len(gens), "checks": 1 + len(gens) * A.dim}
+
+
 # ---------------------------------------------------------------------------
 # involutions
 
@@ -587,30 +604,18 @@ class Involution:
         return self.apply(x)
 
     def verify(self) -> dict:
-        """Check sigma(1) = 1, sigma^2 = id on the basis, and
-        sigma(g e_j) = sigma(e_j) sigma(g) for every generator g and basis e_j.
-
-        With A associative the elements a with sigma(a x) = sigma(x) sigma(a)
-        for all x form a subspace that contains 1 and is closed under
-        products, so the generators cover all of A.  Returns the generator
-        and check counts.
-        """
+        """Certify sigma as a homomorphism A -> A^op of order 2: sigma(1) =
+        1, sigma(g e_j) = sigma(e_j) sigma(g) for every generator g and basis
+        element e_j, then sigma^2(g) = g, which covers A since sigma^2 is an
+        endomorphism.  Returns the generator and check counts."""
         A = self.A
-        n = A.dim
-        one = A.one()
-        if self.apply(one) != one:
-            raise CertificationError(f"{self.label}: does not fix the unit")
-        for i in range(n):
-            b = A.basis_el(i)
+        out = _verify_on_generators(A, OppositeAlgebra(A), self.images, self.label, "anti-multiplicativity")
+        for g in A.generators():
+            b = A.basis_el(g)
             if self.apply(self.apply(b)) != b:
-                raise CertificationError(f"{self.label}: not an involution on basis {i}")
-        gens = A.generators()
-        imgs = [El(A, im) for im in self.images]
-        for g in gens:
-            for j in range(n):
-                if self.apply(El(A, A._mul_bb_cached(g, j))) != A.mul(imgs[j], imgs[g]):
-                    raise CertificationError(f"{self.label}: anti-multiplicativity fails at ({g},{j})")
-        return {"generators": len(gens), "checks": 1 + n + len(gens) * n}
+                raise CertificationError(f"{self.label}: not an involution on generator {g}")
+        out["checks"] += out["generators"]
+        return out
 
     def sym_basis(self) -> list:
         """Basis of Sym(A, sigma) = ker(sigma - id), as sparse coords."""
@@ -794,7 +799,8 @@ class CornerAlgebra(Algebra):
     e b e = e b), on the reduced echelon basis of the span of the e b: an
     element of the span has its coordinates at the pivot columns.  A
     product of basis elements is A's product read back in these
-    coordinates when it is first asked for."""
+    coordinates when it is first asked for.  Built uncertified;
+    corner_algebra certifies e."""
 
     def __init__(self, A: Algebra, e: El, label: str = "corner"):
         super().__init__()
@@ -806,7 +812,6 @@ class CornerAlgebra(Algebra):
         self._basis = [El(A, self._ech.rows[p]) for p in self._pivots]
         self.dim = len(self._pivots)
         self._unit = self._coords_of(e)
-        self.verify_unit()
 
     def _coords_of(self, x: El) -> dict:
         if self._ech.reduce(x.c):
@@ -824,7 +829,15 @@ class CornerAlgebra(Algebra):
 
 
 def corner_algebra(A: Algebra, e: El, label: str = "corner") -> CornerAlgebra:
-    """The corner eA of A at a central idempotent e; its project is x -> e x."""
+    """The corner eA of A at e, certified by e e = e and e g = g e for
+    every generator g: e is then central, the unit of eA (e a e = e a),
+    and eA is closed under products.  Its project is x -> e x."""
+    if A.mul(e, e) != e:
+        raise CertificationError(f"{label}: e is not an idempotent")
+    for g in A.generators():
+        b = A.basis_el(g)
+        if A.mul(e, b) != A.mul(b, e):
+            raise CertificationError(f"{label}: e does not commute with generator {g}")
     return CornerAlgebra(A, e, label)
 
 
@@ -851,24 +864,9 @@ class AlgebraHom:
 
     def verify(self) -> dict:
         """Check phi(1) = 1 and phi(g e_j) = phi(g) phi(e_j) for every
-        generator g of A and basis element e_j.
-
-        With A and B associative the elements a with phi(a x) = phi(a) phi(x)
-        for all x form a subspace that contains 1 and is closed under
-        products, so the generators cover all of A.  Returns the generator
-        and check counts.
-        """
-        A, B = self.A, self.B
-        if self.apply(A.one()) != B.one():
-            raise CertificationError(f"{self.label}: unit not preserved")
-        n = A.dim
-        gens = A.generators()
-        imgs = [El(B, im) for im in self.images]
-        for g in gens:
-            for j in range(n):
-                if self.apply(El(A, A._mul_bb_cached(g, j))) != B.mul(imgs[g], imgs[j]):
-                    raise CertificationError(f"{self.label}: multiplicativity fails at ({g},{j})")
-        return {"generators": len(gens), "checks": 1 + len(gens) * n}
+        generator g of A and basis element e_j; returns the generator and
+        check counts."""
+        return _verify_on_generators(self.A, self.B, self.images, self.label, "multiplicativity")
 
     def is_injective(self) -> bool:
         return rref(self.B.F, self.images).rank == self.A.dim
@@ -877,12 +875,12 @@ class AlgebraHom:
         return self.is_injective() and self.A.dim == self.B.dim
 
     def respects(self, sA: Involution, sB: Involution) -> bool:
-        """phi(sigma_A(x)) = sigma_B(phi(x)) on the basis."""
-        for i in range(self.A.dim):
-            x = self.A.basis_el(i)
-            if self.apply(sA.apply(x)) != sB.apply(self.apply(x)):
-                return False
-        return True
+        """phi(sigma_A(g)) = sigma_B(phi(g)) for every generator g of A.
+
+        With phi, sigma_A and sigma_B certified, the elements where the
+        identity holds form a subalgebra, so it holds on all of A."""
+        gens = map(self.A.basis_el, self.A.generators())
+        return all(self.apply(sA.apply(x)) == sB.apply(self.apply(x)) for x in gens)
 
 
 def hom_on_generators(A: Algebra, B: Algebra, gen_images: list, label: str = "phi") -> AlgebraHom:

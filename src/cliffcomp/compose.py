@@ -36,7 +36,8 @@ of a quaternion symbol, the vector v of the vector twist), come from
 finite lists: spanning vectors, then their pairwise sums and differences.
 
 Which certificate runs where: the source involution sigma_bar is
-certified when the source is built (even_clifford, clifford_of_pair).
+certified when the source is built (even_clifford, clifford_of_pair), or
+by construct_composition when it is handed a prepared SourceData.
 CompositionWitness.verify(), which construct_composition calls before
 returning, certifies alpha, tau, the intertwining, the type of tau and
 the degree.  The steps build the maps inside tau and alpha (corner
@@ -44,12 +45,12 @@ restrictions, twists, extension candidates, tensor factors, the swap,
 the conjugate transpose, the rescaling) uncertified: each is certified
 once, as part of tau or alpha, unless tau is sigma_bar itself.
 
-The certificates are exhaustive and sample nothing.  The homomorphism
-and the involution are checked on generators x basis: every generator g
-of the source (resp. target) against every basis element e_j, after a
-span certificate proves that the words in the generators span the
-algebra (Algebra.generators).  The intertwining check runs on every
-basis element of C.
+The certificates are exhaustive and sample nothing, and each runs on the
+proved generators of its algebra (Algebra.generators): alpha as a
+homomorphism and tau as a homomorphism to B^op, each generator against
+every basis element; tau^2 = id on the generators of B, since tau^2 is an
+endomorphism; and the intertwining on the generators of C, since with
+alpha, sigma_bar and tau certified it holds on a subalgebra.
 """
 
 import itertools
@@ -373,15 +374,15 @@ class CompositionWitness:
         """Recompute every certificate; raises on any failure.
 
         The homomorphism and involution certificates report their generator
-        and check counts; the intertwining check runs once per basis
-        element of C.
+        and check counts; the intertwining check runs once per generator
+        of C.
         """
         checks = {}
         checks["algebra_hom"] = self.alpha.verify()
         checks["involution"] = self.tau.verify()
         if not self.alpha.respects(self.source.sigma, self.tau):
             raise CertificationError("homomorphism does not intertwine the involutions")
-        checks["intertwines"] = {"checks": self.source.C0.dim}
+        checks["intertwines"] = {"checks": len(self.source.C0.generators())}
         ttype = involution_type(self.target, self.tau)
         if ttype != self.tau_type:
             raise CertificationError(f"involution type changed: {ttype}")
@@ -724,6 +725,7 @@ def construct_composition(source, request: dict, seed: int = 0) -> CompositionWi
         src = source_from_pair(source)
     elif isinstance(source, SourceData):
         src = source
+        src.sigma.verify()
     else:
         raise UnsupportedInputError(f"cannot build a source from {type(source).__name__}")
     if request["kind"] == "first":

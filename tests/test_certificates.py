@@ -2,16 +2,19 @@
 
 The reference checks below are the basis-pair and basis-triple checks the
 certificates made before they ran over generators x basis, including the
-random sampling they fell back to above a size limit.  They stay here as
-the reference: on a fixed corpus of the involutions and homomorphisms
-that compose builds, and of corrupted copies of each, the generator
-certificate must reach the same verdict as the all-pairs check.
+random sampling they fell back to above a size limit, the basis-wide
+sigma^2 = id and intertwining checks, and the corner's old unit check over
+its whole basis.  They stay here as the reference: on a fixed corpus of
+the involutions, homomorphisms and corners that compose builds, and of
+corrupted copies of each, the generator certificate must reach the same
+verdict as the reference.
 
 The tamper tests at the end change one field of a composed witness each
 and check that CompositionWitness.verify names the check that fails.
 """
 
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -22,6 +25,7 @@ import pytest
 from cliffcomp.algebra import (
     Algebra,
     AlgebraHom,
+    CornerAlgebra,
     FieldAlgebra,
     Involution,
     MatrixAlgebra,
@@ -30,11 +34,14 @@ from cliffcomp.algebra import (
     QuaternionAlgebra,
     TensorAlgebra,
     alg_inverse,
+    center_structure,
+    corner_algebra,
+    twist_involution,
 )
 from cliffcomp.brauer import trivial_class
 from cliffcomp.cli import _parse_field, _parse_object, _parse_request
 from cliffcomp.clifford import CliffordAlgebra, even_clifford
-from cliffcomp.compose import construct_composition
+from cliffcomp.compose import construct_composition, source_from_form
 from cliffcomp.errors import CertificationError
 from cliffcomp.linalg import rref
 from cliffcomp.quadform import QuadraticSpace
@@ -68,6 +75,25 @@ def reference_involution_verify(sigma, mode="full", rng_seed=0, samples=400):
         x, y = A.basis_el(i), A.basis_el(j)
         if sigma.apply(A.mul(x, y)) != A.mul(sigma.apply(y), sigma.apply(x)):
             raise CertificationError(f"anti-multiplicativity fails at ({i},{j})")
+
+
+def reference_respects(phi, sA, sB):
+    """The intertwining phi . sA = sB . phi on every basis element."""
+    for i in range(phi.A.dim):
+        x = phi.A.basis_el(i)
+        if phi.apply(sA.apply(x)) != sB.apply(phi.apply(x)):
+            raise CertificationError(f"intertwining fails on basis {i}")
+
+
+def reference_corner_verify(A, e):
+    """The corner's old unit certificate: the unit of CornerAlgebra(A, e)
+    against every basis element of the corner, on both sides."""
+    C = CornerAlgebra(A, e)
+    one = C.one()
+    for i in range(C.dim):
+        b = C.basis_el(i)
+        if C.mul(one, b) != b or C.mul(b, one) != b:
+            raise CertificationError(f"unit fails on basis {i}")
 
 
 def reference_hom_verify(phi, mode="full", rng_seed=0, samples=400):
@@ -165,6 +191,22 @@ INVOLUTIONS = [(f"{name}-{which}", sigma) for name, wit in CORPUS
                for which, sigma in (("source", wit.source.sigma), ("target", wit.tau))]
 
 
+def _order_breaking(sigma):
+    """Int(u) . sigma for the first u = 1 + e_k that is invertible and
+    makes it fail sigma^2 = id: an anti-automorphism that is not an
+    involution, which only the order check rejects."""
+    A = sigma.A
+    for k in range(1, A.dim):
+        u = A.one() + A.basis_el(k)
+        u_inv = alg_inverse(A, u)
+        if u_inv is None:
+            continue
+        out = twist_involution(sigma, u, u_inv, label="order-breaking")
+        if any(out.apply(out.apply(A.basis_el(i))) != A.basis_el(i) for i in range(A.dim)):
+            return out
+    raise AssertionError("no order-breaking twist")
+
+
 @pytest.mark.parametrize("name,sigma", INVOLUTIONS, ids=[c[0] for c in INVOLUTIONS])
 def test_involution_certificate_matches_all_pairs(name, sigma):
     for how, imgs in _corruptions(sigma.A.F, sigma.images):
@@ -172,6 +214,33 @@ def test_involution_certificate_matches_all_pairs(name, sigma):
         expect = verdict(reference_involution_verify, copy)
         assert verdict(copy.verify) == expect, how
         assert expect == (how == "intact"), how
+
+
+@pytest.mark.parametrize("name,sigma", INVOLUTIONS, ids=[c[0] for c in INVOLUTIONS])
+def test_order_check_on_generators_matches_the_basis(name, sigma):
+    # an anti-automorphism of order > 2 passes every product check, so the
+    # order check on generators alone must reject it, as the basis one does
+    twisted = _order_breaking(sigma)
+    assert not verdict(reference_involution_verify, twisted)
+    with pytest.raises(CertificationError, match="not an involution on generator"):
+        twisted.verify()
+
+
+@pytest.mark.parametrize("name,wit", CORPUS, ids=[c[0] for c in CORPUS])
+def test_intertwining_on_generators_matches_the_basis(name, wit):
+    # with alpha and sigma certified, a target involution that passes its
+    # certificate intertwines on the generators exactly when it does on the
+    # basis: tau, its corrupted copies, the twist Int(e_1) tau (which
+    # bundle_diag's homomorphism does not intertwine, and others may), and
+    # a twist that is not an involution
+    alpha, sigma, tau = wit.alpha, wit.source.sigma, wit.tau
+    copies = [(how, Involution(tau.A, imgs)) for how, imgs in _corruptions(tau.A.F, tau.images)]
+    copies += [("non-intertwining", _non_intertwining(wit)), ("order-breaking", _order_breaking(tau))]
+    for how, copy in copies:
+        certified = verdict(copy.verify)
+        expect = certified and verdict(reference_respects, alpha, sigma, copy)
+        assert (certified and alpha.respects(sigma, copy)) == expect, how
+        assert expect == (how == "intact") or how == "non-intertwining", how
 
 
 @pytest.mark.parametrize("name,wit", CORPUS, ids=[c[0] for c in CORPUS])
@@ -292,8 +361,8 @@ def test_witness_verify_reports_check_counts():
     n = wit.source.C0.dim
     assert checks["algebra_hom"] == {"generators": g, "checks": 1 + g * n}
     gt, m = len(wit.target.generators()), wit.target.dim
-    assert checks["involution"] == {"generators": gt, "checks": 1 + m + gt * m}
-    assert checks["intertwines"] == {"checks": n}
+    assert checks["involution"] == {"generators": gt, "checks": 1 + gt * m + gt}
+    assert checks["intertwines"] == {"checks": g}
 
 
 def test_sampled_check_misses_a_defect_the_certificate_finds():
@@ -314,6 +383,102 @@ def test_sampled_check_misses_a_defect_the_certificate_finds():
     x, y, z = A.basis_el(g), A.basis_el(j), A.basis_el(k)
     assert (x * y) * z != x * (y * z)
 
+
+# ---------------------------------------------------------------------------
+# corners: a corner is certified by its idempotent (e e = e, and e commutes
+# with every generator), against the old unit check over the corner's basis
+
+GRAM6_GF3 = [[0, 1, 2, 2, 1, 1], [0, 1, 1, 1, 1, 1], [0, 0, 2, 2, 2, 2],
+             [0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 2]]
+
+
+def _form(field, obj):
+    F = _parse_field(field)
+    return _parse_object(F, json.dumps(obj), 4)[1]
+
+
+def _hyperbolic_idempotent(C0):
+    """x y in C0 for a hyperbolic pair x, y (q(x) = q(y) = 0, b(x, y) = 1)
+    with entries in {-1, 0, 1} (all of GF(3)), or None: (x y)^2 = b(x, y) x y
+    - q(x) q(y) = x y, an idempotent that is not central for n > 2."""
+    C, q = C0.C, C0.C.q
+    F = q.F
+    vectors = [[F.from_int(t) for t in v] for v in itertools.product((0, 1, -1), repeat=q.n)]
+    isotropic = [v for v in vectors[1:] if F.is_zero(q.q(v))]
+    for x, y in itertools.product(isotropic, repeat=2):
+        b = q.bq(x, y)
+        if not F.is_zero(b):
+            y = [F.div(t, b) for t in y]
+            return C0.project(C.embed_vector(x) * C.embed_vector(y))
+    return None
+
+
+def _split_sources():
+    """(name, C0, central idempotent e) for split-center sources: forms over
+    Q, GF(3) and GF(2) (Gram) and the committed quaternion pair."""
+    out = []
+    forms = [("Q-diag", dict(CORPUS)["bundle_diag"].source.C0),
+             ("Q-hyperbolic", even_clifford(_form("Q", {"diag": [1, -1, 1, -1]}))[1]),
+             ("GF3-gram6", even_clifford(_form("GF(3)", {"gram": GRAM6_GF3}))[1]),
+             ("GF2-gram", even_clifford(_form("GF(2)", {"gram": [[0, 1, 0, 0], [0, 0, 0, 0],
+                                                                   [0, 0, 0, 1], [0, 0, 0, 0]]}))[1])]
+    for name, C0 in forms:
+        _, e = center_structure(C0)
+        out.append((name, C0, e))
+    pair = dict(CORPUS)["bundle_quaternion_pair"].source
+    out.append(("quaternion-pair", pair.C0, pair.pair_data.center_idempotent))
+    return out
+
+
+SPLIT_SOURCES = _split_sources()
+
+
+def _corner_idempotents(A, e):
+    """e and 1 - e, then tampered ones: 2 e outside characteristic 2, e plus
+    the first generator, and a non-central idempotent of a form source."""
+    yield "e", e
+    yield "1 - e", A.one() - e
+    if A.F.char != 2:
+        yield "2 e", 2 * e
+    yield "e + generator", e + A.basis_el(A.generators()[0])
+    if hasattr(A, "C"):
+        p = _hyperbolic_idempotent(A)
+        if p is not None:
+            assert p * p == p
+            yield "non-central idempotent", p
+
+
+@pytest.mark.parametrize("name,A,e", SPLIT_SOURCES, ids=[c[0] for c in SPLIT_SOURCES])
+def test_corner_certificate_matches_the_unit_check(name, A, e):
+    assert e is not None
+    hows = []
+    for how, idem in _corner_idempotents(A, e):
+        hows.append(how)
+        expect = verdict(reference_corner_verify, A, idem)
+        assert verdict(corner_algebra, A, idem) == expect, how
+        assert expect == (how in ("e", "1 - e")), how
+    # <1,1,1,1> over Q is anisotropic and the pair has no form
+    assert ("non-central idempotent" in hows) == (name in ("Q-hyperbolic", "GF3-gram6", "GF2-gram"))
+
+
+def test_corner_refuses_a_non_idempotent():
+    _, A, e = SPLIT_SOURCES[0]
+    with pytest.raises(CertificationError, match="e is not an idempotent"):
+        corner_algebra(A, 2 * e)
+
+
+def test_corner_refuses_a_non_central_idempotent():
+    # (e1 e2)^2 = 1 in C0 of <1, -1, 1, -1>, and e1 e2 anticommutes with
+    # e1 e3, so (1 + e1 e2)/2 is an idempotent that is not central
+    C, C0, _, project, _ = even_clifford(_form("Q", {"diag": [1, -1, 1, -1]}))
+    e1, e2, e3 = (C.embed_vector([Fraction(int(i == k)) for i in range(4)]) for k in range(3))
+    w, v = project(e1 * e2), project(e1 * e3)
+    assert w * w == C0.one() and w * v == -(v * w)
+    p = (C0.one() + w) * Fraction(1, 2)
+    assert p * p == p
+    assert not verdict(reference_corner_verify, C0, p)
+    with pytest.raises(CertificationError, match="e does not commute with generator"):
+        corner_algebra(C0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +527,15 @@ def test_witness_verify_catches_one_tampered_field(check):
     wit.verify()
     with pytest.raises(CertificationError, match=message):
         dataclasses.replace(wit, **change(wit)).verify()
+
+
+def test_prepared_source_with_a_non_involution_is_refused():
+    # the intertwining check on generators assumes sigma is certified; a
+    # prepared SourceData has passed no builder, so its sigma is certified
+    # on entry, and an anti-automorphism of order > 2 is refused there
+    wit = dict(CORPUS)["bundle_diag"]
+    src = source_from_form(wit.source.q)
+    assert construct_composition(src, wit.request).degree == wit.degree
+    bad = dataclasses.replace(src, sigma=_order_breaking(src.sigma))
+    with pytest.raises(CertificationError, match="order-breaking: not an involution on generator"):
+        construct_composition(bad, wit.request)
