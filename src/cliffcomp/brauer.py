@@ -13,11 +13,20 @@ Over finite fields every class is trivial.
 Distances are 0 or 1: a nontrivial 2-torsion class over a number field
 has index exactly 2, so two distinct classes always differ by a
 quaternion algebra.
+
+Square classes x = +-p1^e1 ... pk^ek with (x, d)_v = -1 on given places
+are solved for: (x, d)_v is bimultiplicative, so that is one linear
+system over F2 (solve_symbols).  The quaternion model (a, b) of a class
+and the rescaling lam of a form in compose, with [C(lam q)] = [C(q)]
+(lam, d), are such solutions, and the least prime not in play joins while
+there is none.  This ends: a solution exists (Serre, A Course in
+Arithmetic, ch. III, Thm 4, with Dirichlet's theorem), and the solve finds
+one once its primes are in play.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 from .algebra import (
     Algebra,
@@ -32,7 +41,9 @@ from .errors import CertificationError, UnsupportedInputError
 from .linalg import kernel, solve
 from .scalars import (
     Field,
+    PLACE_REAL,
     Place,
+    PrimeField,
     QQ,
     EtaleQuadratic,
     RationalField,
@@ -285,30 +296,50 @@ def even_clifford_classes(q):
 
 
 # ---------------------------------------------------------------------------
-# quaternion model search
+# quaternion model search: F2 solves, widened until one succeeds (Serre III.4)
+
+def signed_products(primes: list):
+    """+-1, +-p1, +-p2, +-p1 p2, +-p3, ...: the order of solve_symbols."""
+    for mask in range(1 << len(primes)):
+        prod = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        yield QQ.from_int(prod)
+        yield QQ.from_int(-prod)
+
+
+def widening(primes):
+    """The sorted primes, then each time with the least prime not yet in."""
+    primes = sorted(primes)
+    while True:
+        yield primes
+        p = 2
+        while p in primes or any(p % r == 0 for r in range(2, math.isqrt(p) + 1)):
+            p += 1
+        primes = sorted([*primes, p])
+
+
+def solve_symbols(d, wanted, primes: list, *fields: EtaleQuadratic):
+    """The first x of signed_products(primes) with (x, d)_v = -1 exactly at
+    the wanted places, among those split in every given field; None if
+    there is none.  primes must hold the odd primes of d and of the wanted
+    places, so that no other place can have (x, d)_v = -1.  solve sets the
+    free exponents of -1, p1, p2, ... to zero: the least solution when p_k
+    outweighs all exponents before it."""
+    gens = [QQ.from_int(g) for g in [-1, *primes]]
+    places = [v for v in [PLACE_REAL] + [Place(p) for p in sorted({2, *primes})]
+              if all(et.place_behavior(v) == "split" for et in fields)]
+    cols = [{v: 1 for v in places if hilbert_symbol(g, d, v) == -1} for g in gens]
+    x = solve(PrimeField(2), cols, {v: 1 for v in places if v in wanted})
+    return None if x is None else math.prod((gens[i] for i in x), start=QQ.one())
+
 
 def quaternion_model(cls: BrauerClass) -> tuple:
-    """A single symbol (a, b) over Q with the same class.  (1, 1) if trivial."""
-    if not isinstance(cls.F, RationalField):
-        return (cls.F.one(), cls.F.one())
+    """A single symbol (a, b) over Q with the same class.  (1, 1) if trivial.
+    a runs over signed_products of the support's primes, b is solved for,
+    and the primes widen until some a has a b."""
     if cls.is_trivial():
-        return (QQ.one(), QQ.one())
-    primes = sorted({v.p for v in cls.support if not v.is_real})
-    pool = set()
-    for r in range(len(primes) + 1):
-        for sub in itertools.combinations(primes, r):
-            prod = 1
-            for p in sub:
-                prod *= p
-            pool.add(QQ.from_int(prod))
-            pool.add(QQ.from_int(-prod))
-    extra = [QQ.from_int(p) for p in (2, 3, 5, 7, 11, 13) if p not in primes]
-    widened = pool | {a * e for a in pool for e in extra[:3]} | {a * e for a in pool for e in [-f for f in extra[:3]]}
-    for pair_pool in (pool, widened):
-        for a in sorted(pair_pool, key=lambda x: (abs(x), x < 0)):
-            for b in sorted(pair_pool, key=lambda x: (abs(x), x < 0)):
-                if a == 0 or b == 0:
-                    continue
-                if BrauerClass(QQ, [(a, b)]) == cls:
-                    return (a, b)
-    raise UnsupportedInputError(f"no small quaternion model found for {cls!r}")
+        return (cls.F.one(), cls.F.one())
+    for primes in widening(v.p for v in cls.support if not v.is_real):
+        for a in signed_products(primes):
+            b = solve_symbols(a, cls.support, primes)
+            if b is not None:
+                return (a, b)

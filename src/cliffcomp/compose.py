@@ -30,10 +30,15 @@ Theorems replace trial searches.  For invertible u with sigma0(u) =
 eps u, Sym(Int(u) . sigma0) = u Sym_eps(sigma0), so outside
 characteristic 2 the sign eps fixes the type of the extension: one
 kernel, of the sign the wanted type needs, is solved, and an empty one
-proves that the type switch needs the 2x2 doubling.  Candidates for u,
-and for the one anisotropic-vector search (square_unit: the generators
-of a quaternion symbol, the vector v of the vector twist), come from
-finite lists: spanning vectors, then their pairwise sums and differences.
+proves that the type switch needs the 2x2 doubling.  The rescaling lam is
+one F2 solve for a square class with prescribed Hilbert symbols
+(brauer.solve_symbols), the quaternion model of a twist one such solve
+per candidate a, and the primes widen until there is a solution, which
+Serre's ch. III, Thm 4 with Dirichlet's theorem provides.  Candidates
+for u, and for the one anisotropic-vector search (square_unit: the
+generators of a quaternion symbol, the vector v of the vector twist),
+come from finite lists: spanning vectors, then their pairwise sums and
+differences.
 
 Which certificate runs where: the source involution sigma_bar is
 certified when the source is built (even_clifford, clifford_of_pair), or
@@ -60,7 +65,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CertificationError, NotCoveredError, UnsupportedInputError
-from .scalars import Field, RationalField, EtaleQuadratic, squarefree_part, trial_factor
+from .scalars import RationalField, EtaleQuadratic, squarefree_part, trial_factor
 from .linalg import kernel
 from .algebra import (
     Algebra,
@@ -89,7 +94,7 @@ from .algebra import (
 )
 from .quadform import QuadraticSpace
 from .clifford import CliffordAlgebra, even_clifford, PairCliffordData
-from .brauer import BrauerClass, quaternion_model, quaternion_symbol_of
+from .brauer import BrauerClass, quaternion_model, quaternion_symbol_of, solve_symbols, widening
 from .mcd import (
     InvariantProfile,
     McdResult,
@@ -126,15 +131,6 @@ def etale_algebra(S: EtaleQuadratic):
         imgs.append({k: v for k, v in ((0, d0), (1, d1)) if not F.is_zero(v)})
     iota = Involution(E, imgs, label="iota")
     return E, iota
-
-
-def model_algebra(F: Field, cls: BrauerClass) -> Optional[QuaternionAlgebra]:
-    """A quaternion algebra in the given class, or None for the trivial one."""
-    a, b = quaternion_model(cls)
-    one = F.one()
-    if a == one and b == one:
-        return None
-    return QuaternionAlgebra(F, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +281,6 @@ def _split_corners(src: SourceData) -> list:
 # ---------------------------------------------------------------------------
 # full-Clifford targets for field centers (form sources)
 
-def _lambda_pool(F: Field, classes: list, extra) -> list:
-    """Scaling candidates: signed squarefree products of small primes and
-    the primes supporting the classes in play.  Over a finite field every
-    class is trivial, so 1 is already at distance 0."""
-    if not isinstance(F, RationalField):
-        return [F.one()]
-    primes = {2, 3}
-    for cls in classes:
-        for pl in cls.support:
-            if pl.p is not None:
-                primes.add(pl.p)
-    if extra is not None:
-        primes.update(trial_factor(squarefree_part(extra)))
-    primes = sorted(primes)[:6]
-    pool = []
-    for mask in range(1 << len(primes)):
-        prod = F.one()
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                prod *= p
-        pool.extend([prod, -prod])
-    return pool
-
-
 def _scaled_even_iso(src: SourceData, lam) -> tuple:
     """The canonical isomorphism from C0 of a form onto C0 of its rescaling,
     viewed inside the full Clifford algebra of the rescaled form.
@@ -328,27 +300,21 @@ def _scaled_even_iso(src: SourceData, lam) -> tuple:
     return Cf, AlgebraHom(src.C0, Cf, images, label="rescale"), Cf.reversal()
 
 
-def _best_rescaling(src: SourceData, objective, support: list):
-    """Scaling of the source form minimizing an objective of the full
-    Clifford class; returns (lam, its class, Cfull, embedding hom, reversal).
-
-    For even n, [C(lam q)] = [C(q)] (lam, d) with d the signed discriminant
-    (Lam, ch. V), so no rescaled form is diagonalized.
-    """
-    q = src.q
-    F = q.F
-    c = src.profile.c_base
-    d = q.center_datum()
-    best = None
-    for lam in _lambda_pool(F, [c] + support, d):
-        cls = c * BrauerClass(F, [(lam, d)])
-        dist = objective(cls)
-        if best is None or dist < best[2]:
-            best = (lam, cls, dist)
-            if dist == 0:
-                break
-    lam, cls, _ = best
-    return (lam, cls) + _scaled_even_iso(src, lam)
+def _best_rescaling(plan: "_Plan") -> tuple:
+    """The scaling lam of the source form nearest to the target, and the
+    class [C(lam q)] = [C(q)] (lam, d), d the signed discriminant (Lam, ch.
+    V).  lam is 1 at the formula's distance 1, else the first solution over
+    2, 3 and the primes of d and of both classes (brauer.solve_symbols)."""
+    q, prof, req = plan.src.q, plan.src.profile, plan.request
+    F, c, d = q.F, prof.c_base, q.center_datum()
+    target, fields = (req["c"], ()) if req["kind"] == "first" else (req["c0"], (req["S"],))
+    lam = F.one()
+    if isinstance(F, RationalField) and distance_over(F, c, target, prof.z_etale, *fields) == 0:
+        primes = {2, 3, *trial_factor(squarefree_part(d)),
+                  *(v.p for v in c.support | target.support if not v.is_real)}
+        lam = next(x for ps in widening(primes)
+                   if (x := solve_symbols(d, c.support ^ target.support, ps, *fields)) is not None)
+    return lam, c * BrauerClass(F, [(lam, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +461,7 @@ class _Block:
     cls: BrauerClass
 
 
-def _pick_block(plan: _Plan, dist, support: list) -> _Block:
+def _pick_block(plan: _Plan, dist) -> _Block:
     """C0 itself for odd n; for a split center the corner nearer to the
     target; for a field center the full Clifford algebra of the rescaling
     nearest to it.  dist(cls) is the distance of a class to the target."""
@@ -512,7 +478,8 @@ def _pick_block(plan: _Plan, dist, support: list) -> _Block:
         raise UnsupportedInputError(
             "field-center pair sources have no full-Clifford model at this scale"
         )
-    lam, cls, Cf, phi, rev = _best_rescaling(src, dist, support)
+    lam, cls = _best_rescaling(plan)
+    Cf, phi, rev = _scaled_even_iso(src, lam)
     plan.trace.append(f"rescaled the form by {prof.F.fmt(lam)}")
     return _Block(Cf, phi.apply, rev, cls)
 
@@ -523,9 +490,7 @@ def _twist(plan: _Plan, block: _Block, target: BrauerClass, dist) -> _Block:
     if dist(block.cls) == 0:
         return block
     F = block.B0.F
-    G = model_algebra(F, target * block.cls)
-    if G is None:
-        raise CertificationError("distance-1 twist has a trivial quaternion model")
+    G = QuaternionAlgebra(F, *quaternion_model(target * block.cls))
     T = TensorAlgebra(block.B0, G, label=f"{block.B0.label}(x)Q")
     sigma = None if block.sigma0 is None else involution_on_tensor(T, block.sigma0, G.gamma())
     plan.symbols.append((G.a, G.b))
@@ -575,7 +540,7 @@ def construct_first_kind(src: SourceData, c: BrauerClass, t: str,
     if prof.n % 4 == 2 and prof.z_split:  # injectivity needs both corners
         return _two_corners_first_kind(plan, c, want)
 
-    block = _twist(plan, _pick_block(plan, c.distance, [c]), c, c.distance)
+    block = _twist(plan, _pick_block(plan, c.distance), c, c.distance)
     B1, a1, sigma1 = block.B0, block.alpha0, block.sigma0
     deg1 = _degree_over_center(B1, unitary=False)
     if deg1 == expected.value or (expected.status != EXACT and deg1 % expected.value == 0):
@@ -688,7 +653,7 @@ def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
         side = _split_corners(src)[0]
         block = _Block(side["B0"], side["B0"].project, None, side["cls"])
     else:
-        block = _pick_block(plan, dist, [c0])
+        block = _pick_block(plan, dist)
     block = _twist(plan, block, c0, dist)
 
     if center_matches:

@@ -1,6 +1,9 @@
 """2-torsion classes: supports, the constant metric, restriction, recovery."""
 
+import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +22,7 @@ from cliffcomp.brauer import (
     quaternion_symbol_of,
     trivial_class,
 )
-from cliffcomp.errors import CertificationError
+from cliffcomp.errors import CertificationError, UnsupportedInputError
 from cliffcomp.linalg import solve
 from cliffcomp.quadform import QuadraticSpace
 from cliffcomp.scalars import (
@@ -285,11 +288,81 @@ def test_restriction_to_quadratic_fields():
 
 
 def test_quaternion_model_roundtrip():
-    assert quaternion_model(trivial_class(QQ)) is None or \
-        BrauerClass(QQ, [quaternion_model(trivial_class(QQ))]).is_trivial()
+    assert quaternion_model(trivial_class(QQ)) == (1, 1)
+    assert BrauerClass(QQ, [quaternion_model(trivial_class(QQ))]).is_trivial()
     target = cls((-1, -1), (2, 5))
     sym = quaternion_model(target)
     assert BrauerClass(QQ, [sym]) == target
+
+
+# ---------------------------------------------------------------------------
+# reference for the quaternion model: the pool search that the F2 solve
+# replaced
+
+def ref_quaternion_model(cls):
+    """The first (a, b), in order of |a| then |b|, from the +- products of
+    the support primes, then from those times one of +-p for the first
+    three of 2, ..., 13 outside the support; raises where neither has one."""
+    if cls.is_trivial():
+        return (QQ.one(), QQ.one())
+    primes = sorted({v.p for v in cls.support if not v.is_real})
+    pool = set()
+    for r in range(len(primes) + 1):
+        for sub in itertools.combinations(primes, r):
+            prod = 1
+            for p in sub:
+                prod *= p
+            pool.add(QQ.from_int(prod))
+            pool.add(QQ.from_int(-prod))
+    extra = [QQ.from_int(p) for p in (2, 3, 5, 7, 11, 13) if p not in primes]
+    widened = pool | {a * e for a in pool for e in extra[:3]} | {a * e for a in pool for e in [-f for f in extra[:3]]}
+    for pair_pool in (pool, widened):
+        for a in sorted(pair_pool, key=lambda x: (abs(x), x < 0)):
+            for b in sorted(pair_pool, key=lambda x: (abs(x), x < 0)):
+                if a == 0 or b == 0:
+                    continue
+                if BrauerClass(QQ, [(a, b)]) == cls:
+                    return (a, b)
+    raise UnsupportedInputError(f"no small quaternion model found for {cls!r}")
+
+
+SMALL_PLACES = [PLACE_REAL] + [Place(p) for p in (2, 3, 5, 7, 11, 13)]
+SMALL_SUPPORTS = [frozenset(s) for r in (2, 4, 6) for s in itertools.combinations(SMALL_PLACES, r)]
+LARGE_SUPPORTS = [frozenset({PLACE_REAL, Place(241)}), frozenset({PLACE_REAL, Place(409)})]
+
+
+def _support_id(support):
+    return ",".join(repr(v) for v in sorted(support))
+
+
+def test_the_small_supports_are_all_63():
+    assert len(set(SMALL_SUPPORTS)) == 63
+
+
+@pytest.mark.parametrize("support", [s for s in SMALL_SUPPORTS if sum(not v.is_real for v in s) <= 2],
+                         ids=_support_id)
+def test_quaternion_model_is_the_pool_searchs_pick(support):
+    """With at most two finite primes the pool search and the solve read
+    a and b in the same order, so they agree."""
+    target = BrauerClass(QQ, [], support)
+    assert quaternion_model(target) == ref_quaternion_model(target)
+
+
+@pytest.mark.parametrize("support", SMALL_SUPPORTS + LARGE_SUPPORTS, ids=_support_id)
+def test_quaternion_model_has_the_requested_support(support):
+    a, b = quaternion_model(BrauerClass(QQ, [], support))
+    for v in relevant_places([a, b]):
+        assert hilbert_symbol_bruteforce(a, b, v) == (-1 if v in support else 1), (a, b, v)
+
+
+def test_quaternion_model_of_a_large_prime_returns():
+    code = ("from cliffcomp.brauer import BrauerClass, quaternion_model\n"
+            "from cliffcomp.scalars import QQ, PLACE_REAL, Place\n"
+            "for p in (241, 409):\n"
+            "    print(*quaternion_model(BrauerClass(QQ, [], {PLACE_REAL, Place(p)})))\n")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split("\n")[:2] == ["-7 -241", "-7 -409"]
 
 
 def test_finite_field_classes_always_trivial():

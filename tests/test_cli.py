@@ -271,15 +271,33 @@ def test_compose_six_dim_form_over_q_reaches_the_formula_degree():
     assert rc == 0, err
 
 
-def test_compose_refuses_a_block_above_the_exact_value():
-    # no scaling in the pool reaches distance 0, and doubling the degree-16
-    # block cannot come back down to the exact value 8
+def _compose_and_replay(*args):
+    """compose, then verify of its bundle, each in a subprocess given 10 s."""
+    p = subprocess.run(BASE + ["compose", *args], capture_output=True, text=True, timeout=10)
+    assert p.returncode == 0, p.stderr
+    replay = subprocess.run(BASE + ["verify"], input=p.stdout, capture_output=True, text=True,
+                            timeout=10)
+    assert replay.returncode == 0, replay.stderr
+    assert json.loads(replay.stdout)["verified"] is True
+    return json.loads(p.stdout)["witness"]
+
+
+def test_compose_rescales_a_gram_form_by_a_prime_outside_the_old_pool():
+    # the rescaling sweep held only 2, 3 and 17 and stopped at a degree-16
+    # block; the solve adds primes until lam = -5 reaches the exact value 8
     gram = [[-3, 0, 0, 1, 1, 0], [0, -1, 0, 0, 0, 0], [0, 0, 2, 0, 1, -1],
             [0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 3, -1], [0, 0, 0, 0, 0, -1]]
-    rc, _, err = run_inprocess("compose", "--object", json.dumps({"gram": gram}),
-                               "--type", "orthogonal")
-    assert rc == 3, err
-    assert json.loads(err)["type"] == "NotCoveredError"
+    witness = _compose_and_replay("--object", json.dumps({"gram": gram}), "--type", "orthogonal")
+    assert witness["degree"] == 8 == witness["expected"]["value"]
+    assert "rescaled the form by -5" in witness["trace"]
+
+
+def test_compose_twists_by_a_quaternion_model_ramified_at_241():
+    gram = [[1, -1, 0, 0], [0, 3, -1, 0], [0, 0, 2, 1], [0, 0, 0, 3]]
+    witness = _compose_and_replay("--object", json.dumps({"gram": gram}), "--type", "unitary",
+                                  "--s", '{"split": true}')
+    assert witness["degree"] == 8
+    assert witness["class_symbols"] == [["-7", "-241"]]
 
 
 @pytest.mark.parametrize("entries,degree,twisted", [
