@@ -1,9 +1,9 @@
 """Profile the quadratic-pair Clifford construction on small inputs.
 
 Sweeps regular forms over small finite fields, runs the pair construction
-on each, and records the saturation degree the generator filtration
-needed and whether the result matched the even Clifford algebra of the
-underlying form.  A quick way to spot inputs where the sandwich relations
+on each, and records its saturation degree, max(3, n / 2 + 1), and
+whether the result matched the even Clifford algebra of the underlying
+form.  A quick way to spot inputs where the sandwich relations
 fail to certify: the exit status is 1 when any form fails.
 
 Usage: python3 scripts/pair_saturation.py [--max-dim 4] [--limit 6] [--json]

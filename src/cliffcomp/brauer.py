@@ -47,6 +47,7 @@ from .scalars import (
     QQ,
     EtaleQuadratic,
     RationalField,
+    _is_prime,
     hilbert_symbol,
     relevant_places,
     squarefree_part,
@@ -312,7 +313,7 @@ def widening(primes):
     while True:
         yield primes
         p = 2
-        while p in primes or any(p % r == 0 for r in range(2, math.isqrt(p) + 1)):
+        while p in primes or not _is_prime(p):
             p += 1
         primes = sorted([*primes, p])
 

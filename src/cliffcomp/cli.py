@@ -32,7 +32,7 @@ from .scalars import (
 from .quadform import QuadraticSpace
 from .algebra import QuaternionAlgebra, check_quaternion_parameters
 from .qpair import pair_from_form, pair_on_quaternion_tensor
-from .clifford import MIN_SATURATION_DEGREE, clifford_of_pair, even_clifford, split_compare
+from .clifford import clifford_of_pair, even_clifford, split_compare
 from .brauer import BrauerClass, trivial_class
 from .mcd import (
     NOT_COVERED,
@@ -84,12 +84,8 @@ def _parse_matrix(F: Field, rows) -> list:
             for row in _shaped(rows, list, "a matrix")]
 
 
-def _parse_object(F: Field, spec: str, cap: int):
+def _parse_object(F: Field, spec: str):
     """Returns ("form", QuadraticSpace) or ("pair", PairCliffordData)."""
-    if cap < MIN_SATURATION_DEGREE:
-        raise UnsupportedInputError(
-            f"truncation cap must be at least {MIN_SATURATION_DEGREE}, "
-            f"the first saturation degree; got {cap}")
     d = _shaped(json.loads(spec), dict, "--object")
     if "diag" in d:
         diag = _shaped(d["diag"], list, "diag")
@@ -104,7 +100,7 @@ def _parse_object(F: Field, spec: str, cap: int):
         Q1 = QuaternionAlgebra(F, F.parse(str(a1)), F.parse(str(b1)))
         Q2 = QuaternionAlgebra(F, F.parse(str(a2)), F.parse(str(b2)))
         pair = pair_on_quaternion_tensor(Q1, Q2)
-        return "pair", clifford_of_pair(pair, max_degree=cap)
+        return "pair", clifford_of_pair(pair)
     raise UnsupportedInputError(f"unknown object description {spec!r}")
 
 
@@ -154,7 +150,6 @@ def _problem_echo(args) -> dict:
         "class": json.loads(args.cls) if args.cls else None,
         "s": json.loads(args.s) if args.s else None,
         "seed": getattr(args, "seed", 0),
-        "truncation_cap": getattr(args, "truncation_cap", 4),
     }
 
 
@@ -163,14 +158,14 @@ def _problem_echo(args) -> dict:
 
 def _cmd_invariants(args) -> dict:
     F = _parse_field(args.field)
-    kind, obj = _parse_object(F, args.object, args.truncation_cap)
+    kind, obj = _parse_object(F, args.object)
     return _profile(kind, obj).to_json()
 
 
 def _case(args):
     """The profile of the object and the case of the request, classified once."""
     F = _parse_field(args.field)
-    kind, obj = _parse_object(F, args.object, args.truncation_cap)
+    kind, obj = _parse_object(F, args.object)
     prof = _profile(kind, obj)
     return prof, classify(prof, _parse_request(F, args))
 
@@ -196,7 +191,7 @@ def _cmd_bound(args) -> dict:
 
 def _cmd_compose(args) -> dict:
     F = _parse_field(args.field)
-    kind, obj = _parse_object(F, args.object, args.truncation_cap)
+    kind, obj = _parse_object(F, args.object)
     request = _parse_request(F, args)
     wit = construct_composition(obj, request, seed=args.seed)
     return {"problem": _problem_echo(args), "witness": wit.to_json(), "verified": True}
@@ -214,8 +209,6 @@ def _cmd_verify(args) -> dict:
         cls=json.dumps(problem["class"]) if problem.get("class") is not None else None,
         s=json.dumps(problem["s"]) if problem.get("s") is not None else None,
         seed=_shaped(problem.get("seed", 0), int, "the bundle's seed"),
-        truncation_cap=_shaped(problem.get("truncation_cap", 4), int,
-                               "the bundle's truncation_cap"),
     ))
     if rebuilt["witness"] != bundle["witness"]:
         raise CertificationError("replayed witness differs from the bundle")
@@ -361,8 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help='quadratic extension datum as JSON '
                                  '{"datum": "m"} or {"split": true}')
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--truncation-cap", dest="truncation_cap", type=int, default=4,
-                        help="tensor-length cap for pair Clifford construction, at least 3")
 
     common(sub.add_parser("invariants", help="invariant profile of the object"),
            with_type=False)
@@ -393,8 +384,6 @@ _HANDLERS = {
     "selftest": _cmd_selftest,
 }
 
-_PARSE_ERRORS = (UnsupportedInputError, ValueError, KeyError, json.JSONDecodeError)
-
 
 def run(argv=None) -> int:
     try:
@@ -409,10 +398,9 @@ def run(argv=None) -> int:
     except CertificationError as e:
         _emit_error("certification-failure", e)
         return EXIT_CERT
-    except _PARSE_ERRORS as e:
-        _emit_error("invalid-input", e)
-        return EXIT_INVALID
-    except CliffcompError as e:
+    except (CliffcompError, ValueError, KeyError) as e:
+        # bad input: UnsupportedInputError, malformed JSON (a ValueError)
+        # or a missing key
         _emit_error("invalid-input", e)
         return EXIT_INVALID
     print(json.dumps(out, indent=2))

@@ -19,17 +19,27 @@ huge tensor algebra of A, every relation is first pushed down to the tensor
 algebra of a complement N of the symmetric subspace (each symmetric
 letter collapses to a scalar), where the ideal is saturated by sparse
 echelon over word columns.  The construction is certified: the quotient
-dimension must stabilize at 2^(deg A - 1), multiplication must be
-associative, and the involution induced by reversed-sigma words must
-verify as an involution.
+dimension must be 2^(deg A - 1) with no canonical word of the saturation
+degree, multiplication must be associative, and the involution induced by
+reversed-sigma words must verify as an involution.
+
+The saturation degree is read off deg A = 2m, once: max(3, m + 1).  Over a
+splitting field the algebra is C0(V, q) with dim V = 2m (KMRT, section 8),
+and a word of k letters of A lands in the span of the products of at most
+2k vectors of V.  For k < m that span misses e_1 ... e_2m.  A quotient
+certifies at degree d only if its canonical words are all shorter than d
+and span the algebra, so d - 1 >= m: degree m + 1 is the least that can.
+The floor of 3 is the least degree at which the pushed-down relations,
+words of length 2, are padded at all.  A quotient that fails at its one
+degree raises SaturationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, El, ExplicitAlgebra, Involution, center_structure, restrict_involution
+from .algebra import Algebra, El, ExplicitAlgebra, Involution, restrict_involution
 from .errors import CertificationError, InputTooLargeError, SaturationError, UnsupportedInputError
 from .linalg import SparseEchelon, apply_cols, axpy, inverse, kernel, rref
 from .quadform import QuadraticSpace
@@ -39,9 +49,8 @@ from .quadform import QuadraticSpace
 # past a minute and hundreds of MB, so larger spaces are refused up front.
 MAX_GENERATORS = 10
 
-# The pushed-down sandwich relations are words of length at most 2, and a
-# quotient certifies only once no canonical word has the top degree, so
-# saturation starts at degree 3.
+# The pushed-down sandwich relations are words of length at most 2, so no
+# saturation below degree 3 pads them at all.
 MIN_SATURATION_DEGREE = 3
 
 
@@ -177,10 +186,7 @@ class PairCliffordData:
     a_images: list          # coords of the canonical image of each A-basis vector
     canon_words: list       # quotient basis words over complement letters
     n_letters: list         # A-basis indices forming the complement N
-    sandwich_dim: int
     saturation_degree: int
-    center_etale: object = None
-    center_idempotent: object = field(default=None)
 
     def embed_a(self, x: El) -> El:
         """Canonical map A -> C (not an algebra map; linear)."""
@@ -315,49 +321,36 @@ class _PairQuotient:
         return [w for w in self._words(degree) if w not in ech.rows]
 
 
-def clifford_of_pair(pair, max_degree: int = 4) -> PairCliffordData:
+def clifford_of_pair(pair) -> PairCliffordData:
     """The Clifford algebra of an algebra with quadratic pair, certified.
 
     The sandwich relations come from the subspace of A (x) A whose sandwich
-    action kills im(1 - sigma); the ideal is saturated up to max_degree.
-    Raises SaturationError when no degree certifies.
+    action kills im(1 - sigma); the ideal is saturated once, at degree
+    max(3, deg A / 2 + 1), the least that can certify (see the module
+    docstring).  Raises SaturationError when that degree does not.
     """
     A = pair.A
     deg = A.deg
     if deg is None or deg % 2:
         raise UnsupportedInputError("pair construction needs even degree")
     expected = 1 << (deg - 1)
+    degree = max(MIN_SATURATION_DEGREE, deg // 2 + 1)
     worker = _PairQuotient(A, pair.sigma, pair.sym_rows, pair.f_on_sym)
     w_basis, ell_sandwiches = _w_space_paper(A, pair.sigma, pair.ell)
-    gens = worker.generator_rows(w_basis, ell_sandwiches)
-    data = _try_build(pair, worker, gens, len(w_basis), expected, max_degree)
-    if data is None:
+    ech = worker.saturate(worker.generator_rows(w_basis, ell_sandwiches), degree)
+    canon = worker.quotient(ech, degree)
+    top = sum(1 for w in canon if len(w) == degree)
+    if len(canon) != expected or top:
         raise SaturationError(
-            f"the sandwich relations did not certify up to degree {max_degree}; "
-            f"expected quotient dimension {expected}"
+            f"the sandwich relations did not certify at degree {degree}: "
+            f"{len(canon)} canonical words, {top} of them of length {degree}; "
+            f"expected {expected}, none of length {degree}"
         )
-    return data
-
-
-def _try_build(pair, worker: _PairQuotient, gens: list, wdim: int,
-               expected: int, max_degree: int) -> Optional[PairCliffordData]:
-    for degree in range(MIN_SATURATION_DEGREE, max_degree + 1):
-        ech = worker.saturate(gens, degree)
-        canon = worker.quotient(ech, degree)
-        if len(canon) != expected:
-            continue
-        if any(len(w) == degree for w in canon):
-            # not stabilized: top-degree words survive
-            continue
-        try:
-            return _finalize(pair, worker, ech, canon, wdim, degree)
-        except CertificationError:
-            continue
-    return None
+    return _finalize(pair, worker, ech, canon, degree)
 
 
 def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
-              wdim: int, degree: int) -> PairCliffordData:
+              degree: int) -> PairCliffordData:
     F = worker.F
     A = worker.A
     index = {w: t for t, w in enumerate(canon)}
@@ -408,18 +401,13 @@ def _finalize(pair, worker: _PairQuotient, ech: SparseEchelon, canon: list,
         imgs.append(reduce_coords(acc))
     sigma_bar = Involution(C, imgs, label="sigma_bar")
     sigma_bar.verify()
-
-    et, e = center_structure(C)
     return PairCliffordData(
         C=C,
         sigma_bar=sigma_bar,
         a_images=a_images,
         canon_words=canon,
         n_letters=worker.n_letters,
-        sandwich_dim=wdim,
         saturation_degree=degree,
-        center_etale=et,
-        center_idempotent=e,
     )
 
 

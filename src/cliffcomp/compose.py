@@ -220,7 +220,6 @@ class SourceData:
     C0: Algebra
     sigma: Involution
     q: Optional[QuadraticSpace] = None
-    pair_data: Optional[PairCliffordData] = None
     label: str = ""
 
 
@@ -232,8 +231,7 @@ def source_from_form(q: QuadraticSpace) -> SourceData:
 
 def source_from_pair(data: PairCliffordData) -> SourceData:
     prof = profile_from_pair_clifford(data)
-    return SourceData(prof, data.C, data.sigma_bar, pair_data=data,
-                      label=getattr(data.C, "label", "C"))
+    return SourceData(prof, data.C, data.sigma_bar, label=getattr(data.C, "label", "C"))
 
 
 def _constraints_for(src: SourceData, alpha_of) -> list:
@@ -251,7 +249,8 @@ def _split_corners(src: SourceData) -> list:
     the invariant profile: c_plus for the corner of e, c_minus for that of
     1 - e.
 
-    A pair profile read both classes off these same corners.  Over Q a
+    A pair profile read both classes off these same corners, since
+    center_structure gives the same e on every call.  Over Q a
     degree-2 corner of a form source recovers its symbol, certified, and
     carries it; the recovered class must be the profile's.
     """
@@ -260,16 +259,13 @@ def _split_corners(src: SourceData) -> list:
     prof = src.profile
     if not prof.z_split:
         raise UnsupportedInputError("corner data needs a split center")
-    if src.pair_data is not None:
-        e = src.pair_data.center_idempotent
-    else:
-        et, e = center_structure(C0)
-        if e is None:
-            raise CertificationError("profile says split center, algebra disagrees")
+    _, e = center_structure(C0)
+    if e is None:
+        raise CertificationError("profile says split center, algebra disagrees")
     out = []
     for idem, cls in ((e, prof.c_plus), (C0.one() - e, prof.c_minus)):
         corner = corner_algebra(C0, idem, label=f"{C0.label}^")
-        if src.pair_data is None and corner.dim == 4 and isinstance(F, RationalField):
+        if src.q is not None and corner.dim == 4 and isinstance(F, RationalField):
             got = BrauerClass(F, [quaternion_symbol_of(corner)])
             if got != cls:
                 raise CertificationError("corner class disagrees with the invariant profile")

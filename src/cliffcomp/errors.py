@@ -23,7 +23,7 @@ class CertificationError(CliffcompError):
 
 
 class SaturationError(CertificationError):
-    """A tensor-algebra quotient did not stabilize at the predicted dimension."""
+    """A tensor-algebra quotient did not certify at its saturation degree."""
 
 
 class NotCoveredError(CliffcompError):

@@ -135,13 +135,12 @@ def profile_from_form(q) -> InvariantProfile:
 def profile_from_pair_clifford(data) -> InvariantProfile:
     """Invariant profile read off a constructed pair Clifford algebra.
 
-    data: the bundle returned by clifford_of_pair.  Needs a degree-4 pair
-    (the only nontrivial-algebra constructor at desk scale), whose center
-    always splits with two degree-2 factors.
+    data: the bundle returned by clifford_of_pair.  Needs a split center,
+    read off C by center_structure, with corners of degree 1 or 2.
     """
     from math import isqrt
 
-    from .algebra import corner_algebra
+    from .algebra import center_structure, corner_algebra
 
     C = data.C
     F = C.F
@@ -149,10 +148,9 @@ def profile_from_pair_clifford(data) -> InvariantProfile:
     if n * n != len(data.a_images):
         raise UnsupportedInputError("underlying algebra dimension is not a square")
     t_C = canonical_involution_type(n, F.char)
-    et = data.center_etale
+    et, e = center_structure(C)
     if not et.split:
         raise UnsupportedInputError("pair profiles expect a split Clifford center")
-    e = data.center_idempotent
     Cp = corner_algebra(C, e)
     Cm = corner_algebra(C, C.one() - e)
     if Cp.dim == 1:

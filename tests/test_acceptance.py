@@ -12,7 +12,13 @@ import time
 from fractions import Fraction
 
 from conftest import central_etale_split
-from cliffcomp.algebra import QuaternionAlgebra, center_basis, corner_algebra, involution_type
+from cliffcomp.algebra import (
+    QuaternionAlgebra,
+    center_basis,
+    center_structure,
+    corner_algebra,
+    involution_type,
+)
 from cliffcomp.brauer import BrauerClass, quaternion_symbol_of, trivial_class
 from cliffcomp.clifford import clifford_of_pair, even_clifford, split_compare
 from cliffcomp.compose import construct_composition, regular_representation
@@ -79,8 +85,8 @@ def test_ac2_tensor_pair_clifford_and_corner_classes():
     Q2 = QuaternionAlgebra(QQ, Fraction(2), Fraction(5))
     data = clifford_of_pair(pair_on_quaternion_tensor(Q1, Q2))
     assert data.C.dim == 8
-    assert data.center_etale.split and data.center_idempotent is not None
-    e = data.center_idempotent
+    et, e = center_structure(data.C)
+    assert et.split and e is not None
     Cp = corner_algebra(data.C, e)
     Cm = corner_algebra(data.C, data.C.one() - e)
     got = [BrauerClass(QQ, [quaternion_symbol_of(Cp)]),
@@ -92,8 +98,9 @@ def test_ac2_tensor_pair_clifford_and_corner_classes():
 
     dg = clifford_of_pair(pair_on_quaternion_tensor(
         QuaternionAlgebra(F2, 1, 1), QuaternionAlgebra(F2, 1, 1)))
-    assert dg.C.dim == 8 and dg.center_etale.split
-    Cgp = corner_algebra(dg.C, dg.center_idempotent)
+    et, e = center_structure(dg.C)
+    assert dg.C.dim == 8 and et.split
+    Cgp = corner_algebra(dg.C, e)
     assert Cgp.dim == 4  # both corners carry the trivial GF(2) class
     assert time.monotonic() - t0 < 30.0
 

@@ -1,6 +1,7 @@
 """2-torsion classes: supports, the constant metric, restriction, recovery."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -353,6 +354,23 @@ def test_quaternion_model_has_the_requested_support(support):
     a, b = quaternion_model(BrauerClass(QQ, [], support))
     for v in relevant_places([a, b]):
         assert hilbert_symbol_bruteforce(a, b, v) == (-1 if v in support else 1), (a, b, v)
+
+
+def ref_widening(primes):
+    """widening as it was written with trial division for primality."""
+    primes = sorted(primes)
+    while True:
+        yield primes
+        p = 2
+        while p in primes or any(p % r == 0 for r in range(2, math.isqrt(p) + 1)):
+            p += 1
+        primes = sorted([*primes, p])
+
+
+@pytest.mark.parametrize("start", [set(), {2, 3, 241}], ids=str)
+def test_widening_matches_the_trial_division_loop(start):
+    got = itertools.islice(brauer.widening(start), 30)
+    assert list(got) == list(itertools.islice(ref_widening(start), 30))
 
 
 def test_quaternion_model_of_a_large_prime_returns():

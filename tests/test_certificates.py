@@ -139,7 +139,7 @@ def _witness_from_bundle(path):
         s = json.dumps(problem["s"]) if problem.get("s") is not None else None
 
     F = _parse_field(problem.get("field"))
-    _, obj = _parse_object(F, json.dumps(problem["object"]), problem.get("truncation_cap", 4))
+    _, obj = _parse_object(F, json.dumps(problem["object"]))
     return construct_composition(obj, _parse_request(F, Args), seed=problem.get("seed", 0))
 
 
@@ -394,7 +394,7 @@ GRAM6_GF3 = [[0, 1, 2, 2, 1, 1], [0, 1, 1, 1, 1, 1], [0, 0, 2, 2, 2, 2],
 
 def _form(field, obj):
     F = _parse_field(field)
-    return _parse_object(F, json.dumps(obj), 4)[1]
+    return _parse_object(F, json.dumps(obj))[1]
 
 
 def _hyperbolic_idempotent(C0):
@@ -421,12 +421,11 @@ def _split_sources():
              ("Q-hyperbolic", even_clifford(_form("Q", {"diag": [1, -1, 1, -1]}))[1]),
              ("GF3-gram6", even_clifford(_form("GF(3)", {"gram": GRAM6_GF3}))[1]),
              ("GF2-gram", even_clifford(_form("GF(2)", {"gram": [[0, 1, 0, 0], [0, 0, 0, 0],
-                                                                   [0, 0, 0, 1], [0, 0, 0, 0]]}))[1])]
+                                                                   [0, 0, 0, 1], [0, 0, 0, 0]]}))[1]),
+             ("quaternion-pair", dict(CORPUS)["bundle_quaternion_pair"].source.C0)]
     for name, C0 in forms:
         _, e = center_structure(C0)
         out.append((name, C0, e))
-    pair = dict(CORPUS)["bundle_quaternion_pair"].source
-    out.append(("quaternion-pair", pair.C0, pair.pair_data.center_idempotent))
     return out
 
 

@@ -95,11 +95,6 @@ def test_mcd_excluded_case_exits_3():
         ("mcd", "--object", '{"diag":["1","1","1"]}', "--type", "unitary",
          "--s", '{"datum":"1/0"}'),
         ("example1", "--a", "1/0", "--b", "1"),
-        # a truncation cap below the first saturation degree
-        ("invariants", "--object", '{"quaternion_pair":[[1,1],[1,1]]}',
-         "--truncation-cap", "0"),
-        ("invariants", "--object", '{"quaternion_pair":[[1,1],[1,1]]}',
-         "--truncation-cap", "2"),
         # JSON of the wrong shape
         ("invariants", "--object", "5"),
         ("invariants", "--object", "null"),
@@ -132,14 +127,20 @@ def test_mcd_excluded_case_exits_3():
         *[("verify", "--object", json.dumps({
             "problem": {"object": {"diag": [1, 1]}, "type": "orthogonal", **fields},
             "witness": {}}))
-          for fields in ({"seed": [1]}, {"seed": None}, {"truncation_cap": {}},
-                         {"field": 5}, {"seed": 1.5}, {"seed": True})],
+          for fields in ({"seed": [1]}, {"seed": None}, {"field": 5}, {"seed": 1.5},
+                         {"seed": True})],
     ],
 )
 def test_invalid_inputs_exit_2(args):
     p = run_cli(*args)
     assert p.returncode == 2, (p.stdout, p.stderr)
     assert json.loads(p.stderr)["error"] == "invalid-input"
+
+
+def test_the_truncation_cap_flag_is_unknown():
+    # the pair construction reads its one saturation degree off deg A
+    assert run_cli("invariants", "--object", '{"quaternion_pair":[[1,1],[1,1]]}',
+                   "--truncation-cap", "4").returncode == 2
 
 
 def test_verify_refuses_a_bundle_of_the_wrong_shape_on_stdin():
@@ -233,7 +234,7 @@ def test_compose_over_gf_1009_2_square_root_of_a_prime_nonsquare():
                        capture_output=True, text=True, timeout=10)
     assert p.returncode == 0, p.stderr
     assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
-        "8aa68f6ec1579c015eb78534d4cbad0989f57d16e3799a91a5d65c25d772e14c"
+        "b2f6b94d45bc7ad92da4fd51a9fcc3e87f236e4a90823ed2cdabdba1df3483ae"
 
 
 def run_inprocess(*argv):
@@ -436,14 +437,6 @@ def test_example1_generic_parameters():
 
 def test_example1_rejects_zero():
     assert run_cli("example1", "--a", "0", "--b", "1").returncode == 2
-
-
-def test_verify_rejects_a_truncation_cap_below_3():
-    bundle = json.loads((Path(__file__).parent / "data" / "bundle_quaternion_pair.json").read_text())
-    bundle["problem"]["truncation_cap"] = 2
-    p = run_cli("verify", "--object", json.dumps(bundle))
-    assert p.returncode == 2, (p.stdout, p.stderr)
-    assert json.loads(p.stderr)["error"] == "invalid-input"
 
 
 def test_selftest_passes():

@@ -1,5 +1,6 @@
 """Clifford algebras of forms and of quadratic pairs, with certification."""
 
+import dataclasses
 import functools
 import json
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cliffcomp.algebra import QuaternionAlgebra, corner_algebra, involution_type
+from cliffcomp.algebra import QuaternionAlgebra, center_structure, corner_algebra, involution_type
 from cliffcomp.brauer import BrauerClass, quaternion_symbol_of, trivial_class
 from cliffcomp.clifford import (
     CliffordAlgebra,
@@ -210,18 +211,54 @@ def test_pair_clifford_char2_center(entries, datum, split):
     q = QuadraticSpace.from_upper_entries(F2, 2, entries)
     pair, aux = pair_from_form(q)
     data = clifford_of_pair(pair)
-    assert data.center_etale.datum == F2.from_int(datum)
-    assert data.center_etale.split is split
+    et, _ = center_structure(data.C)
+    assert et.datum == F2.from_int(datum)
+    assert et.split is split
     split_compare(data, aux)
 
 
-def test_kernel_variant_certifies_where_switch_saturates():
-    pair, _ = pair_from_form(QuadraticSpace.diagonal(QQ, fracs(1, -1)))
+def _quaternion_tensor_pair(F, a1, b1, a2, b2):
+    return pair_on_quaternion_tensor(QuaternionAlgebra(F, a1, b1), QuaternionAlgebra(F, a2, b2))
+
+
+RULE_PAIRS = [
+    ("Q-2", pair_from_form(QuadraticSpace.diagonal(QQ, fracs(1, -1)))[0]),
+    ("Q-4", pair_from_form(QuadraticSpace.diagonal(QQ, fracs(1, 2, 3, 5)))[0]),
+    ("GF3-2", pair_from_form(QuadraticSpace.diagonal(F3, [1, 1]))[0]),
+    ("GF3-4", pair_from_form(QuadraticSpace.diagonal(F3, [1, 1, 1, 2]))[0]),
+    ("GF2-2", pair_from_form(QuadraticSpace.from_upper_entries(F2, 2, {(0, 1): 1}))[0]),
+    ("GF2-4", pair_from_form(QuadraticSpace.from_upper_entries(
+        F2, 4, {(0, 0): 1, (0, 1): 1, (2, 3): 1}))[0]),
+    ("tensor-Q", _quaternion_tensor_pair(QQ, *fracs(-1, -1, 2, 5))),
+    ("tensor-GF3", _quaternion_tensor_pair(F3, 1, 1, 2, 2)),
+    ("tensor-GF2", _quaternion_tensor_pair(F2, 1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("label,pair", RULE_PAIRS, ids=[c[0] for c in RULE_PAIRS])
+def test_pairs_saturate_once_at_the_degree_read_off_deg_a(label, pair, monkeypatch):
+    # C0(V, q) with dim V = 2m needs words of m letters of A and no more
+    degrees, saturate = [], _PairQuotient.saturate
+
+    def recording_saturate(self, gens, degree):
+        degrees.append(degree)
+        return saturate(self, gens, degree)
+
+    monkeypatch.setattr(_PairQuotient, "saturate", recording_saturate)
+    deg = pair.A.deg
     data = clifford_of_pair(pair)
-    assert data.C.dim == 2 and data.saturation_degree == 3
-    # no saturation degree to try: the construction refuses, it never guesses
-    with pytest.raises(SaturationError):
-        clifford_of_pair(pair, max_degree=2)
+    assert data.C.dim == 1 << (deg - 1)
+    assert degrees == [data.saturation_degree] == [max(3, deg // 2 + 1)]
+    assert max(len(w) for w in data.canon_words) == deg // 2
+
+
+def test_a_pair_missing_a_symmetric_row_does_not_certify():
+    # without its first row, the unit, 1 is a free letter: 9 canonical words, not 8
+    pair = _quaternion_tensor_pair(QQ, *fracs(-1, -1, 2, 5))
+    assert pair.sym_rows[0] == pair.A.one().c
+    broken = dataclasses.replace(pair, sym_rows=pair.sym_rows[1:], f_on_sym=pair.f_on_sym[1:])
+    with pytest.raises(SaturationError, match="at degree 3"):
+        clifford_of_pair(broken)
 
 
 def test_quaternion_tensor_pair_corners():
@@ -230,8 +267,8 @@ def test_quaternion_tensor_pair_corners():
     pair = pair_on_quaternion_tensor(Q1, Q2)
     data = clifford_of_pair(pair)
     assert data.C.dim == 8
-    assert data.center_etale.split and data.center_idempotent is not None
-    e = data.center_idempotent
+    et, e = center_structure(data.C)
+    assert et.split and e is not None
     Cp = corner_algebra(data.C, e)
     Cm = corner_algebra(data.C, data.C.one() - e)
     got = [BrauerClass(QQ, [quaternion_symbol_of(Cp)]),
@@ -247,8 +284,8 @@ def test_quaternion_tensor_pair_gf2():
     Q2 = QuaternionAlgebra(F2, 1, 1)
     data = clifford_of_pair(pair_on_quaternion_tensor(Q1, Q2))
     assert data.C.dim == 8
-    assert data.center_etale.split
-    e = data.center_idempotent
+    et, e = center_structure(data.C)
+    assert et.split
     Cp = corner_algebra(data.C, e)
     assert Cp.dim == 4  # split quaternion over GF(2)
 

@@ -316,12 +316,13 @@ def test_extend_involution_random_tail_is_seeded():
 # references for the constraint solve, the generating set and the rescaling
 # isomorphism, kept from the code they were replaced by
 
-def reference_source_generators(src):
-    """The a_images of a pair source; for a form, the adjacent products
-    e_i e_(i+1) when it is diagonal and anisotropic, else every e_i e_j."""
+def reference_source_generators(src, obj):
+    """The a_images of a pair source, read off the PairCliffordData obj it
+    was built from; for a form, the adjacent products e_i e_(i+1) when it
+    is diagonal and anisotropic, else every e_i e_j."""
     C0 = src.C0
-    if src.pair_data is not None:
-        return [El(C0, dict(c)) for c in src.pair_data.a_images]
+    if src.q is None:
+        return [El(C0, dict(c)) for c in obj.a_images]
     q = src.q
     F = q.F
     diag = all(F.is_zero(q.M[i][j]) for i in range(q.n) for j in range(i + 1, q.n))
@@ -370,7 +371,7 @@ def _bundle_problem(path):
         s = json.dumps(problem["s"]) if problem.get("s") is not None else None
 
     F = _parse_field(problem.get("field"))
-    _, obj = _parse_object(F, json.dumps(problem["object"]), problem.get("truncation_cap", 4))
+    _, obj = _parse_object(F, json.dumps(problem["object"]))
     return obj, _parse_request(F, Args)
 
 
@@ -399,16 +400,18 @@ def test_constraint_kernel_matches_the_dense_reference(monkeypatch):
 
     def recording_solve(B, constraints, sigma0, eps):
         got = solve(B, constraints, sigma0, eps)
-        calls.append((B, current["src"], current["alpha_of"], sigma0, eps, got))
+        calls.append((B, current["src"], current["obj"], current["alpha_of"], sigma0, eps, got))
         return got
 
     monkeypatch.setattr(compose, "_constraints_for", recording_constraints)
     monkeypatch.setattr(compose, "_constraint_kernel", recording_solve)
     for obj, req in KERNEL_PROBLEMS:
+        current["obj"] = obj
         construct_composition(obj, req)
     assert len(calls) >= 8
-    for B, src, alpha_of, sigma0, eps, got in calls:
-        old = [(alpha_of(g), alpha_of(src.sigma.apply(g))) for g in reference_source_generators(src)]
+    for B, src, obj, alpha_of, sigma0, eps, got in calls:
+        old = [(alpha_of(g), alpha_of(src.sigma.apply(g)))
+               for g in reference_source_generators(src, obj)]
         assert reference_constraint_kernel(B, old, sigma0, eps) == got
 
 
@@ -669,7 +672,7 @@ def test_profile_corner_classes_match_the_compressing_search(entries):
 
 
 def test_pair_corner_classes_are_their_recovered_symbols():
-    (_, src), = [s for s in SPLIT_SOURCES if s[1].pair_data is not None]
+    (_, src), = [s for s in SPLIT_SOURCES if s[1].q is None]
     for side in compose._split_corners(src):
         assert side["cls"] == BrauerClass(src.C0.F, [quaternion_symbol_of(side["B0"])])
 

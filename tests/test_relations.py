@@ -15,6 +15,10 @@ scalings also keep the witness that `compose` builds through the corners.
 On a pair source A = Q1 (x) Q2 of degree 4 the center of the Clifford
 algebra splits, and the classes of its two factors multiply to the class
 of A: [C+][C-] = [A] = [Q1][Q2] (Knus-Merkurjev-Rost-Tignol, Thm 9.12).
+The adjoint pair of a form q with a split center has the Clifford algebra
+C0(q) (KMRT, section 8), so both of its factor classes are [C(q)], and a
+composition built from the pair has the degree and type of one built
+from q.
 
 Adding four hyperbolic planes 4H moves n to n + 8 and multiplies the
 degree of C by 16 = 2^4 without changing its classes, its center or the
@@ -51,6 +55,7 @@ from cliffcomp.algebra import (
 )
 from cliffcomp.brauer import BrauerClass
 from cliffcomp.clifford import clifford_of_pair
+from cliffcomp.compose import construct_composition
 from cliffcomp.brauer import clifford_class_of_form, trivial_class
 from cliffcomp.mcd import classify, profile_from_form, profile_from_pair_clifford
 from cliffcomp.qpair import pair_from_form, pair_on_quaternion_tensor
@@ -316,6 +321,25 @@ def test_pair_sources_keep_the_fundamental_relation():
         assert profile.c_plus * profile.c_minus == BrauerClass(QQ, [s1, s2])
 
     check()
+
+
+@pytest.mark.parametrize("field,entries", [("Q", (1, 1, 1, 1)), ("Q", (-1, 2, -3, 6)),
+                                            ("Q", (5, 7, 35, 1)), ("GF(3)", (1, 1, 2, 2))],
+                         ids=str)
+def test_the_adjoint_pair_of_a_form_answers_as_the_form(field, entries):
+    F = QQ if field == "Q" else PrimeField(3)
+    q = QuadraticSpace.diagonal(F, [F.parse(str(v)) for v in entries])
+    data = clifford_of_pair(pair_from_form(q)[0])
+    profile = profile_from_pair_clifford(data)
+    assert profile.c_plus == profile.c_minus == clifford_class_of_form(q)
+    minus_one = F.parse("-1")
+    for request in [{"kind": "first", "c": trivial_class(F), "t": "symplectic"},
+                    {"kind": "first", "c": BrauerClass(F, [(minus_one, minus_one)]),
+                     "t": "orthogonal"},
+                    {"kind": "unitary", "S": EtaleQuadratic(F, F.one(), True),
+                     "c0": trivial_class(F)}]:
+        from_form, from_pair = construct_composition(q, request), construct_composition(data, request)
+        assert (from_pair.degree, from_pair.tau_type) == (from_form.degree, from_form.tau_type)
 
 
 def library_requests(F):
