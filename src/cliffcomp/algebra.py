@@ -40,6 +40,7 @@ built on the way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from typing import Optional
@@ -99,18 +100,23 @@ class El:
         return " + ".join(f"{F.fmt(v)}*e{k}" for k, v in sorted(self.c.items()))
 
 
-def sums_and_differences(vectors: list):
-    """The vectors, then v_i + v_j and v_i - v_j for each pair i < j.
+def signed_sums(vectors: list):
+    """v_i0 +- v_i1 +- ... +- v_ik over the nonempty subsets i0 < ... < ik,
+    by size, then in lexicographic order, with + before -.
 
-    A quadratic form that vanishes on all of them vanishes on their span
-    (its polar form vanishes on every pair), so the list holds an
-    anisotropic vector of every form that is nondegenerate on the span.
+    The first k^2 items of k vectors are the vectors, then v_i + v_j and
+    v_i - v_j for each pair i < j.  A quadratic form that vanishes on all
+    of them vanishes on their span (its polar form vanishes on every
+    pair), so those items hold an anisotropic vector of every form that is
+    nondegenerate on the span.
     """
-    yield from vectors
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            yield vectors[i] + vectors[j]
-            yield vectors[i] - vectors[j]
+    for size in range(1, len(vectors) + 1):
+        for first, *rest in itertools.combinations(vectors, size):
+            for signs in itertools.product((True, False), repeat=size - 1):
+                w = first
+                for plus, v in zip(signs, rest):
+                    w = w + v if plus else w - v
+                yield w
 
 
 def as_scalar(A: Algebra, x: El):
@@ -127,10 +133,12 @@ def as_scalar(A: Algebra, x: El):
 
 
 def square_unit(A: Algebra, vectors: list, what: str) -> tuple:
-    """(w, w^2) for the first w in sums_and_differences(vectors) whose
-    square is a nonzero scalar: an anisotropic vector of the squaring form
-    where it is quadratic (pure quaternions, vectors of a Clifford algebra)."""
-    for w in sums_and_differences(vectors):
+    """(w, w^2) for the first w among the first k^2 signed sums of the k
+    vectors whose square is a nonzero scalar: an anisotropic vector of the
+    squaring form where it is quadratic (pure quaternions, vectors of a
+    Clifford algebra).  When none of those k^2 qualifies the form vanishes
+    on the span, so the search stops there."""
+    for w in itertools.islice(signed_sums(vectors), len(vectors) ** 2):
         sq = as_scalar(A, A.mul(w, w))
         if sq is not None and not A.F.is_zero(sq):
             return w, sq

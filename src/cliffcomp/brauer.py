@@ -26,6 +26,7 @@ one once its primes are in play.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .algebra import (
@@ -34,8 +35,8 @@ from .algebra import (
     QuaternionAlgebra,
     as_scalar,
     hom_on_generators,
+    signed_sums,
     square_unit,
-    sums_and_differences,
 )
 from .errors import CertificationError, UnsupportedInputError
 from .linalg import kernel, solve
@@ -222,7 +223,7 @@ def quaternion_symbol_of(A: Algebra) -> tuple:
         gens = [x, y]
     else:
         # u with u^2 = u + a, then v with vu = (u+1)v and v^2 = b
-        for c in sums_and_differences(basis):
+        for c in itertools.islice(signed_sums(basis), len(basis) ** 2):
             if as_scalar(A, c) is not None:
                 continue
             ab = solve(F, [c.c, one.c], A.mul(c, c).c)

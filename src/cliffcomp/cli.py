@@ -149,7 +149,6 @@ def _problem_echo(args) -> dict:
         "type": getattr(args, "type", None),
         "class": json.loads(args.cls) if args.cls else None,
         "s": json.loads(args.s) if args.s else None,
-        "seed": getattr(args, "seed", 0),
     }
 
 
@@ -193,7 +192,7 @@ def _cmd_compose(args) -> dict:
     F = _parse_field(args.field)
     kind, obj = _parse_object(F, args.object)
     request = _parse_request(F, args)
-    wit = construct_composition(obj, request, seed=args.seed)
+    wit = construct_composition(obj, request)
     return {"problem": _problem_echo(args), "witness": wit.to_json(), "verified": True}
 
 
@@ -208,9 +207,11 @@ def _cmd_verify(args) -> dict:
         type=problem.get("type"),
         cls=json.dumps(problem["class"]) if problem.get("class") is not None else None,
         s=json.dumps(problem["s"]) if problem.get("s") is not None else None,
-        seed=_shaped(problem.get("seed", 0), int, "the bundle's seed"),
     ))
-    if rebuilt["witness"] != bundle["witness"]:
+    stored = bundle["witness"]
+    if isinstance(stored, dict):  # older versions stored a key that is now dropped
+        stored = {k: v for k, v in stored.items() if k != "seed"}
+    if rebuilt["witness"] != stored:
         raise CertificationError("replayed witness differs from the bundle")
     return {"verified": True, "degree": rebuilt["witness"]["degree"],
             "involution_type": rebuilt["witness"]["involution_type"]}
@@ -353,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--s", default=None,
                             help='quadratic extension datum as JSON '
                                  '{"datum": "m"} or {"split": true}')
-        sp.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("invariants", help="invariant profile of the object"),
            with_type=False)

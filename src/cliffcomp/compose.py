@@ -37,8 +37,8 @@ per candidate a, and the primes widen until there is a solution, which
 Serre's ch. III, Thm 4 with Dirichlet's theorem provides.  Candidates
 for u, and for the one anisotropic-vector search (square_unit: the
 generators of a quaternion symbol, the vector v of the vector twist),
-come from finite lists: spanning vectors, then their pairwise sums and
-differences.
+come from one fixed list, the signed sums of spanning vectors
+(algebra.signed_sums), so a witness depends on its problem alone.
 
 Which certificate runs where: the source involution sigma_bar is
 certified when the source is built (even_clifford, clifford_of_pair), or
@@ -60,7 +60,6 @@ alpha, sigma_bar and tau certified it holds on a subalgebra.
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,8 +85,8 @@ from .algebra import (
     involution_on_tensor,
     involution_type,
     restrict_involution,
+    signed_sums,
     square_unit,
-    sums_and_differences,
     swap_involution,
     transpose_involution,
     twist_involution,
@@ -154,13 +153,12 @@ def _constraint_kernel(B: Algebra, constraints: list, sigma0: Involution, eps) -
     return kernel(B.F, cols, B.dim)
 
 
-# Candidates tried for u: the kernel basis with its pairwise sums and
-# differences, then seeded random combinations of the basis.
+# Candidates tried for u: the first signed sums of the kernel basis.
 EXTENSION_CANDIDATES = 64
 
 
 def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
-                      want: Optional[str] = None, seed: int = 0):
+                      want: Optional[str] = None):
     """An involution tau = Int(u) . sigma0 on B with tau(x) = y for every
     constraint pair (x, y), of the wanted type.
 
@@ -169,10 +167,10 @@ def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
     2.7), so outside characteristic 2 the sign eps alone fixes the type:
     eps = 1 keeps the type of sigma0 and eps = -1 switches the first-kind
     type.  One kernel, of the sign the wanted type needs, is solved, and
-    its first invertible candidate is kept.  In characteristic 2 eps is 1
-    and Alt(tau), not eps, decides the type, so tau is typed there.  No
-    candidate is certified here: the witness that keeps one certifies it
-    once, in CompositionWitness.verify.
+    the first invertible one of its first EXTENSION_CANDIDATES signed sums
+    is kept.  In characteristic 2 eps is 1 and Alt(tau), not eps, decides
+    the type, so tau is typed there.  No candidate is certified here: the
+    witness that keeps one certifies it once, in CompositionWitness.verify.
     """
     F = B.F
     type0 = involution_type(B, sigma0)
@@ -185,20 +183,8 @@ def extend_involution(B: Algebra, constraints: list, sigma0: Involution,
     space = [El(B, v) for v in _constraint_kernel(B, constraints, sigma0, eps)]
     if not space:
         return None
-    rng = random.Random(seed)
-
-    def random_combinations():
-        while True:
-            u = B.zero()
-            for v in space:
-                c = F.from_int(rng.randint(-2, 2))
-                if not F.is_zero(c):
-                    u = u + c * v
-            yield u
-
-    candidates = itertools.chain(sums_and_differences(space), random_combinations())
-    for u in itertools.islice(candidates, EXTENSION_CANDIDATES):
-        uinv = None if u.is_zero() else alg_inverse(B, u)
+    for u in itertools.islice(signed_sums(space), EXTENSION_CANDIDATES):
+        uinv = alg_inverse(B, u)
         if uinv is None:
             continue
         tau = twist_involution(sigma0, u, uinv, label="tau")
@@ -330,7 +316,6 @@ class CompositionWitness:
     tau_type: str
     class_symbols: list
     trace: list = field(default_factory=list)
-    seed: int = 0
 
     def verify(self) -> dict:
         """Recompute every certificate; raises on any failure.
@@ -401,7 +386,6 @@ class CompositionWitness:
                 for i in range(self.target.dim)
             ],
             "trace": list(self.trace),
-            "seed": self.seed,
         }
 
 
@@ -425,13 +409,12 @@ def _degree_over_center(B: Algebra, unitary: bool) -> int:
 @dataclass
 class _Plan:
     """What the steps of one construction share: the source, the request,
-    the formula value, the seed, and the trace and quaternion symbols so
-    far (both go into the witness in the order the steps append them)."""
+    the formula value, and the trace and quaternion symbols so far (both
+    go into the witness in the order the steps append them)."""
 
     src: SourceData
     request: dict
     expected: McdResult
-    seed: int
     trace: list
     symbols: list = field(default_factory=list)
 
@@ -442,7 +425,7 @@ class _Plan:
         alpha = AlgebraHom(C0, B, images, label="alpha")
         deg = _degree_over_center(B, unitary=(self.request["kind"] == "unitary"))
         return CompositionWitness(self.src, self.request, B, tau, alpha, self.expected, deg,
-                                  tau_type, self.symbols, self.trace, self.seed)
+                                  tau_type, self.symbols, self.trace)
 
 
 @dataclass
@@ -496,8 +479,7 @@ def _twist(plan: _Plan, block: _Block, target: BrauerClass, dist) -> _Block:
 
 def _extend(plan: _Plan, B: Algebra, alpha_of, sigma0: Involution, want):
     """(tau, type) extending sigma0 to an involution that alpha_of intertwines."""
-    return extend_involution(B, _constraints_for(plan.src, alpha_of), sigma0,
-                             want=want, seed=plan.seed)
+    return extend_involution(B, _constraints_for(plan.src, alpha_of), sigma0, want=want)
 
 
 def _matrix_layer(B0: Algebra, theta: Involution) -> tuple:
@@ -520,8 +502,7 @@ def _paired_with_opposite(src: SourceData, block: _Block) -> tuple:
 # ---------------------------------------------------------------------------
 # first kind
 
-def construct_first_kind(src: SourceData, c: BrauerClass, t: str,
-                         seed: int = 0) -> CompositionWitness:
+def construct_first_kind(src: SourceData, c: BrauerClass, t: str) -> CompositionWitness:
     prof = src.profile
     F = prof.F
     if F.char == 2:
@@ -529,7 +510,7 @@ def construct_first_kind(src: SourceData, c: BrauerClass, t: str,
     expected = mcd_first_kind(prof, c, t)
     if expected.status == NOT_COVERED:
         raise NotCoveredError(f"no construction covers this case: {expected.case}")
-    plan = _Plan(src, {"kind": "first", "c": c, "t": t}, expected, seed,
+    plan = _Plan(src, {"kind": "first", "c": c, "t": t}, expected,
                  [f"target: first kind, type {t}, case {expected.case}"])
     want = None if F.char == 2 else t
 
@@ -623,15 +604,14 @@ def _corner_first_kind_involution(src: SourceData, side) -> Involution:
 # ---------------------------------------------------------------------------
 # unitary
 
-def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
-                      seed: int = 0) -> CompositionWitness:
+def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass) -> CompositionWitness:
     prof = src.profile
     F = prof.F
     expected = mcd_unitary(prof, S, c0)
     if expected.status == NOT_COVERED:
         raise NotCoveredError(f"no construction covers this case: {expected.case}")
     n = prof.n
-    plan = _Plan(src, {"kind": "unitary", "S": S, "c0": c0}, expected, seed,
+    plan = _Plan(src, {"kind": "unitary", "S": S, "c0": c0}, expected,
                  [f"target: unitary, case {expected.case}"])
 
     def dist(cls):
@@ -673,7 +653,7 @@ def construct_unitary(src: SourceData, S: EtaleQuadratic, c0: BrauerClass,
 # ---------------------------------------------------------------------------
 # entry point
 
-def construct_composition(source, request: dict, seed: int = 0) -> CompositionWitness:
+def construct_composition(source, request: dict) -> CompositionWitness:
     """Build and certify a composition witness.
 
     source: a QuadraticSpace, PairCliffordData, or SourceData.
@@ -690,9 +670,9 @@ def construct_composition(source, request: dict, seed: int = 0) -> CompositionWi
     else:
         raise UnsupportedInputError(f"cannot build a source from {type(source).__name__}")
     if request["kind"] == "first":
-        wit = construct_first_kind(src, request["c"], request["t"], seed=seed)
+        wit = construct_first_kind(src, request["c"], request["t"])
     elif request["kind"] == "unitary":
-        wit = construct_unitary(src, request["S"], request["c0"], seed=seed)
+        wit = construct_unitary(src, request["S"], request["c0"])
     else:
         raise UnsupportedInputError(f"unknown request kind {request['kind']!r}")
     wit.verify()

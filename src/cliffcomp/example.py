@@ -61,10 +61,6 @@ class EvenModelReport:
         }
 
 
-def _mat(M: MatrixAlgebra, rows: list) -> El:
-    return M.from_matrix(rows)
-
-
 def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
     """Build and certify the M_2(Q) model of C0(<1, -a, -b, -1, 1>).
 
@@ -87,10 +83,10 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
     # images of z e_t, t = 1..4, z the unit vector e_0 of the form: the
     # generators C0.generators() proves, in this order
     E = [
-        _mat(M, [[i_, z], [z, -i_]]),
-        _mat(M, [[j_, z], [z, -j_]]),
-        _mat(M, [[z, u], [u, z]]),
-        _mat(M, [[z, u], [-u, z]]),
+        M.from_matrix([[i_, z], [z, -i_]]),
+        M.from_matrix([[j_, z], [z, -j_]]),
+        M.from_matrix([[z, u], [u, z]]),
+        M.from_matrix([[z, u], [-u, z]]),
     ]
     psi = hom_on_generators(C0, M, E, label="psi")
     psi.verify()
@@ -107,7 +103,7 @@ def quaternionic_even_model(F: Field, a, b) -> EvenModelReport:
 
     def sprint(x: El) -> El:
         m = M.to_matrix(x)
-        return _mat(M, [
+        return M.from_matrix([
             [tilde.apply(m[1][1]), -tilde.apply(m[0][1])],
             [-tilde.apply(m[1][0]), tilde.apply(m[0][0])],
         ])

@@ -25,6 +25,8 @@ from cliffcomp.algebra import (
     involution_on_tensor,
     involution_type,
     restrict_involution,
+    signed_sums,
+    square_unit,
     swap_involution,
     transpose_involution,
 )
@@ -417,3 +419,27 @@ def test_element_repr_names_basis_indices():
     Q = QuaternionAlgebra(QQ, frac(-1), frac(-1))
     assert repr(Q.one() + 2 * Q.basis_el(3)) == "1*e0 + 2*e3"
     assert repr(Q.zero()) == "0"
+
+
+def test_signed_sums_order():
+    # by subset size, then lexicographically, + before -: the first k^2
+    # items are the vectors, then v_i + v_j and v_i - v_j for i < j
+    assert list(signed_sums([1, 10, 100])) == [
+        1, 10, 100, 11, -9, 101, -99, 110, -90, 111, -89, 91, -109]
+
+
+def test_square_unit_stops_after_k_squared_candidates(monkeypatch):
+    # in F[x1..x4]/(x_i x_j) every vector squares to 0, so no signed sum
+    # qualifies; the search stops after the 16 the theorem covers instead
+    # of walking all 40
+    k, one = 4, frac(1)
+    table = {(0, 0): {0: one}}
+    for i in range(1, k + 1):
+        table[(0, i)] = table[(i, 0)] = {i: one}
+    A = ExplicitAlgebra(QQ, k + 1, table, {0: one})
+    tried = []
+    real = algebra.as_scalar
+    monkeypatch.setattr(algebra, "as_scalar", lambda A, x: tried.append(x) or real(A, x))
+    with pytest.raises(CertificationError):
+        square_unit(A, [A.basis_el(i) for i in range(1, k + 1)], "unit")
+    assert len(tried) == k * k

@@ -140,7 +140,7 @@ def _witness_from_bundle(path):
 
     F = _parse_field(problem.get("field"))
     _, obj = _parse_object(F, json.dumps(problem["object"]))
-    return construct_composition(obj, _parse_request(F, Args), seed=problem.get("seed", 0))
+    return construct_composition(obj, _parse_request(F, Args))
 
 
 def _corpus():

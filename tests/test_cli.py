@@ -14,7 +14,8 @@ import pytest
 from cliffcomp import cli
 
 BASE = [sys.executable, "-m", "cliffcomp.cli"]
-BUNDLES = sorted((Path(__file__).parent / "data").glob("bundle_*.json"))
+DATA = Path(__file__).parent / "data"
+BUNDLES = sorted(DATA.glob("bundle_*.json"))
 
 
 def run_cli(*args, stdin=None):
@@ -127,14 +128,39 @@ def test_mcd_excluded_case_exits_3():
         *[("verify", "--object", json.dumps({
             "problem": {"object": {"diag": [1, 1]}, "type": "orthogonal", **fields},
             "witness": {}}))
-          for fields in ({"seed": [1]}, {"seed": None}, {"field": 5}, {"seed": 1.5},
-                         {"seed": True})],
+          for fields in ({"field": 5},)],
     ],
 )
 def test_invalid_inputs_exit_2(args):
     p = run_cli(*args)
     assert p.returncode == 2, (p.stdout, p.stderr)
     assert json.loads(p.stderr)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command", ["invariants", "mcd", "bound", "compose"])
+def test_the_seed_flag_is_unknown(command):
+    # a witness is a function of its problem
+    args = ["--object", '{"diag":[1,1,1]}']
+    if command != "invariants":
+        args += ["--type", "symplectic"]
+    assert run_cli(command, *args, "--seed", "3").returncode == 2
+
+
+def test_verify_ignores_the_seed_of_an_older_bundle():
+    bundle = json.loads((DATA / "bundle_diag.json").read_text())
+    bundle["problem"]["seed"] = bundle["witness"]["seed"] = 3
+    p = run_cli("verify", stdin=json.dumps(bundle))
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["verified"] is True
+
+
+@pytest.mark.parametrize("witness", [[1], None])
+def test_verify_rejects_a_witness_that_is_no_object(witness):
+    bundle = json.loads((DATA / "bundle_diag.json").read_text())
+    bundle["witness"] = witness
+    p = run_cli("verify", stdin=json.dumps(bundle))
+    assert p.returncode == 4, (p.stdout, p.stderr)
+    assert json.loads(p.stderr)["error"] == "certification-failure"
 
 
 def test_the_truncation_cap_flag_is_unknown():
@@ -234,7 +260,7 @@ def test_compose_over_gf_1009_2_square_root_of_a_prime_nonsquare():
                        capture_output=True, text=True, timeout=10)
     assert p.returncode == 0, p.stderr
     assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
-        "b2f6b94d45bc7ad92da4fd51a9fcc3e87f236e4a90823ed2cdabdba1df3483ae"
+        "dceae1d2e8e2c6dba08c8b710530452d37ca0e744f2cf523e08bc27c7532c96f"
 
 
 def run_inprocess(*argv):
@@ -361,11 +387,10 @@ def test_back_to_back_runs_share_no_state():
         return run_inprocess(*argv)[:2]
 
     compose = ("compose", "--object", '{"diag":["1","1","1"]}', "--type", "symplectic")
-    rc, out = run(*compose, "--seed", "3")
-    assert rc == 0 and json.loads(out)["problem"]["seed"] == 3
+    rc, first = run(*compose)
+    assert rc == 0
     assert run("compose", "--object", '{"diag":[1,1,1]}', "--type", "hermitian")[0] == 2
-    rc, out = run(*compose)
-    assert rc == 0 and json.loads(out)["problem"]["seed"] == 0
+    assert run(*compose) == (0, first)
 
 
 def test_bound_with_a_huge_degree_and_no_two_term_solution_returns():
@@ -395,17 +420,15 @@ def test_compose_emits_verified_witness():
     assert out["witness"]["expected"]["status"] == "exact"
 
 
-def test_compose_deterministic_given_seed():
+def test_compose_deterministic():
     args = ("compose", "--object", '{"diag":["1","1","1","1"]}',
-            "--type", "symplectic", "--class", '[["-1","-1"]]',
-            "--seed", "13")
+            "--type", "symplectic", "--class", '[["-1","-1"]]')
     assert run_json(*args) == run_json(*args)
 
 
 def test_verify_replays_compose_bundle():
     bundle = run_json("compose", "--object", '{"diag":["1","1","1"]}',
-                      "--type", "unitary", "--s", '{"datum":"-1"}',
-                      "--seed", "5")
+                      "--type", "unitary", "--s", '{"datum":"-1"}')
     out = run_json("verify", stdin=json.dumps(bundle))
     assert out["verified"] is True
     assert out["degree"] == bundle["witness"]["degree"]

@@ -25,8 +25,9 @@ from cliffcomp.algebra import (
     hom_on_generators,
     involution_type,
     restrict_involution,
-    sums_and_differences,
+    signed_sums,
     transpose_involution,
+    twist_involution,
 )
 from cliffcomp.brauer import (
     BrauerClass,
@@ -154,10 +155,10 @@ def test_witness_intertwines_involutions_pointwise():
         assert wit.alpha.apply(sigma.apply(x)) == wit.tau.apply(wit.alpha.apply(x))
 
 
-def test_witness_json_deterministic_given_seed():
+def test_witness_json_deterministic():
     req = {"kind": "first", "c": HH, "t": "symplectic"}
-    a = construct_composition(diag(1, 1, 1, -1, 1), req, seed=9).to_json()
-    b = construct_composition(diag(1, 1, 1, -1, 1), req, seed=9).to_json()
+    a = construct_composition(diag(1, 1, 1, -1, 1), req).to_json()
+    b = construct_composition(diag(1, 1, 1, -1, 1), req).to_json()
     assert a == b
     assert a["degree"] == 4 and a["log2_degree"] == 2
     assert a["kind"] == "first" and a["involution_type"] == "symplectic"
@@ -283,11 +284,11 @@ def test_extend_involution_reports_the_type_of_tau(monkeypatch):
     assert switched == {0, 3}
 
 
-def test_extend_involution_random_tail_is_seeded():
+def test_extend_involution_takes_the_tenth_signed_sum():
     """On M2(GF(3))^3 with the transpose on each factor and every matrix
     unit g constrained to d g^t d^-1, d = diag(1, 2), the kernel is spanned
-    by (d,0,0), (0,d,0), (0,0,d): no basis vector, sum or difference is
-    invertible, so the seeded random combinations find tau."""
+    by (d,0,0), (0,d,0), (0,0,d): no basis vector, sum or difference (the
+    first 9 signed sums) is invertible, and the 10th, (d,d,d), is kept."""
     M = MatrixAlgebra(FieldAlgebra(F3), 2)
     B = ProductAlgebra(ProductAlgebra(M, M), M)
     t = transpose_involution(M)
@@ -303,12 +304,16 @@ def test_extend_involution_random_tail_is_seeded():
                                 El(B, {4 * f + k: v for k, v in y.c.items()})))
     space = [El(B, v) for v in compose._constraint_kernel(B, constraints, sigma0, F3.one())]
     assert len(space) == 3
-    assert all(alg_inverse(B, u) is None for u in sums_and_differences(space))
-    tau, ttype = compose.extend_involution(B, constraints, sigma0, seed=5)
+    candidates = list(itertools.islice(signed_sums(space), 10))
+    assert all(alg_inverse(B, u) is None for u in candidates[:9])
+    assert candidates[9] == space[0] + space[1] + space[2]
+    tau, ttype = compose.extend_involution(B, constraints, sigma0)
     assert ttype == "orthogonal" == involution_type(B, tau)
     tau.verify()
     assert all(tau.apply(x) == y for x, y in constraints)
-    again, _ = compose.extend_involution(B, constraints, sigma0, seed=5)
+    u = candidates[9]
+    assert tau.images == twist_involution(sigma0, u, alg_inverse(B, u)).images
+    again, _ = compose.extend_involution(B, constraints, sigma0)
     assert again.images == tau.images
 
 
@@ -637,7 +642,7 @@ def ref_compressed_class(F, corner):
     seeds = (corner.project(corner.A.basis_el(i)) for i in range(corner.A.dim))
     basis = [corner.basis_el(i) for i in range(corner.dim)]
     budget = 60
-    for w in itertools.chain(seeds, sums_and_differences(basis)):
+    for w in itertools.chain(seeds, itertools.islice(signed_sums(basis), len(basis) ** 2)):
         lam = as_scalar(corner, w * w)
         if lam is None or F.is_zero(lam):
             continue
