@@ -47,7 +47,7 @@ from typing import Optional
 
 from .errors import CertificationError, UnsupportedInputError
 from .linalg import SparseEchelon, apply_cols, axpy, inverse, kernel, rref, solve
-from .scalars import Field
+from .scalars import Field, check_quaternion_parameters
 
 
 class El:
@@ -324,12 +324,6 @@ class FieldAlgebra(Algebra):
 
     def trd_vec(self):
         return [self.F.one()]
-
-
-def check_quaternion_parameters(F: Field, a, b) -> None:
-    """Raise unless b != 0 and, outside characteristic 2, a != 0."""
-    if F.is_zero(b) or (F.char != 2 and F.is_zero(a)):
-        raise UnsupportedInputError("quaternion parameters must be invertible")
 
 
 class QuaternionAlgebra(Algebra):

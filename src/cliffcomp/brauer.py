@@ -22,6 +22,10 @@ and the rescaling lam of a form in compose, with [C(lam q)] = [C(q)]
 there is none.  This ends: a solution exists (Serre, A Course in
 Arithmetic, ch. III, Thm 4, with Dirichlet's theorem), and the solve finds
 one once its primes are in play.
+
+Only quaternion_symbol_of reads an algebra; it imports the algebra layer
+when it is called, so the degree formulas, which read classes only, load
+none of it.
 """
 
 from __future__ import annotations
@@ -29,15 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import (
-    Algebra,
-    El,
-    QuaternionAlgebra,
-    as_scalar,
-    hom_on_generators,
-    signed_sums,
-    square_unit,
-)
 from .errors import CertificationError, UnsupportedInputError
 from .linalg import kernel, solve
 from .scalars import (
@@ -182,11 +177,11 @@ class RestrictedClass:
 # ---------------------------------------------------------------------------
 # symbol recovery from degree-2 algebras
 
-def quaternion_symbol_of(A: Algebra) -> tuple:
-    """Recover a symbol (a, b) with A isomorphic to the quaternion algebra
-    (a, b) (char != 2) or [a, b) (char 2).  Certified by the isomorphism
-    that sends the proved generators i, j of the quaternion algebra to the
-    two generators found (hom_on_generators).
+def quaternion_symbol_of(A) -> tuple:
+    """Recover a symbol (a, b) with the algebra A isomorphic to the
+    quaternion algebra (a, b) (char != 2) or [a, b) (char 2).  Certified by
+    the isomorphism that sends the proved generators i, j of the quaternion
+    algebra to the two generators found (hom_on_generators).
 
     Every generator is the first fit in a finite list: spanning vectors,
     then their pairwise sums and differences (square_unit).  The
@@ -196,6 +191,8 @@ def quaternion_symbol_of(A: Algebra) -> tuple:
     first non-scalar candidate c with c^2 = alpha c + beta and alpha != 0:
     alpha is Trd(c), a nonzero functional, so some basis element qualifies.
     """
+    from .algebra import El, QuaternionAlgebra, as_scalar, hom_on_generators, signed_sums, square_unit
+
     F = A.F
     if A.dim != 4:
         raise UnsupportedInputError("symbol recovery needs a 4-dimensional algebra")

@@ -3,6 +3,13 @@
 Exit codes: 0 success, 2 invalid input, 3 not covered by the formula
 case list, 4 certification failure.  Errors are also emitted as
 structured JSON on standard error.  Rationals travel as strings.
+
+The formula commands (invariants, mcd and bound on a form) read the
+degree formulas off the form's invariants and build no algebra, so this
+module loads only the formula layer: scalars, linalg, quadform, brauer
+and mcd.  The construction layer (algebra, clifford, qpair, compose,
+example) is imported where an algebra is built: by compose, verify,
+example1 and selftest, and for a quaternion_pair object.
 """
 
 import argparse
@@ -10,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     CertificationError,
@@ -22,6 +30,7 @@ from .scalars import (
     EtaleQuadratic,
     Field,
     PrimeField,
+    check_quaternion_parameters,
     field_from_json,
     hilbert_symbol,
     hilbert_symbol_bruteforce,
@@ -30,9 +39,6 @@ from .scalars import (
     quad_ext_info,
 )
 from .quadform import QuadraticSpace
-from .algebra import QuaternionAlgebra, check_quaternion_parameters
-from .qpair import pair_from_form, pair_on_quaternion_tensor
-from .clifford import clifford_of_pair, even_clifford, split_compare
 from .brauer import BrauerClass, trivial_class
 from .mcd import (
     NOT_COVERED,
@@ -41,8 +47,6 @@ from .mcd import (
     profile_from_form,
     profile_from_pair_clifford,
 )
-from .compose import construct_composition, regular_representation
-from .example import quaternionic_even_model
 
 EXIT_OK, EXIT_INVALID, EXIT_NOT_COVERED, EXIT_CERT = 0, 2, 3, 4
 
@@ -79,6 +83,13 @@ def _shaped(value, kind: type, what: str):
     return value
 
 
+def _pair(value, what: str) -> list:
+    """value when it is a JSON array of two entries."""
+    if len(_shaped(value, list, what)) != 2:
+        raise UnsupportedInputError(f"{what} must be a JSON array of two entries")
+    return value
+
+
 def _parse_matrix(F: Field, rows) -> list:
     return [[F.parse(str(v)) for v in _shaped(row, list, "a matrix row")]
             for row in _shaped(rows, list, "a matrix")]
@@ -87,6 +98,9 @@ def _parse_matrix(F: Field, rows) -> list:
 def _parse_object(F: Field, spec: str):
     """Returns ("form", QuadraticSpace) or ("pair", PairCliffordData)."""
     d = _shaped(json.loads(spec), dict, "--object")
+    shapes = [k for k in ("diag", "gram", "quaternion_pair") if k in d]
+    if len(shapes) > 1:
+        raise UnsupportedInputError(f"--object has more than one of {', '.join(shapes)}")
     if "diag" in d:
         diag = _shaped(d["diag"], list, "diag")
         return "form", QuadraticSpace.diagonal(F, [F.parse(str(v)) for v in diag])
@@ -95,8 +109,12 @@ def _parse_object(F: Field, spec: str):
         # the coefficient of x_i x_j
         return "form", QuadraticSpace(F, _parse_matrix(F, d["gram"]))
     if "quaternion_pair" in d:
-        (a1, b1), (a2, b2) = [_shaped(s, list, "a quaternion symbol")
-                              for s in _shaped(d["quaternion_pair"], list, "quaternion_pair")]
+        from .algebra import QuaternionAlgebra
+        from .clifford import clifford_of_pair
+        from .qpair import pair_on_quaternion_tensor
+
+        (a1, b1), (a2, b2) = [_pair(s, "a quaternion symbol")
+                              for s in _pair(d["quaternion_pair"], "quaternion_pair")]
         Q1 = QuaternionAlgebra(F, F.parse(str(a1)), F.parse(str(b1)))
         Q2 = QuaternionAlgebra(F, F.parse(str(a2)), F.parse(str(b2)))
         pair = pair_on_quaternion_tensor(Q1, Q2)
@@ -109,7 +127,7 @@ def _parse_class(F: Field, spec) -> BrauerClass:
         return trivial_class(F)
     symbols = []
     for s in _shaped(json.loads(spec), list, "--class"):
-        a, b = (F.parse(str(x)) for x in _shaped(s, list, "a symbol"))
+        a, b = (F.parse(str(x)) for x in _pair(s, "a symbol"))
         check_quaternion_parameters(F, a, b)
         symbols.append((a, b))
     return BrauerClass(F, symbols)
@@ -174,7 +192,7 @@ def _cmd_mcd(args) -> dict:
     out = case.mcd.to_json()
     out["profile"] = prof.to_json()
     if case.mcd.status == NOT_COVERED:
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
         raise NotCoveredError(f"not covered: {case.mcd.case}")
     return out
 
@@ -189,6 +207,8 @@ def _cmd_bound(args) -> dict:
 
 
 def _cmd_compose(args) -> dict:
+    from .compose import construct_composition
+
     F = _parse_field(args.field)
     kind, obj = _parse_object(F, args.object)
     request = _parse_request(F, args)
@@ -218,6 +238,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_example1(args) -> dict:
+    from .example import quaternionic_even_model
+
     F = _parse_field(args.field)
     rep = quaternionic_even_model(F, F.parse(args.a), F.parse(args.b))
     out = rep.to_json()
@@ -231,6 +253,12 @@ def _cmd_example1(args) -> dict:
 
 
 def _selftest_cases():
+    from .algebra import QuaternionAlgebra
+    from .clifford import clifford_of_pair, even_clifford, split_compare
+    from .compose import construct_composition, regular_representation
+    from .example import quaternionic_even_model
+    from .qpair import pair_from_form
+
     Z = QQ.from_int
 
     def classes_metric():
@@ -324,7 +352,7 @@ def _cmd_selftest(args) -> dict:
                             "detail": f"{type(e).__name__}: {e}"})
     out = {"cases": results, "passed": len(results) - failed, "failed": failed}
     if failed:
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
         raise CertificationError(f"{failed} selftest case(s) failed")
     return out
 
@@ -403,8 +431,36 @@ def run(argv=None) -> int:
         # or a missing key
         _emit_error("invalid-input", e)
         return EXIT_INVALID
-    print(json.dumps(out, indent=2))
+    print(_dumps(out))
     return EXIT_OK
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), without the pure-Python encoder that an
+    indent selects: its closures leave reference cycles for the collector."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, parts = "[]", [_dumps(v, inner) for v in value]
+    elif isinstance(value, dict):
+        brackets, parts = "{}", [f"{encode_basestring_ascii(_key(k))}: {_dumps(v, inner)}"
+                                 for k, v in value.items()]
+    else:
+        return json.dumps(value)
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string as is, a number, boolean or
+    None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit_error(kind: str, e: Exception) -> None:

@@ -449,6 +449,12 @@ def field_from_json(d: dict) -> Field:
     raise UnsupportedInputError(f"unknown field descriptor {d!r}")
 
 
+def check_quaternion_parameters(F: Field, a, b) -> None:
+    """Raise unless b != 0 and, outside characteristic 2, a != 0."""
+    if F.is_zero(b) or (F.char != 2 and F.is_zero(a)):
+        raise UnsupportedInputError("quaternion parameters must be invertible")
+
+
 # ---------------------------------------------------------------------------
 # integer utilities
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import recording_homs, ref_hom_on_generators
 
-from cliffcomp import brauer
+from cliffcomp import algebra, brauer
 from cliffcomp.algebra import ExplicitAlgebra, FieldAlgebra, ProductAlgebra, QuaternionAlgebra
 from cliffcomp.brauer import (
     BrauerClass,
@@ -270,7 +270,7 @@ def test_quaternion_symbol_recovery_char2():
 def test_symbol_isomorphism_matches_the_closure_reference(monkeypatch, F, a, b, basis, trivial):
     # the images of i and j extended along the proved words, against the
     # breadth-first closure over i and j
-    calls = recording_homs(monkeypatch, brauer)
+    calls = recording_homs(monkeypatch, algebra)
     Q = QuaternionAlgebra(F, a, b)
     quaternion_symbol_of(Q if basis is None else basis(Q))
     (Qs, A, gen_images, hom), = calls

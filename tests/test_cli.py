@@ -1,6 +1,7 @@
 """Command line surface: schemas, exit codes, determinism, replay."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -111,6 +112,17 @@ def test_mcd_excluded_case_exits_3():
         *[("mcd", "--object", '{"diag":[1,1,1,1]}', "--type", "unitary", "--s", s)
           for s in ('{"split": "false"}', '{"split": "no"}', '{"split": 1}')],
         ("verify", "--object", "[1]"),
+        # more than one shape in one object
+        ("invariants", "--object", '{"diag":[1,1],"gram":[[1]]}'),
+        ("invariants", "--object", '{"gram":[[1]],"quaternion_pair":[[1,1],[1,1]]}'),
+        ("mcd", "--object", '{"diag":[1,1,1],"quaternion_pair":[[-1,-1],[2,5]]}',
+         "--type", "symplectic"),
+        # a symbol, or a pair of symbols, that is not a pair
+        ("invariants", "--object", '{"quaternion_pair":[[1,1]]}'),
+        ("invariants", "--object", '{"quaternion_pair":[[-1,-1],[2,5],[3,7]]}'),
+        ("invariants", "--object", '{"quaternion_pair":[[-1,-1],[2]]}'),
+        ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "symplectic", "--class", "[[1]]"),
+        ("mcd", "--object", '{"diag":[1,1,1]}', "--type", "symplectic", "--class", "[[1,2,3]]"),
         # a field descriptor of the wrong shape
         *[("invariants", "--field", field, "--object", '{"diag":[1,1]}')
           for field in ('{"kind":"GF","p":3,"k":2,"modulus":5}',
@@ -135,6 +147,20 @@ def test_invalid_inputs_exit_2(args):
     p = run_cli(*args)
     assert p.returncode == 2, (p.stdout, p.stderr)
     assert json.loads(p.stderr)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("invariants", "--object", '{"quaternion_pair":[[1,1]]}'),
+     "quaternion_pair must be a JSON array of two entries"),
+    (("invariants", "--object", '{"quaternion_pair":[[-1,-1],[2]]}'),
+     "a quaternion symbol must be a JSON array of two entries"),
+    (("mcd", "--object", '{"diag":[1,1,1]}', "--type", "symplectic", "--class", "[[1]]"),
+     "a symbol must be a JSON array of two entries"),
+    (("invariants", "--object", '{"diag":[1,1],"gram":[[1]]}'),
+     "--object has more than one of diag, gram"),
+])
+def test_malformed_objects_and_symbols_are_named(args, message):
+    assert json.loads(run_cli(*args).stderr)["message"] == message
 
 
 @pytest.mark.parametrize("command", ["invariants", "mcd", "bound", "compose"])
@@ -475,6 +501,82 @@ def test_committed_bundles_replay(path):
     p = run_cli("verify", stdin=path.read_text())
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout)["verified"] is True
+
+
+CONSTRUCTION = {f"cliffcomp.{m}" for m in ("algebra", "clifford", "qpair", "compose", "example")}
+LOADED = ("import contextlib, io, json, sys; from cliffcomp import cli\n"
+          "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+          "    rc = cli.run(json.loads(sys.argv[1]))\n"
+          "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('cliffcomp'))]))")
+
+
+def loaded_by(argv: list) -> tuple:
+    """The exit code of cli.run(argv) in a fresh interpreter, and the
+    cliffcomp modules loaded when it returns."""
+    p = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argv)], capture_output=True,
+                       text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    rc, modules = json.loads(p.stdout)
+    return rc, set(modules)
+
+
+@pytest.mark.parametrize("command", ["invariants", "mcd", "bound"])
+@pytest.mark.parametrize("field, obj, code", [
+    ("Q", {"diag": [1, -1, 2]}, 0),
+    ("Q", {"gram": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}, 0),
+    ("GF(3)", {"diag": [1, -1, 2]}, 0),
+    ("GF(3)", {"gram": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}, 0),
+    ("GF(2)", {"diag": [1, 1, 1]}, 2),  # a diagonal form is never regular there
+    ("GF(2)", {"gram": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}, 0),
+])
+def test_a_formula_command_loads_no_construction_module(command, field, obj, code):
+    argv = [command, "--field", field, "--object", json.dumps(obj)]
+    if command != "invariants":
+        argv += ["--type", "orthogonal"]
+    rc, modules = loaded_by(argv)
+    assert rc == code
+    assert {"cliffcomp.cli", "cliffcomp.mcd"} <= modules
+    assert not modules & CONSTRUCTION, sorted(modules & CONSTRUCTION)
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["compose", "--object", '{"diag":[1,1,1]}', "--type", "symplectic"], "compose"),
+    (["invariants", "--object", '{"quaternion_pair":[[-1,-1],[2,5]]}'], "qpair"),
+    (["example1", "--a", "-1", "--b", "-1"], "example"),
+])
+def test_building_an_algebra_loads_the_construction_layer(argv, needs):
+    rc, modules = loaded_by(argv)
+    assert rc == 0
+    assert {"cliffcomp.algebra", "cliffcomp.clifford", f"cliffcomp.{needs}"} <= modules
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), [[]], [{}], {"a": {}, "b": []}, [1, [2, [3, {"x": ()}]]], (1, "a", (None,)),
+    "", "plain", "caf\u00e9 \u2203 \U0001d11e", "\x00\x1f\n\t\"\\/", {"\u00e9\n": "\x7f"},
+    True, False, None, 0, -1, 10 ** 40, -(10 ** 40), {"ok": True, "none": None, "n": -7},
+    {1: "int", True: "bool", None: "none", 2.5: "float"},
+])
+def test_dumps_matches_the_indented_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("path", BUNDLES, ids=lambda p: p.stem)
+def test_dumps_matches_the_indented_json_dumps_on_a_bundle(path):
+    value = json.loads(path.read_text())
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_a_query_leaves_no_cyclic_garbage():
+    argv = ["mcd", "--object", '{"diag":[1,-1,2]}', "--type", "symplectic"]
+    run_inprocess(*argv)  # the parser is built on the first call
+    gc.collect()
+    gc.disable()
+    try:
+        rc, out, _ = run_inprocess(*argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert rc == 0 and json.loads(out)["status"] == "exact"
 
 
 def test_selftest_runs_without_numpy():
